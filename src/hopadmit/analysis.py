@@ -15,7 +15,6 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import BoundUnavailableError, GraphError
@@ -37,26 +36,33 @@ from .qstab import DEFAULT_RAY_CAP
 from .scheduling import fractional_chromatic, normalize_demands
 from .search import DEFAULT_SET_CAP, iter_induced_cycles
 
-_local_subgraph = lru_cache(maxsize=65536)(one_hop_subgraph)
+
+def local_views(
+    g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
+) -> list[tuple[NetworkGraph, Fraction]]:
+    """Each vertex's 1-hop view and the duration it certifies, in vertex order.
+
+    A view is the subgraph induced by the vertex's closed neighborhood; its
+    value is the exact minimum schedule duration for the demands of the
+    links inside it. This is the only place a 1-hop LP is solved.
+    """
+    t = normalize_demands(conflict_graph(g, 2), tau)
+    views = []
+    for v in g.vertices:
+        sub = one_hop_subgraph(g, v)
+        local = {link: t[link] for link in sub.links if link in t}
+        value = (
+            fractional_chromatic(conflict_graph(sub, 2), local, cap)
+            if local
+            else Fraction(0)
+        )
+        views.append((sub, value))
+    return views
 
 
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
-    """Largest minimum schedule duration over all 1-hop views.
-
-    Each vertex solves the exact scheduling LP on the subgraph induced by
-    its closed neighborhood, seeing only demands of links inside it.
-    """
-    t = normalize_demands(conflict_graph(g, 2), tau)
-    best = Fraction(0)
-    for v in g.vertices:
-        sub = _local_subgraph(g, v)
-        local = {link: t[link] for link in sub.links if link in t}
-        if not local:
-            continue
-        value = fractional_chromatic(conflict_graph(sub, 2), local, cap)
-        if value > best:
-            best = value
-    return best
+    """Largest minimum schedule duration over all 1-hop views."""
+    return max((value for _, value in local_views(g, tau, cap)), default=Fraction(0))
 
 
 def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:

@@ -143,6 +143,10 @@ def _cmd_admit(args) -> dict:
             "k": args.k,
         }
         return _envelope(args, "admit", _graph_input(args, g, extra), result)
+    if args.k != 2:
+        raise GraphError(
+            f"distributed admission runs at interference radius 2 only, got --k {args.k}"
+        )
     if args.threshold == "auto":
         threshold, _ = admission_threshold(g, cap=args.cap_sets)
     else:
@@ -296,6 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap_sets < 1:
+            raise GraphError(f"--cap-sets must be at least 1, got {args.cap_sets}")
         report = args.run(args)
     except (GraphError, BoundUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import GraphError
@@ -30,36 +30,43 @@ def make_link(u: str, v: str) -> Link:
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Immutable undirected graph with sorted vertex and link tuples."""
+    """Immutable undirected graph with sorted vertex and link tuples.
+
+    Adjacency and all-pairs distances are computed once per instance, on
+    first use, and live only as long as the graph does.
+    """
 
     vertices: tuple[str, ...]
     links: tuple[Link, ...]
 
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for u, v in self.links:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: tuple(sorted(nb)) for v, nb in adj.items()}
+
+    @cached_property
+    def distances(self) -> dict[str, dict[str, int]]:
+        """Hop distance from each vertex to every vertex it can reach."""
+        return {v: _bfs_distances(self, (v,)) for v in self.vertices}
+
+    @cached_property
+    def _link_set(self) -> frozenset[Link]:
+        return frozenset(self.links)
+
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return _adjacency(self)[v]
+        return self.adjacency[v]
 
     def has_vertex(self, v: str) -> bool:
-        return v in _adjacency(self)
+        return v in self.adjacency
 
     def has_link(self, e: Link) -> bool:
-        return e in _link_set(self)
+        return e in self._link_set
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
-
-
-@lru_cache(maxsize=None)
-def _adjacency(g: NetworkGraph) -> dict[str, tuple[str, ...]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for u, v in g.links:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: tuple(sorted(nb)) for v, nb in adj.items()}
-
-
-@lru_cache(maxsize=None)
-def _link_set(g: NetworkGraph) -> frozenset[Link]:
-    return frozenset(g.links)
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> NetworkGraph:
@@ -87,7 +94,7 @@ def build_graph(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> Netw
 def _bfs_distances(g: NetworkGraph, sources: Iterable[str]) -> dict[str, int]:
     dist = {s: 0 for s in sources}
     queue = deque(dist)
-    adj = _adjacency(g)
+    adj = g.adjacency
     while queue:
         u = queue.popleft()
         for w in adj[u]:
@@ -95,11 +102,6 @@ def _bfs_distances(g: NetworkGraph, sources: Iterable[str]) -> dict[str, int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
-
-
-@lru_cache(maxsize=None)
-def _all_pairs_distances(g: NetworkGraph) -> dict[str, dict[str, int]]:
-    return {v: _bfs_distances(g, (v,)) for v in g.vertices}
 
 
 def link_distance(g: NetworkGraph, e: Link, f: Link) -> int | float:
@@ -135,31 +137,15 @@ class ConflictGraph:
     adj: tuple[frozenset[int], ...]
     k: int
 
+    @cached_property
+    def _link_index(self) -> dict[Link, int]:
+        return {link: i for i, link in enumerate(self.links)}
+
     def index(self, link: Link) -> int:
-        return _link_index(self)[link]
+        return self._link_index[link]
 
     def has_link(self, link: Link) -> bool:
-        return link in _link_index(self)
-
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
-
-    def without_links(self, drop: Iterable[Link]) -> ConflictGraph:
-        """Induced conflict graph with the given links removed."""
-        gone = set(drop)
-        for link in gone:
-            if not self.has_link(link):
-                raise GraphError(f"{link!r} is not a conflict-graph vertex")
-        keep = [i for i, l in enumerate(self.links) if l not in gone]
-        return induced_conflict(self, keep)
-
-
-@lru_cache(maxsize=None)
-def _link_index(gc: ConflictGraph) -> dict[Link, int]:
-    return {link: i for i, link in enumerate(gc.links)}
+        return link in self._link_index
 
 
 def induced_conflict(gc: ConflictGraph, keep: Sequence[int]) -> ConflictGraph:
@@ -179,7 +165,7 @@ def conflict_graph(g: NetworkGraph, k: int = 2) -> ConflictGraph:
         raise GraphError(f"interference radius must be >= 1, got {k}")
     links = g.links
     n = len(links)
-    dist = _all_pairs_distances(g)
+    dist = g.distances
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         a, b = links[i]

@@ -23,7 +23,6 @@ from .graphs import (
     ConflictGraph,
     Link,
     NetworkGraph,
-    _all_pairs_distances,
     conflict_components,
     conflict_graph,
     induced_conflict,
@@ -51,7 +50,7 @@ POLYTOPE_VERTEX_LIMIT = 12
 def _unit_distance_adjacency(g: NetworkGraph) -> tuple[frozenset[int], ...]:
     """Adjacency between links at distance exactly one."""
     links = g.links
-    dist = _all_pairs_distances(g)
+    dist = g.distances
     n = len(links)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
@@ -124,12 +123,10 @@ def neighborhood_cover_number(
     gc = conflict_graph(g, 2)
     if not gc.links:
         return 0, (), ()
-    neighborhood_links: dict[str, frozenset[int]] = {}
-    for v in g.vertices:
-        keep = {v, *g.neighbors(v)}
-        neighborhood_links[v] = frozenset(
-            i for i, (a, b) in enumerate(gc.links) if a in keep and b in keep
-        )
+    neighborhood_links = {
+        v: frozenset(gc.index(link) for link in one_hop_subgraph(g, v).links)
+        for v in g.vertices
+    }
     best = 0
     best_links: tuple[Link, ...] = ()
     best_vertices: tuple[str, ...] = ()

@@ -56,6 +56,15 @@ def graph_from_obj(obj) -> NetworkGraph:
         edges = obj["edges"]
     except KeyError as exc:
         raise GraphError(f"graph JSON is missing {exc.args[0]!r}") from exc
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise GraphError("graph JSON 'vertices' and 'edges' must be lists")
+    for edge in edges:
+        if not (
+            isinstance(edge, list)
+            and len(edge) == 2
+            and all(isinstance(v, str) for v in edge)
+        ):
+            raise GraphError(f"edge {edge!r} must be a list of two vertex ids")
     for v in vertices:
         if isinstance(v, str) and "-" in v:
             raise GraphError(

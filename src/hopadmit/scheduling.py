@@ -113,9 +113,6 @@ class Schedule:
 
     entries: tuple[tuple[frozenset[Link], Fraction], ...]
 
-    def total(self) -> Fraction:
-        return sum((dur for _, dur in self.entries), Fraction(0))
-
     def coverage(self, link: Link) -> Fraction:
         return sum(
             (dur for links, dur in self.entries if link in links), Fraction(0)

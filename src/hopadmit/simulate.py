@@ -2,10 +2,11 @@
 
 Round 0: every node knows its incident links and their demands. Round 1:
 every node sends that knowledge to each neighbor. A node then reconstructs
-exactly the subgraph induced by its closed neighborhood, solves the exact
-scheduling LP on it, and admits when its local duration stays within the
-threshold. The run is compared against a centralized feasibility oracle
-and classified; everything is deterministic for fixed inputs.
+exactly the subgraph induced by its closed neighborhood, takes the exact
+duration of that view from ``analysis.local_views``, and admits when it
+stays within the threshold. The protocol is defined at interference
+radius 2 only. The run is compared against a centralized feasibility
+oracle and classified; everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .analysis import admission_threshold, local_estimate
+from .analysis import admission_threshold, local_estimate, local_views
 from .errors import GraphError
-from .graphs import Link, NetworkGraph, build_graph, conflict_graph
+from .graphs import Link, NetworkGraph, conflict_graph
 from .scheduling import fractional_chromatic, normalize_demands
 from .search import DEFAULT_SET_CAP
 
@@ -32,7 +33,7 @@ class Message:
 
 @dataclass(frozen=True)
 class NodeView:
-    """What one node reconstructed purely from received messages."""
+    """What one node reconstructed from received messages, and its decision."""
 
     center: str
     subgraph: NetworkGraph
@@ -86,16 +87,17 @@ def run_admission(
             inbox[receiver].append(payload)
 
     views = []
-    for v in g.vertices:
+    for v, (subgraph, value) in zip(g.vertices, local_views(g, demands, cap)):
         reach = {v, *g.neighbors(v)}
         known: dict[Link, Fraction] = dict(incident[v])
         for payload in inbox[v]:
-            for link, value in payload:
+            for link, link_value in payload:
                 if link[0] in reach and link[1] in reach:
-                    known[link] = value
-        subgraph = build_graph(reach, list(known))
-        local = {link: val for link, val in known.items() if val > 0}
-        value = fractional_chromatic(conflict_graph(subgraph, 2), local, cap)
+                    known[link] = link_value
+        if set(known) != set(subgraph.links):
+            raise AssertionError(
+                f"node {v!r} reconstructed a link set other than its 1-hop view"
+            )
         views.append(
             NodeView(
                 center=v,

@@ -101,6 +101,16 @@ def verify_hole(n, adj, cycle):
     return True
 
 
+def without_links(gc, drop):
+    """Conflict graph induced by every link of gc except those in drop."""
+    gone = set(drop)
+    assert gone <= set(gc.links), "only links of the conflict graph can be dropped"
+    keep = [i for i, link in enumerate(gc.links) if link not in gone]
+    pos = {old: new for new, old in enumerate(keep)}
+    adj = tuple(frozenset(pos[j] for j in gc.adj[i] if j in pos) for i in keep)
+    return type(gc)(tuple(gc.links[i] for i in keep), adj, gc.k)
+
+
 # ---------------------------------------------------------------------------
 # Network-graph measures recomputed from the raw vertex/edge data.
 

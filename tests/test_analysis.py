@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import family_graphs, random_connected_graph
+from corpus import family_graphs, random_connected_graph, random_corpus
 from hopadmit import (
     INFINITE,
     BoundUnavailableError,
@@ -22,6 +22,7 @@ from hopadmit import (
     duration_ratio,
     fractional_chromatic,
     local_estimate,
+    local_views,
     make_link,
     one_hop_subgraph,
     ratio_bounds,
@@ -75,16 +76,35 @@ def test_local_estimate_never_exceeds_exact(seed=31, trials=20):
 
 
 def test_local_estimate_ignores_far_links(seed=37, trials=12):
-    """The estimate at v only reads the 1-hop view around v."""
+    """Each view only reads the 1-hop subgraph around its vertex."""
     rng = random.Random(seed)
     for _ in range(trials):
         g = random_connected_graph(rng, 8, 11)
         tau = sample_demands(g, rng)
-        for v in g.vertices:
-            sub = one_hop_subgraph(g, v)
+        views = local_views(g, tau)
+        assert [sub for sub, _ in views] == [
+            one_hop_subgraph(g, v) for v in g.vertices
+        ]
+        for sub, value in views:
             local_tau = {l: d for l, d in tau.items() if sub.has_link(l)}
-            inside = fractional_chromatic(conflict_graph(sub, 2), local_tau)
-            assert inside <= local_estimate(g, tau)
+            assert value == fractional_chromatic(conflict_graph(sub, 2), local_tau)
+        assert local_estimate(g, tau) == max(value for _, value in views)
+
+
+def test_durations_scale_with_demand(seed=47, count=12):
+    """Global and local durations are homogeneous of degree one."""
+    rng = random.Random(seed)
+    for g in random_corpus(seed, count):
+        gc = conflict_graph(g, 2)
+        tau = sample_demands(g, rng)
+        chif = fractional_chromatic(gc, tau)
+        values = [value for _, value in local_views(g, tau)]
+        for c in (Fraction(1, 3), Fraction(7, 5), Fraction(2)):
+            scaled = {link: c * d for link, d in tau.items()}
+            assert fractional_chromatic(gc, scaled) == c * chif
+            assert [value for _, value in local_views(g, scaled)] == [
+                c * value for value in values
+            ]
 
 
 def test_ratio_is_one_on_complete_graphs(seed=29):

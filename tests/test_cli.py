@@ -246,6 +246,34 @@ def test_tiny_cap_exits_3(capsys):
     assert "resource limit" in err
 
 
+def test_malformed_graph_json_exits_2(capsys, tmp_path):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text('{"vertices": ["a", "b"], "edges": ["ab"]}')
+    code, out, err = _run(capsys, "beta", str(graph_file))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_distributed_admit_rejects_other_radius(capsys):
+    demands = json.dumps({"v1-v2": "1/2", "v3-v4": "1/2", "v5-v6": "1/2"})
+    code, out, err = _run(
+        capsys, "admit", "cycle:8", "--demands", demands,
+        "--mode", "distributed", "--k", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "radius 2" in err
+
+
+def test_cap_sets_below_one_exits_2(capsys):
+    for cap in ("0", "-1"):
+        code, out, err = _run(capsys, "beta", "cycle:6", "--cap-sets", cap)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 def test_file_shorthand_ambiguity(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cycle:6").write_text("{}")

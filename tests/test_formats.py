@@ -61,12 +61,18 @@ def test_graph_round_trip():
 
 
 def test_graph_obj_validation():
-    with pytest.raises(GraphError):
-        graph_from_obj(["not", "a", "dict"])
-    with pytest.raises(GraphError):
-        graph_from_obj({"vertices": ["a"]})
-    with pytest.raises(GraphError):
-        graph_from_obj({"vertices": ["a-b", "c"], "edges": [["a-b", "c"]]})
+    bad_objects = [
+        ["not", "a", "dict"],
+        {"vertices": ["a"]},
+        {"vertices": ["a-b", "c"], "edges": [["a-b", "c"]]},
+        {"vertices": ["a", "b"], "edges": [1]},
+        {"vertices": None, "edges": []},
+        {"vertices": ["a", "b"], "edges": [[["a"], "b"]]},
+        {"vertices": ["a", "b"], "edges": ["ab"]},
+    ]
+    for bad in bad_objects:
+        with pytest.raises(GraphError):
+            graph_from_obj(bad)
 
 
 def test_demands_round_trip():
