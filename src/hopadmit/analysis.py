@@ -170,7 +170,7 @@ def ratio_lower_bound(
     if not g.links:
         raise GraphError("ratio bounds need at least one link")
     candidates: list[tuple[str, dict[Link, Fraction]]] = []
-    size, matching = max_interfering_matching(g)
+    size, matching = max_interfering_matching(g, cap)
     if size >= 1:
         candidates.append(
             ("nu-ratio", {link: Fraction(1) for link in matching})

@@ -89,13 +89,24 @@ def _shortest_path_avoiding(
     return None
 
 
+def perfect_elimination_order(
+    n: int, adj: Sequence[frozenset[int]]
+) -> list[int] | None:
+    """The reversed MCS order if it is a perfect elimination ordering.
+
+    Returns None exactly when the graph is not chordal.
+    """
+    order = mcs_order(n, adj)
+    order.reverse()
+    return order if check_peo(n, adj, order) else None
+
+
 def chordality_certificate(
     n: int, adj: Sequence[frozenset[int]]
 ) -> tuple[bool, list[int]]:
     """(True, perfect elimination ordering) or (False, induced hole)."""
-    order = mcs_order(n, adj)
-    order.reverse()
-    if check_peo(n, adj, order):
+    order = perfect_elimination_order(n, adj)
+    if order is not None:
         return True, order
     hole = find_hole(n, adj)
     if hole is None:

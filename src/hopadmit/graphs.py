@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .errors import GraphError
+from .errors import GraphError, ResourceLimitError
 
 Link = tuple[str, str]
 
@@ -262,26 +262,48 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> NetworkGraph:
     return build_graph(verts, edges)
 
 
+GENERATOR_LIMIT = 1000
+
+
+def _size_guard(spec: str, vertices: int, links: int) -> None:
+    if max(vertices, links) > GENERATOR_LIMIT:
+        raise ResourceLimitError(
+            f"{spec!r} would have {vertices} vertices and up to {links} links; "
+            f"generators allow at most {GENERATOR_LIMIT} of each"
+        )
+
+
 def generate(spec: str) -> NetworkGraph:
     """Build a named family instance from shorthand like "cycle:10".
 
     Families: cycle:n, complete:n, clique_pendant:r, star:m,
-    circulant:n:s1,s2,...
+    circulant:n:s1,s2,... Instances with more than GENERATOR_LIMIT
+    vertices or links raise ResourceLimitError before anything is built.
     """
     parts = spec.split(":")
     family = parts[0]
     try:
         if family == "cycle" and len(parts) == 2:
-            return cycle_graph(int(parts[1]))
+            n = int(parts[1])
+            _size_guard(spec, n, n)
+            return cycle_graph(n)
         if family == "complete" and len(parts) == 2:
-            return complete_graph(int(parts[1]))
+            n = int(parts[1])
+            _size_guard(spec, n, n * (n - 1) // 2)
+            return complete_graph(n)
         if family == "clique_pendant" and len(parts) == 2:
-            return clique_pendant_graph(int(parts[1]))
+            r = int(parts[1])
+            _size_guard(spec, 2 * r, r * (r + 1) // 2)
+            return clique_pendant_graph(r)
         if family == "star" and len(parts) == 2:
-            return star_graph(int(parts[1]))
+            m = int(parts[1])
+            _size_guard(spec, m + 1, m)
+            return star_graph(m)
         if family == "circulant" and len(parts) == 3:
+            n = int(parts[1])
             offsets = [int(s) for s in parts[2].split(",") if s]
-            return circulant_graph(int(parts[1]), offsets)
+            _size_guard(spec, n, n * len(set(offsets)))
+            return circulant_graph(n, offsets)
     except ValueError as exc:
         raise GraphError(f"bad generator shorthand {spec!r}: {exc}") from exc
     raise GraphError(f"unknown generator shorthand {spec!r}")

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .chordal import chordality_certificate
-from .errors import GraphError, ResourceLimitError
+from .chordal import chordality_certificate, perfect_elimination_order
+from .errors import GraphError
 from .graphs import (
     ConflictGraph,
     Link,
@@ -38,7 +38,6 @@ from .search import (
     max_clique,
 )
 
-DEFAULT_MATCHING_LIMIT = 64
 POLYTOPE_VERTEX_LIMIT = 12
 
 
@@ -72,36 +71,29 @@ def _unit_distance_adjacency(g: NetworkGraph) -> tuple[frozenset[int], ...]:
 
 
 def max_interfering_matching(
-    g: NetworkGraph, max_links: int = DEFAULT_MATCHING_LIMIT
+    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
 ) -> tuple[int, tuple[Link, ...]]:
     """Largest set of links pairwise at distance exactly one, with witness.
 
     Such links are disjoint yet mutually conflicting under radius 2, so any
-    schedule must serialize them all.
+    schedule must serialize them all. The cap bounds the clique search's
+    branches.
     """
-    if len(g.links) > max_links:
-        raise ResourceLimitError(
-            f"matching search limited to {max_links} links, graph has {len(g.links)}"
-        )
     if not g.links:
         return 0, ()
     adj = _unit_distance_adjacency(g)
-    clique = max_clique(len(g.links), adj)
+    clique = max_clique(len(g.links), adj, cap)
     return len(clique), tuple(g.links[i] for i in clique)
 
 
 def max_local_interfering_matching(
-    g: NetworkGraph, max_links: int = DEFAULT_MATCHING_LIMIT
+    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
 ) -> tuple[int, str | None]:
     """Largest interfering matching inside any single 1-hop view."""
-    if len(g.links) > max_links:
-        raise ResourceLimitError(
-            f"matching search limited to {max_links} links, graph has {len(g.links)}"
-        )
     best = 0
     where: str | None = None
     for v in g.vertices:
-        size, _ = max_interfering_matching(one_hop_subgraph(g, v), max_links)
+        size, _ = max_interfering_matching(one_hop_subgraph(g, v), cap)
         if size > best:
             best = size
             where = v
@@ -288,8 +280,7 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
     for a, b in pairs:
         keep = [i for i in range(m) if i not in (a, b)]
         sub = induced_conflict(gc, keep)
-        ok, _ = chordality_certificate(len(sub.links), sub.adj)
-        if not ok:
+        if perfect_elimination_order(len(sub.links), sub.adj) is None:
             return None
     p = m // 2
     return Fraction(p, p - 1)
@@ -297,8 +288,8 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
 
 def _component_imp_upper(comp: ConflictGraph, ray_cap: int, cap: int) -> tuple[Fraction | None, str]:
     m = len(comp.links)
-    ok, _ = chordality_certificate(m, comp.adj)
-    if ok or is_bipartite(m, comp.adj):
+    chordal = perfect_elimination_order(m, comp.adj) is not None
+    if chordal or is_bipartite(m, comp.adj):
         return Fraction(1), "perfect"
     ring = _ring_scheme_bound(comp)
     if ring is not None:
@@ -372,7 +363,7 @@ def invariant_report(
 ) -> InvariantReport:
     """Compute every invariant of the conflict graph of g at radius 2."""
     gc = conflict_graph(g, 2)
-    nu, nu_wit = max_interfering_matching(g)
+    nu, nu_wit = max_interfering_matching(g, cap)
     lam, lam_links, lam_verts = neighborhood_cover_number(g, cap)
     if gc.links:
         imp_lo, imp_wit = imperfection_lower_bound(gc, cap=cap)

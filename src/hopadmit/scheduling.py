@@ -4,7 +4,9 @@ A demand vector assigns each link a nonnegative rational airtime per unit
 time. A schedule is a list of (independent link set, duration) entries; the
 shortest schedule meeting a demand vector has total duration equal to the
 weighted fractional chromatic number of the conflict graph, computed here
-as an exact covering LP over maximal independent sets.
+as an exact covering LP over maximal independent sets. A chordal support
+component is perfect (Lovasz), so its duration is its heaviest clique,
+read off a perfect elimination ordering without the LP.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from .chordal import perfect_elimination_order
 from .errors import GraphError
 from .graphs import ConflictGraph, Link, conflict_components, induced_conflict
 from .search import DEFAULT_SET_CAP
@@ -76,6 +79,26 @@ def _component_lp(
     return sol.value, entries
 
 
+def _component_duration(
+    comp: ConflictGraph, weights: Sequence[Fraction], cap: int
+) -> Fraction:
+    """Exact duration of one connected support component.
+
+    On a chordal component every maximal clique is a vertex plus its later
+    neighbors in a perfect elimination ordering, and the duration is the
+    heaviest of them; any other component is settled by the covering LP.
+    """
+    order = perfect_elimination_order(len(comp.links), comp.adj)
+    if order is None:
+        value, _ = _component_lp(comp, weights, cap)
+        return value
+    pos = {v: i for i, v in enumerate(order)}
+    return max(
+        weights[v] + sum(weights[w] for w in comp.adj[v] if pos[w] > pos[v])
+        for v in order
+    )
+
+
 def _support_components(
     gc: ConflictGraph, tau: dict[Link, Fraction], cap: int
 ) -> list[tuple[ConflictGraph, list[Fraction]]]:
@@ -101,7 +124,7 @@ def fractional_chromatic(
     t = normalize_demands(gc, tau)
     best = Fraction(0)
     for comp, weights in _support_components(gc, t, cap):
-        value, _ = _component_lp(comp, weights, cap)
+        value = _component_duration(comp, weights, cap)
         if value > best:
             best = value
     return best

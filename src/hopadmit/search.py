@@ -56,11 +56,17 @@ def maximal_independent_sets(
     return maximal_cliques(n, co_adj, cap)
 
 
-def max_clique(n: int, adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
-    """One maximum clique, by branch and bound with a greedy coloring bound."""
+def max_clique(
+    n: int, adj: Sequence[frozenset[int]], cap: int = DEFAULT_SET_CAP
+) -> tuple[int, ...]:
+    """One maximum clique, by branch and bound with a greedy coloring bound.
+
+    The cap bounds the number of branches taken.
+    """
     if n == 0:
         return ()
     best: list[int] = []
+    budget = cap
 
     def coloring_order(p: list[int]) -> list[tuple[int, int]]:
         # Greedy color classes; a vertex's color number bounds the largest
@@ -80,11 +86,16 @@ def max_clique(n: int, adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
         return ordered
 
     def expand(r: list[int], p: list[int]) -> None:
-        nonlocal best
+        nonlocal best, budget
         ordered = coloring_order(p)
         for v, bound in reversed(ordered):
             if len(r) + bound <= len(best):
                 return
+            budget -= 1
+            if budget < 0:
+                raise ResourceLimitError(
+                    f"maximum clique search exceeded cap of {cap} branches"
+                )
             r.append(v)
             nxt = [u for u in p if u in adj[v] and u != v]
             if not nxt:

@@ -246,6 +246,36 @@ def test_tiny_cap_exits_3(capsys):
     assert "resource limit" in err
 
 
+def test_cap_sets_spares_chordal_components(capsys):
+    # The conflict graph of complete:5 is a clique on 10 links: settled by
+    # its heaviest clique, with no set enumeration for the cap to stop.
+    demands = json.dumps({"v1-v2": "1/4", "v3-v4": "1/3", "v2-v5": "1/6"})
+    envelope = _run_json(
+        capsys, "chif", "complete:5", "--cap-sets", "1", "--demands", demands
+    )
+    assert envelope["result"]["chi_f"] == "3/4"
+
+
+def test_oversized_generator_exits_3(capsys):
+    for spec in (
+        "cycle:99999999999999999999",
+        "complete:100000",
+        "clique_pendant:100000",
+        "star:99999999999",
+        "circulant:10000000:1,2",
+    ):
+        code, out, err = _run(capsys, "conflict", spec)
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+
+
+def test_matching_search_has_no_link_limit(capsys):
+    envelope = _run_json(capsys, "beta", "complete:12")
+    assert envelope["result"]["exact"] == "1"
+    assert len(envelope["result"]["lower_witness"]) == 6
+
+
 def test_malformed_graph_json_exits_2(capsys, tmp_path):
     graph_file = tmp_path / "graph.json"
     graph_file.write_text('{"vertices": ["a", "b"], "edges": ["ab"]}')

@@ -81,7 +81,7 @@ def test_matching_matches_brute(seed=71, trials=15):
 
 def test_matching_guard():
     with pytest.raises(ResourceLimitError):
-        max_interfering_matching(cycle_graph(5), max_links=4)
+        max_interfering_matching(cycle_graph(5), cap=1)
 
 
 def test_local_matching_examples():
