@@ -118,14 +118,18 @@ def _cmd_chif(args) -> dict:
     g = _resolve_graph(args.graph)
     gc = conflict_graph(g, args.k)
     tau = _resolve_demands(args.demands, g)
-    value = fractional_chromatic(gc, tau, args.cap_sets)
+    if args.schedule:
+        schedule = min_schedule(gc, tau, args.cap_sets)
+        value = schedule.duration
+    else:
+        value = fractional_chromatic(gc, tau, args.cap_sets)
     result = {
         "chi_f": format_fraction(value),
         "feasible": value <= 1,
         "k": args.k,
     }
     if args.schedule:
-        result["schedule"] = schedule_to_obj(min_schedule(gc, tau, args.cap_sets))
+        result["schedule"] = schedule_to_obj(schedule)
     extra = {"demands": demands_to_obj(tau)}
     return _envelope(args, "chif", _graph_input(args, g, extra), result)
 

@@ -184,9 +184,12 @@ def conflict_graph(g: NetworkGraph, k: int = 2) -> ConflictGraph:
     return ConflictGraph(links, tuple(frozenset(s) for s in adj), k)
 
 
-def conflict_components(gc: ConflictGraph) -> list[list[int]]:
-    """Connected components of the conflict graph, as sorted index lists."""
-    seen: set[int] = set()
+def conflict_components(
+    gc: ConflictGraph, keep: Iterable[int] | None = None
+) -> list[list[int]]:
+    """Connected components of the conflict graph, or of the subgraph
+    induced by the indices in keep, as sorted index lists of gc."""
+    seen: set[int] = set() if keep is None else set(range(len(gc.links))).difference(keep)
     comps = []
     for s in range(len(gc.links)):
         if s in seen:

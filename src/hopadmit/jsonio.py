@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .analysis import RatioBounds
-from .errors import GraphError
-from .graphs import ConflictGraph, Link, NetworkGraph, build_graph
+from .errors import GraphError, ResourceLimitError
+from .graphs import GENERATOR_LIMIT, ConflictGraph, Link, NetworkGraph, build_graph
 from .invariants import InvariantReport
 from .scheduling import Schedule
 from .simulate import SimTrace
@@ -58,6 +58,11 @@ def graph_from_obj(obj) -> NetworkGraph:
         raise GraphError(f"graph JSON is missing {exc.args[0]!r}") from exc
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphError("graph JSON 'vertices' and 'edges' must be lists")
+    if max(len(vertices), len(edges)) > GENERATOR_LIMIT:
+        raise ResourceLimitError(
+            f"graph JSON lists {len(vertices)} vertices and {len(edges)} edges; "
+            f"graphs allow at most {GENERATOR_LIMIT} of each"
+        )
     for edge in edges:
         if not (
             isinstance(edge, list)

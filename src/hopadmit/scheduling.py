@@ -100,15 +100,12 @@ def _component_duration(
 
 
 def _support_components(
-    gc: ConflictGraph, tau: dict[Link, Fraction], cap: int
+    gc: ConflictGraph, tau: dict[Link, Fraction]
 ) -> list[tuple[ConflictGraph, list[Fraction]]]:
     support = [i for i, link in enumerate(gc.links) if tau.get(link, 0) > 0]
-    if not support:
-        return []
-    sub = induced_conflict(gc, support)
     out = []
-    for comp in conflict_components(sub):
-        comp_gc = induced_conflict(sub, comp)
+    for comp in conflict_components(gc, support):
+        comp_gc = induced_conflict(gc, comp)
         out.append((comp_gc, [tau[link] for link in comp_gc.links]))
     return out
 
@@ -123,7 +120,7 @@ def fractional_chromatic(
     """
     t = normalize_demands(gc, tau)
     best = Fraction(0)
-    for comp, weights in _support_components(gc, t, cap):
+    for comp, weights in _support_components(gc, t):
         value = _component_duration(comp, weights, cap)
         if value > best:
             best = value
@@ -135,6 +132,10 @@ class Schedule:
     """Timetable entries of (independent link set, duration)."""
 
     entries: tuple[tuple[frozenset[Link], Fraction], ...]
+
+    @property
+    def duration(self) -> Fraction:
+        return sum((dur for _, dur in self.entries), Fraction(0))
 
     def coverage(self, link: Link) -> Fraction:
         return sum(
@@ -161,11 +162,13 @@ def min_schedule(
     Per-component optimal schedules run in parallel: the timeline is cut at
     every component's entry boundary and concurrent entries are unioned,
     which is sound because links in different support components never
-    conflict.
+    conflict. Every component's entries have positive durations and fill
+    its optimum, so the merged duration is the largest optimum, which is
+    fractional_chromatic(gc, tau).
     """
     t = normalize_demands(gc, tau)
     parts = []
-    for comp, weights in _support_components(gc, t, cap):
+    for comp, weights in _support_components(gc, t):
         _, entries = _component_lp(comp, weights, cap)
         timeline = []
         clock = Fraction(0)

@@ -1,16 +1,22 @@
-"""Exact rational linear programming via two-phase primal simplex.
+"""Exact rational linear programming via a revised two-phase primal simplex.
 
-The tableau is kept as arbitrary-precision integers together with one
-positive denominator (fraction-free Gauss-Jordan pivoting), so every
-intermediate and final value is exact. Bland's rule picks entering and
-leaving variables, which rules out cycling. Every exact division is
-checked; a nonzero remainder would mean the tableau invariant broke, and
-raises instead of silently corrupting results.
+Solves: minimize c.x subject to A x >= b, x >= 0.
 
-Supported forms:
-    solve_min_ge: minimize c.x  subject to  A x >= b, x >= 0
-    solve_max_le: maximize c.x  subject to  A x <= b, x >= 0  (b >= 0,
-        so that x = 0 is a feasible start for the single-phase solve)
+Every row operation of a tableau simplex applies one linear map to all
+columns, so each tableau column is that map times the column's initial
+entries. The solver keeps only the map: the tableau's columns of the
+starting unit basis, one per constraint row, plus the rhs, all as
+arbitrary-precision integers over one positive common denominator
+(fraction-free Gauss-Jordan pivoting). Reduced costs and the entering
+column are computed on demand from the sparse constraint columns; for 0/1
+columns, such as the independent sets of the scheduling LP, that takes
+only additions. The pivot sequence is the full tableau's: Bland's rule
+picks entering and leaving variables, which rules out cycling. Every
+exact division is checked; a nonzero remainder would mean the invariant
+broke, and raises instead of silently corrupting results.
+
+Row 0 of the kept block holds the scaled reduced costs of the starting
+unit columns, from which the optimal dual vector is read.
 """
 
 from __future__ import annotations
@@ -31,12 +37,19 @@ class LPUnboundedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPSolution:
+    """Optimal primal x, dual y (one entry per row of A) and value.
+
+    y >= 0, A^T y <= c and b.y = c.x = value.
+    """
+
     value: Fraction
     x: tuple[Fraction, ...]
+    y: tuple[Fraction, ...]
 
 
-def _as_fractions(values: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in values]
+# A sparse column: the rows holding its nonzero entries, and their values,
+# or None when every value is 1.
+Column = tuple[tuple[int, ...], tuple[int, ...] | None]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -46,180 +59,162 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _pivot(tableau: list[list[int]], den: int, r: int, c: int) -> int:
-    """Gauss-Jordan pivot at (r, c); returns the new common denominator."""
-    piv = tableau[r][c]
+def _dot(row: list[int], column: Column) -> int:
+    """Entry of the current tableau row (a block row) in a column."""
+    rows, values = column
+    if values is None:
+        return sum([row[r] for r in rows])
+    return sum([row[r] * v for r, v in zip(rows, values)])
+
+
+def _pivot(block: list[list[int]], den: int, col: list[int], r: int) -> int:
+    """Gauss-Jordan pivot on block row r, whose tableau column is col;
+    returns the new common denominator."""
+    piv = col[r]
     if piv <= 0:
         raise ArithmeticError("pivot element must be positive")
-    row_r = tableau[r]
-    for i, row in enumerate(tableau):
+    row_r = block[r]
+    for i, row in enumerate(block):
         if i == r:
             continue
-        f = row[c]
+        f = col[i]
         if den == 1:
-            tableau[i] = [v * piv - f * w for v, w in zip(row, row_r)]
+            block[i] = [v * piv - f * w for v, w in zip(row, row_r)]
         else:
-            tableau[i] = [_exact_div(v * piv - f * w, den) for v, w in zip(row, row_r)]
+            block[i] = [_exact_div(v * piv - f * w, den) for v, w in zip(row, row_r)]
     return piv
 
 
 def _pivot_until_optimal(
-    tableau: list[list[int]],
+    block: list[list[int]],
     den: int,
     basis: list[int],
-    allowed: range,
+    columns: list[Column],
+    cost: list[int],
 ) -> int:
-    """Run Bland-rule pivots until no allowed column improves the objective.
+    """Run Bland-rule pivots until no column improves the objective.
 
-    Row 0 of the tableau is the (scaled) reduced-cost row of a minimization
-    problem; constraint rows follow, with basis[i] naming the basic variable
-    of row i+1.
+    Block row 0 gives the (scaled) reduced costs den*cost_j + row0.a_j of a
+    minimization problem; constraint rows follow, with basis[i] naming the
+    basic variable of row i+1.
     """
     while True:
+        y = block[0]
         enter = -1
-        for j in allowed:
-            if tableau[0][j] < 0:
+        for j, column in enumerate(columns):
+            reduced = _dot(y, column)
+            if cost[j]:
+                reduced += den * cost[j]
+            if reduced < 0:
                 enter = j
                 break
         if enter < 0:
             return den
+        col = [reduced] + [_dot(row, columns[enter]) for row in block[1:]]
         leave = -1
-        for i in range(1, len(tableau)):
-            a = tableau[i][enter]
+        for i in range(1, len(block)):
+            a = col[i]
             if a <= 0:
                 continue
             if leave < 0:
                 leave = i
                 continue
-            lhs = tableau[i][-1] * tableau[leave][enter]
-            rhs = tableau[leave][-1] * a
+            lhs = block[i][-1] * col[leave]
+            rhs = block[leave][-1] * a
             if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
                 leave = i
         if leave < 0:
             raise LPUnboundedError("objective is unbounded")
-        den = _pivot(tableau, den, leave, enter)
+        den = _pivot(block, den, col, leave)
         basis[leave - 1] = enter
-
-
-def _scaled_constraint_rows(
-    a_rows: list[list[Fraction]], b: list[Fraction]
-) -> list[list[int]]:
-    rows = []
-    for coeffs, rhs in zip(a_rows, b):
-        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs)) if coeffs else rhs.denominator
-        rows.append([int(v * scale) for v in coeffs] + [int(rhs * scale)])
-    return rows
-
-
-def _extract(
-    c: list[Fraction], basis: list[int], tableau: list[list[int]], den: int, n: int
-) -> LPSolution:
-    x = [Fraction(0)] * n
-    for row, var in enumerate(basis, start=1):
-        if var < n:
-            x[var] = Fraction(tableau[row][-1], den)
-    value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
-    return LPSolution(value, tuple(x))
 
 
 def solve_min_ge(c: Sequence, a_matrix: Sequence[Sequence], b: Sequence) -> LPSolution:
     """Minimize c.x subject to A x >= b, x >= 0."""
-    cf = _as_fractions(c)
-    bf = _as_fractions(b)
-    rows = [_as_fractions(row) for row in a_matrix]
+    cf = [Fraction(v) for v in c]
+    bf = [Fraction(v) for v in b]
+    rows = [[v if type(v) is int else Fraction(v) for v in row] for row in a_matrix]
     n, m = len(cf), len(rows)
     if len(bf) != m or any(len(row) != n for row in rows):
         raise ValueError("inconsistent LP dimensions")
     if m == 0:
-        return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)))
+        return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)), ())
 
-    # Columns: n structural, m row variables, m artificial, rhs. A row with
-    # nonnegative rhs keeps its sense, gets a surplus variable, and starts
-    # from its artificial; a row with negative rhs is negated into <= form,
-    # whose slack variable is feasible at the start and needs no artificial.
-    scaled = _scaled_constraint_rows(rows, bf)
-    width = n + 2 * m + 1
-    tableau: list[list[int]] = [[0] * width]
-    basis = []
-    for i, srow in enumerate(scaled):
-        if srow[-1] < 0:
-            row = [-v for v in srow[:-1]] + [0] * (2 * m) + [-srow[-1]]
-            row[n + i] = 1
-            basis.append(n + i)
-        else:
-            row = srow[:-1] + [0] * (2 * m) + [srow[-1]]
-            row[n + i] = -1
-            row[n + m + i] = 1
-            basis.append(n + m + i)
-        tableau.append(row)
+    # Variables: n structural, then one per row. Each row is scaled to
+    # integers. A row with nonnegative rhs keeps its sense, gets a surplus
+    # variable, and starts from an artificial; a row with negative rhs is
+    # negated into <= form, whose slack variable is feasible at the start.
+    # The starting basic column of row i is the i-th unit column, and
+    # block[i + 1] is row i + 1 of the tableau restricted to those columns
+    # and the rhs.
+    scale = [lcm(rhs.denominator, *(v.denominator for v in row)) for row, rhs in zip(rows, bf)]
+    sign = [-1 if rhs < 0 else 1 for rhs in bf]
+    entries: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    block: list[list[int]] = [[0] * (m + 1)]
+    for i, row in enumerate(rows):
+        factor = sign[i] * scale[i]
+        for j, v in enumerate(row):
+            if v:
+                entries[j].append((i, int(v * factor)))
+        unit = [0] * (m + 1)
+        unit[i] = 1
+        unit[m] = int(bf[i] * factor)
+        block.append(unit)
+    columns: list[Column] = []
+    for col_entries in entries:
+        idx = tuple(i for i, _ in col_entries)
+        values = tuple(v for _, v in col_entries)
+        columns.append((idx, None if all(v == 1 for v in values) else values))
+    columns += [((i,), (-sign[i],)) for i in range(m)]
+    basis = [n + i if sign[i] < 0 else n + m + i for i in range(m)]
 
-    # Phase 1: minimize the sum of artificials, whose reduced costs under
-    # the starting basis are the negated sums over artificial-basic rows.
-    art_rows = [i + 1 for i in range(m) if basis[i] >= n + m]
+    # Phase 1: minimize the sum of artificials. Row 0 starts as minus the
+    # sum of the artificial-basic rows, so a column's reduced cost is its
+    # negated entry sum over those rows. Artificial columns never enter, so
+    # they need no column of their own.
+    no_cost = [0] * (n + m)
+    art_rows = [i for i in range(m) if sign[i] > 0]
     den = 1
     if art_rows:
-        for j in range(n + m):
-            tableau[0][j] = -sum(tableau[i][j] for i in art_rows)
-        tableau[0][-1] = -sum(tableau[i][-1] for i in art_rows)
-        den = _pivot_until_optimal(tableau, 1, basis, range(n + m))
+        for i in art_rows:
+            block[0][i] = -1
+        block[0][m] = -sum(block[i + 1][m] for i in art_rows)
+        den = _pivot_until_optimal(block, 1, basis, columns, no_cost)
 
-    if any(tableau[r + 1][-1] != 0 for r in range(m) if basis[r] >= n + m):
+    if any(block[r + 1][m] != 0 for r in range(m) if basis[r] >= n + m):
         raise LPInfeasibleError("constraints have no nonnegative solution")
 
-    # Drive leftover zero-level artificials out of the basis; rows with no
-    # structural support are redundant and dropped.
-    drop = []
+    # Drive leftover zero-level artificials out of the basis, entering the
+    # first column with a nonzero entry in the row. If artificial n + m + s
+    # is basic in a row, the surplus column n + s holds -den there, so the
+    # search always succeeds and no row is redundant.
     for r in range(m):
         if basis[r] < n + m:
             continue
-        pivot_col = next((j for j in range(n + m) if tableau[r + 1][j] != 0), -1)
-        if pivot_col < 0:
-            drop.append(r)
-            continue
-        if tableau[r + 1][pivot_col] < 0:
-            tableau[r + 1] = [-v for v in tableau[r + 1]]
-        den = _pivot(tableau, den, r + 1, pivot_col)
+        pivot_col = next(j for j in range(n + m) if _dot(block[r + 1], columns[j]))
+        if _dot(block[r + 1], columns[pivot_col]) < 0:
+            block[r + 1] = [-v for v in block[r + 1]]
+        col = [_dot(row, columns[pivot_col]) for row in block]
+        den = _pivot(block, den, col, r + 1)
         basis[r] = pivot_col
-    for r in reversed(drop):
-        del tableau[r + 1]
-        del basis[r]
 
-    # Phase 2: true objective, artificial columns barred from entering.
+    # Phase 2: true objective.
     lc = lcm(*(v.denominator for v in cf)) if cf else 1
-    cost = [int(v * lc) for v in cf] + [0] * (2 * m)
-    for j in range(width - 1):
-        tableau[0][j] = den * cost[j] - sum(
-            cost[basis[i]] * tableau[i + 1][j] for i in range(len(basis))
-        )
-    tableau[0][-1] = -sum(cost[basis[i]] * tableau[i + 1][-1] for i in range(len(basis)))
-    den = _pivot_until_optimal(tableau, den, basis, range(n + m))
-    return _extract(cf, basis, tableau, den, n)
+    cost = [int(v * lc) for v in cf] + [0] * m
+    block[0] = [
+        -sum(cost[basis[i]] * block[i + 1][r] for i in range(m)) for r in range(m + 1)
+    ]
+    den = _pivot_until_optimal(block, den, basis, columns, cost)
 
-
-def solve_max_le(c: Sequence, a_matrix: Sequence[Sequence], b: Sequence) -> LPSolution:
-    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 entrywise."""
-    cf = _as_fractions(c)
-    bf = _as_fractions(b)
-    rows = [_as_fractions(row) for row in a_matrix]
-    n, m = len(cf), len(rows)
-    if len(bf) != m or any(len(row) != n for row in rows):
-        raise ValueError("inconsistent LP dimensions")
-    if any(v < 0 for v in bf):
-        raise ValueError("rhs must be nonnegative")
-    if m == 0:
-        # Any positive objective coefficient would be unbounded.
-        if any(v > 0 for v in cf):
-            raise LPUnboundedError("objective is unbounded")
-        return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)))
-
-    scaled = _scaled_constraint_rows(rows, bf)
-    lc = lcm(*(v.denominator for v in cf)) if cf else 1
-    cost = [-int(v * lc) for v in cf] + [0] * m
-    tableau: list[list[int]] = [cost + [0]]
-    for i, srow in enumerate(scaled):
-        row = srow[:-1] + [0] * m + [srow[-1]]
-        row[n + i] = 1
-        tableau.append(row)
-    basis = list(range(n, n + m))
-    den = _pivot_until_optimal(tableau, 1, basis, range(n + m))
-    return _extract(cf, basis, tableau, den, n)
+    x = [Fraction(0)] * n
+    for row, var in enumerate(basis, start=1):
+        if var < n:
+            x[var] = Fraction(block[row][m], den)
+    value = sum((cj * xj for cj, xj in zip(cf, x)), Fraction(0))
+    # Optimality makes every reduced cost den*cost_j + row0.a_j nonnegative
+    # on the scaled, sign-adjusted rows; undoing the scaling and the
+    # negation gives the dual of the original rows.
+    y = tuple(
+        Fraction(-block[0][i] * sign[i] * scale[i], den * lc) for i in range(m)
+    )
+    return LPSolution(value, tuple(x), y)

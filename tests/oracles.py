@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations.
 
 Everything here recomputes results from first principles (subset scans,
-Gaussian elimination, memoized search) without touching the package's
-solvers, so agreement is meaningful evidence of correctness.
+Gaussian elimination, memoized search, a dense tableau simplex) without
+touching the package's solvers, so agreement is meaningful evidence of
+correctness.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from math import lcm
+
+from hopadmit.simplex import LPInfeasibleError, LPSolution, LPUnboundedError
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +268,168 @@ def brute_lp(n_vars, constraints, objective, maximize):
         if best is None or (value > best if maximize else value < best):
             best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# Dense two-phase tableau simplex: the full-tableau form of the package's
+# revised solver, pivot for pivot (Bland's rule, fraction-free integer
+# rows over one common denominator). tableau_min_ge must return the same
+# LPSolution, or raise the same error, as hopadmit.simplex.solve_min_ge;
+# solve_max_le is the packing form the duality tests use.
+
+
+def _exact_div(num, den):
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("fraction-free pivot produced a non-integer entry")
+    return q
+
+
+def _tableau_pivot(tableau, den, r, c):
+    piv = tableau[r][c]
+    if piv <= 0:
+        raise ArithmeticError("pivot element must be positive")
+    row_r = tableau[r]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[c]
+        if den == 1:
+            tableau[i] = [v * piv - f * w for v, w in zip(row, row_r)]
+        else:
+            tableau[i] = [_exact_div(v * piv - f * w, den) for v, w in zip(row, row_r)]
+    return piv
+
+
+def _tableau_until_optimal(tableau, den, basis, allowed):
+    while True:
+        enter = next((j for j in allowed if tableau[0][j] < 0), -1)
+        if enter < 0:
+            return den
+        leave = -1
+        for i in range(1, len(tableau)):
+            a = tableau[i][enter]
+            if a <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            lhs = tableau[i][-1] * tableau[leave][enter]
+            rhs = tableau[leave][-1] * a
+            if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
+                leave = i
+        if leave < 0:
+            raise LPUnboundedError("objective is unbounded")
+        den = _tableau_pivot(tableau, den, leave, enter)
+        basis[leave - 1] = enter
+
+
+def _scaled_rows(c, a_matrix, b):
+    cf = [Fraction(v) for v in c]
+    bf = [Fraction(v) for v in b]
+    rows = [[Fraction(v) for v in row] for row in a_matrix]
+    if len(bf) != len(rows) or any(len(row) != len(cf) for row in rows):
+        raise ValueError("inconsistent LP dimensions")
+    scales = [lcm(rhs.denominator, *(v.denominator for v in row)) for row, rhs in zip(rows, bf)]
+    scaled = [
+        [int(v * s) for v in row] + [int(rhs * s)] for row, rhs, s in zip(rows, bf, scales)
+    ]
+    return cf, scaled, scales
+
+
+def _primal(cf, basis, tableau, den):
+    x = [Fraction(0)] * len(cf)
+    for row, var in enumerate(basis, start=1):
+        if var < len(cf):
+            x[var] = Fraction(tableau[row][-1], den)
+    return sum((a * b for a, b in zip(cf, x)), Fraction(0)), tuple(x)
+
+
+def tableau_min_ge(c, a_matrix, b):
+    """Minimize c.x subject to A x >= b, x >= 0, on the full tableau."""
+    cf, scaled, scales = _scaled_rows(c, a_matrix, b)
+    n, m = len(cf), len(scaled)
+    if m == 0:
+        return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)), ())
+    # Columns: n structural, m surplus (or slack for rows negated because
+    # their rhs is negative), m artificial, rhs.
+    width = n + 2 * m + 1
+    tableau = [[0] * width]
+    basis, signs = [], []
+    for i, srow in enumerate(scaled):
+        sign = -1 if srow[-1] < 0 else 1
+        row = [sign * v for v in srow[:-1]] + [0] * (2 * m) + [sign * srow[-1]]
+        row[n + i] = -sign
+        if sign > 0:
+            row[n + m + i] = 1
+        basis.append(n + i if sign < 0 else n + m + i)
+        signs.append(sign)
+        tableau.append(row)
+    art_rows = [i + 1 for i in range(m) if basis[i] >= n + m]
+    den = 1
+    if art_rows:
+        for j in range(n + m):
+            tableau[0][j] = -sum(tableau[i][j] for i in art_rows)
+        tableau[0][-1] = -sum(tableau[i][-1] for i in art_rows)
+        den = _tableau_until_optimal(tableau, 1, basis, range(n + m))
+    if any(tableau[r + 1][-1] != 0 for r in range(m) if basis[r] >= n + m):
+        raise LPInfeasibleError("constraints have no nonnegative solution")
+    drop = []
+    for r in range(m):
+        if basis[r] < n + m:
+            continue
+        pivot_col = next((j for j in range(n + m) if tableau[r + 1][j] != 0), -1)
+        if pivot_col < 0:
+            drop.append(r)
+            continue
+        if tableau[r + 1][pivot_col] < 0:
+            tableau[r + 1] = [-v for v in tableau[r + 1]]
+        den = _tableau_pivot(tableau, den, r + 1, pivot_col)
+        basis[r] = pivot_col
+    for r in reversed(drop):
+        del tableau[r + 1]
+        del basis[r]
+    lc = lcm(*(v.denominator for v in cf)) if cf else 1
+    cost = [int(v * lc) for v in cf] + [0] * (2 * m)
+    for j in range(width - 1):
+        tableau[0][j] = den * cost[j] - sum(
+            cost[basis[i]] * tableau[i + 1][j] for i in range(len(basis))
+        )
+    tableau[0][-1] = -sum(cost[basis[i]] * tableau[i + 1][-1] for i in range(len(basis)))
+    den = _tableau_until_optimal(tableau, den, basis, range(n + m))
+    value, x = _primal(cf, basis, tableau, den)
+    # Reduced costs of the starting unit columns carry the duals.
+    y = tuple(
+        Fraction(
+            -tableau[0][n + m + i if signs[i] > 0 else n + i] * signs[i] * scales[i],
+            den * lc,
+        )
+        for i in range(m)
+    )
+    return LPSolution(value, x, y)
+
+
+def solve_max_le(c, a_matrix, b):
+    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 entrywise."""
+    cf, scaled, scales = _scaled_rows(c, a_matrix, b)
+    n, m = len(cf), len(scaled)
+    if any(srow[-1] < 0 for srow in scaled):
+        raise ValueError("rhs must be nonnegative")
+    if m == 0:
+        if any(v > 0 for v in cf):
+            raise LPUnboundedError("objective is unbounded")
+        return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)), ())
+    lc = lcm(*(v.denominator for v in cf)) if cf else 1
+    tableau = [[-int(v * lc) for v in cf] + [0] * (m + 1)]
+    for i, srow in enumerate(scaled):
+        row = srow[:-1] + [0] * m + [srow[-1]]
+        row[n + i] = 1
+        tableau.append(row)
+    basis = list(range(n, n + m))
+    den = _tableau_until_optimal(tableau, 1, basis, range(n + m))
+    value, x = _primal(cf, basis, tableau, den)
+    y = tuple(Fraction(tableau[0][n + i] * scales[i], den * lc) for i in range(m))
+    return LPSolution(value, x, y)
 
 
 def brute_chif(n, adj, weights):

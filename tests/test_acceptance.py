@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import random_corpus
-from oracles import brute_multicolor, verify_peo, without_links
+from oracles import brute_multicolor, solve_max_le, verify_peo, without_links
 from hopadmit import (
     clique_pendant_graph,
     complete_graph,
@@ -34,7 +34,6 @@ from hopadmit import (
     ratio_bounds,
     star_graph,
 )
-from hopadmit.simplex import solve_max_le
 from hopadmit.simulate import evaluate_policy
 
 

@@ -328,3 +328,23 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_oversized_graph_json_exits_3(capsys, tmp_path):
+    from hopadmit.graphs import GENERATOR_LIMIT
+
+    many = GENERATOR_LIMIT + 1
+    wide = {"vertices": [f"v{i}" for i in range(many)], "edges": []}
+    long = {"vertices": ["a", "b"], "edges": [["a", "b"]] * many}
+    for name, obj in (("wide", wide), ("long", long)):
+        graph_file = tmp_path / f"{name}.json"
+        graph_file.write_text(json.dumps(obj))
+        code, out, err = _run(capsys, "conflict", str(graph_file))
+        assert code == 3, name
+        assert out == ""
+        assert "resource limit" in err
+    at_limit = {"vertices": [f"v{i}" for i in range(GENERATOR_LIMIT)], "edges": []}
+    graph_file = tmp_path / "at_limit.json"
+    graph_file.write_text(json.dumps(at_limit))
+    code, _, err = _run(capsys, "conflict", str(graph_file))
+    assert code == 0, err

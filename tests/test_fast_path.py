@@ -68,7 +68,7 @@ def _demands(g, seed):
 
 def _components(gc, tau):
     t = normalize_demands(gc, {link: v for link, v in tau.items() if gc.has_link(link)})
-    return _support_components(gc, t, DEFAULT_SET_CAP)
+    return _support_components(gc, t)
 
 
 def _kind(adj):

@@ -49,7 +49,7 @@ def test_fast_path_equals_lp(instance):
     t = normalize_demands(gc, tau)
     value = fractional_chromatic(gc, tau)
     lp_value = max(
-        (_component_lp(comp, w, DEFAULT_SET_CAP)[0] for comp, w in _support_components(gc, t, DEFAULT_SET_CAP)),
+        (_component_lp(comp, w, DEFAULT_SET_CAP)[0] for comp, w in _support_components(gc, t)),
         default=Fraction(0),
     )
     assert value == lp_value

@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from corpus import family_graphs, random_connected_graph
-from oracles import brute_chif, brute_maximal_independent_sets, brute_multicolor
+from oracles import (
+    brute_chif,
+    brute_maximal_independent_sets,
+    brute_multicolor,
+    solve_max_le,
+    tableau_min_ge,
+)
 from hopadmit import (
     GraphError,
     ResourceLimitError,
@@ -27,7 +33,6 @@ from hopadmit import (
     sample_demands,
     weighted_clique_number,
 )
-from hopadmit.simplex import solve_max_le
 
 
 def _unit(gc):
@@ -251,3 +256,50 @@ def test_chif_multicolor_consistency(seed=61, trials=8):
             best = ratio if best is None else min(best, ratio)
         assert best == chif
         checked += 1
+
+
+def _schedule_instances():
+    rng = random.Random(67)
+    for name, g in family_graphs():
+        for k in (1, 2):
+            gc = conflict_graph(g, k)
+            yield name, gc, _unit(gc)
+            yield name, gc, {
+                link: Fraction(rng.randint(0, 5), rng.randint(1, 4)) for link in gc.links
+            }
+    for n in range(16, 23):
+        gc = conflict_graph(cycle_graph(n), 2)
+        yield f"cycle:{n}", gc, {link: Fraction(1, 5) for link in gc.links}
+
+
+def test_min_schedule_same_under_tableau_solver(monkeypatch):
+    import hopadmit.scheduling as scheduling
+
+    instances = list(_schedule_instances())
+    revised = [min_schedule(gc, tau) for _, gc, tau in instances]
+    monkeypatch.setattr(scheduling, "solve_min_ge", tableau_min_ge)
+    for (name, gc, tau), want in zip(instances, revised):
+        assert min_schedule(gc, tau) == want, name
+
+
+def test_schedule_duration_is_chif():
+    for name, gc, tau in _schedule_instances():
+        assert min_schedule(gc, tau).duration == fractional_chromatic(gc, tau), name
+
+
+def test_support_components_induced_from_gc(seed=71, trials=30):
+    from hopadmit import conflict_components, induced_conflict
+    from hopadmit.scheduling import _support_components
+
+    rng = random.Random(seed)
+    for _ in range(trials):
+        gc = conflict_graph(random_connected_graph(rng), rng.choice((1, 2)))
+        t = normalize_demands(gc, {link: rng.randint(0, 2) for link in gc.links})
+        support = [i for i, link in enumerate(gc.links) if link in t]
+        want = []
+        if support:
+            sub = induced_conflict(gc, support)
+            for comp in conflict_components(sub):
+                comp_gc = induced_conflict(sub, comp)
+                want.append((comp_gc, [t[link] for link in comp_gc.links]))
+        assert _support_components(gc, t) == want

@@ -1,4 +1,5 @@
-"""Exact rational LP solver: known optima, brute cross-checks, duality."""
+"""Exact rational LP solver: known optima, brute cross-checks, duality,
+the dual certificate, and pivot-for-pivot agreement with the dense tableau."""
 
 from __future__ import annotations
 
@@ -7,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_lp
+from oracles import brute_lp, solve_max_le, tableau_min_ge
+from hopadmit import conflict_graph, cycle_graph
+from hopadmit.scheduling import maximal_independent_sets
 from hopadmit.simplex import (
     LPInfeasibleError,
     LPUnboundedError,
-    solve_max_le,
     solve_min_ge,
 )
 
@@ -143,3 +145,82 @@ def test_degenerate_ties_terminate():
         [1, 1, 1, 1, 1, 1],
     )
     assert sol.value == 2
+
+
+def _outcome(solver, c, a, b):
+    try:
+        return solver(c, a, b)
+    except (LPInfeasibleError, LPUnboundedError) as exc:
+        return type(exc)
+
+
+def _assert_dual_certificate(c, a, b, sol):
+    assert len(sol.y) == len(a)
+    assert all(v >= 0 for v in sol.y)
+    for j, cj in enumerate(c):
+        assert sum((Fraction(row[j]) * yi for row, yi in zip(a, sol.y)), Fraction(0)) <= cj
+    assert _dot(b, sol.y) == sol.value
+
+
+def _random_lp(rng):
+    """Small LPs with degenerate ties, negative and zero rhs, rational
+    entries, duplicated rows, and infeasible and unbounded instances."""
+    n = rng.randint(1, 6)
+    m = rng.randint(1, 6)
+    c = [Fraction(rng.randint(-1, 5), rng.randint(1, 3)) for _ in range(n)]
+    a = [
+        [rng.choice((0, 0, 1, 1, 2, -1, Fraction(1, 2))) for _ in range(n)]
+        for _ in range(m)
+    ]
+    b = [Fraction(rng.randint(-3, 6), rng.randint(1, 2)) for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(a))
+        a.append(list(a[i]))
+        b.append(b[i])
+    return c, a, b
+
+
+def test_revised_simplex_matches_tableau(seed=37, trials=1500):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(trials):
+        c, a, b = _random_lp(rng)
+        got = _outcome(solve_min_ge, c, a, b)
+        assert got == _outcome(tableau_min_ge, c, a, b)
+        if isinstance(got, type):
+            seen.add(got)
+            continue
+        seen.add("optimal")
+        _assert_dual_certificate(c, a, b, got)
+    assert seen == {"optimal", LPInfeasibleError, LPUnboundedError}
+
+
+def test_dual_of_redundant_rows():
+    a = [[1, 1], [1, 1], [2, 2], [1, 0]]
+    b = [2, 2, 4, 1]
+    sol = solve_min_ge([1, 2], a, b)
+    assert sol == tableau_min_ge([1, 2], a, b)
+    assert sol.value == 2
+    _assert_dual_certificate([1, 2], a, b, sol)
+
+
+def test_negated_rows_give_nonnegative_duals():
+    # x1 >= 1 and -x1 - x2 >= -5 (x1 + x2 <= 5): the second row is negated.
+    sol = solve_min_ge([1, -1], [[1, 0], [-1, -1]], [1, -5])
+    assert sol.value == -3
+    assert sol.y == (2, 1)
+    _assert_dual_certificate([1, -1], [[1, 0], [-1, -1]], [1, -5], sol)
+
+
+@pytest.mark.parametrize("n", range(16, 23))
+def test_ring_covering_lp_matches_tableau(n):
+    gc = conflict_graph(cycle_graph(n), 2)
+    sets = maximal_independent_sets(gc)
+    a = [[1 if link in s else 0 for s in sets] for link in gc.links]
+    rng = random.Random(n)
+    w = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in gc.links]
+    c = [1] * len(sets)
+    sol = solve_min_ge(c, a, w)
+    assert sol == tableau_min_ge(c, a, w)
+    _assert_dual_certificate(c, a, w, sol)
+    assert sol.value == _dot(c, sol.x)
