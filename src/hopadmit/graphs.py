@@ -267,6 +267,12 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> NetworkGraph:
 
 GENERATOR_LIMIT = 1000
 
+# Graph files are read up to this many bytes before they are parsed, so a
+# huge file costs no more memory than this. 1 MiB holds GENERATOR_LIMIT
+# vertices and GENERATOR_LIMIT edges written by json.dump with indent=2
+# and vertex ids of 300 characters.
+GRAPH_FILE_LIMIT = 1 << 20
+
 
 def _size_guard(spec: str, vertices: int, links: int) -> None:
     if max(vertices, links) > GENERATOR_LIMIT:

@@ -29,13 +29,14 @@ from .graphs import (
     one_hop_subgraph,
 )
 from .qstab import DEFAULT_RAY_CAP, qstab_vertices
-from .scheduling import _cliques_of, fractional_chromatic, weighted_clique_number
+from .scheduling import fractional_chromatic, weighted_clique_number
 from .search import (
     DEFAULT_SET_CAP,
     exact_set_cover,
     is_bipartite,
     iter_induced_cycles,
     max_clique,
+    maximal_cliques,
 )
 
 POLYTOPE_VERTEX_LIMIT = 12
@@ -122,7 +123,7 @@ def neighborhood_cover_number(
     best = 0
     best_links: tuple[Link, ...] = ()
     best_vertices: tuple[str, ...] = ()
-    for clique in _cliques_of(gc, cap):
+    for clique in maximal_cliques(len(gc.links), gc.adj, cap):
         members = {link_idx: pos for pos, link_idx in enumerate(clique)}
         owners: list[str] = []
         seen: dict[frozenset[int], str] = {}
@@ -188,6 +189,56 @@ def _odd_hole_candidates(
     return []
 
 
+def _members(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _hole_masks(n: int, nbr: Sequence[int]) -> set[int]:
+    """Bitmasks of the chordless cycles of length at least four.
+
+    Each cycle is grown from its smallest vertex s along induced paths:
+    the next vertex avoids the path and the neighbors of its interior, and
+    a vertex adjacent to s closes the cycle.
+    """
+    holes = set()
+    for s in range(n):
+        above = -1 << (s + 1)
+        stack = [(1 << s | 1 << v, v, 0) for v in _members(nbr[s] & above)]
+        while stack:
+            path, last, interior = stack.pop()
+            for w in _members(nbr[last] & above & ~path & ~interior):
+                if nbr[s] >> w & 1:
+                    if path.bit_count() >= 3:
+                        holes.add(path | 1 << w)
+                else:
+                    stack.append((path | 1 << w, w, interior | nbr[last]))
+    return holes
+
+
+def _imperfect_masks(n: int, adj: Sequence[frozenset[int]]) -> list[int]:
+    """Every vertex bitmask whose induced subgraph is not chordal, ascending.
+
+    A graph is chordal unless it has a chordless cycle of length at least
+    four, so a mask is not chordal exactly when it is such a cycle or
+    dropping one of its members leaves a mask that is not chordal. The
+    pass marks the cycles in a bitset over all 2**n masks and then, member
+    by member, marks every mask whose copy without that member is marked.
+    """
+    nbr = [sum(1 << j for j in adj[i]) for i in range(n)]
+    marked = sum(1 << hole for hole in _hole_masks(n, nbr))
+    every = (1 << (1 << n)) - 1
+    for i in range(n):
+        step = 1 << i
+        # Masks holding member i: the block of step clear then step set
+        # bits, repeated across all 2**n positions.
+        holding = every // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step)
+        marked |= (marked << step) & holding
+    return [mask for mask, bit in enumerate(bin(marked)[:1:-1]) if bit == "1"]
+
+
 def imperfection_lower_bound(
     gc: ConflictGraph,
     candidates: Sequence[Mapping] | None = None,
@@ -196,10 +247,14 @@ def imperfection_lower_bound(
 ) -> tuple[Fraction, dict[Link, Fraction]]:
     """Best LP-to-clique-bound gap over a candidate demand family.
 
-    Candidates tried: one indicator per link, indicators of chordless odd
-    cycles, every 0/1 vector when the graph is small, plus any supplied
-    vectors. Always sound as a lower bound; equals the true ratio whenever
-    some candidate attains it.
+    Candidates tried, in order: one indicator per link, indicators of
+    chordless odd cycles, every 0/1 vector whose support induces a
+    subgraph that is not chordal when the graph has at most
+    enumerate_limit links, plus any supplied vectors. A chordal support is
+    perfect (Lovasz), so its ratio is exactly 1 and cannot beat the first
+    link indicator; `_imperfect_masks` leaves those vectors out by a
+    hereditary pass over the masks that no cap can stop. Always sound as a
+    lower bound; equals the true ratio whenever some candidate attains it.
     """
     n = len(gc.links)
     if n == 0:
@@ -209,7 +264,7 @@ def imperfection_lower_bound(
     ]
     trial.extend(_odd_hole_candidates(gc, cap))
     if n <= enumerate_limit:
-        for mask in range(1, 1 << n):
+        for mask in _imperfect_masks(n, gc.adj):
             trial.append(
                 {
                     gc.links[i]: Fraction(1)
@@ -295,7 +350,7 @@ def _component_imp_upper(comp: ConflictGraph, ray_cap: int, cap: int) -> tuple[F
     if ring is not None:
         return ring, "ring-formula"
     if m <= POLYTOPE_VERTEX_LIMIT:
-        cliques = _cliques_of(comp, cap)
+        cliques = maximal_cliques(m, comp.adj, cap)
         best = Fraction(1)
         for vertex in qstab_vertices(m, cliques, ray_cap):
             tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}

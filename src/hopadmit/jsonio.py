@@ -17,7 +17,14 @@ from typing import Mapping
 
 from .analysis import RatioBounds
 from .errors import GraphError, ResourceLimitError
-from .graphs import GENERATOR_LIMIT, ConflictGraph, Link, NetworkGraph, build_graph
+from .graphs import (
+    GENERATOR_LIMIT,
+    GRAPH_FILE_LIMIT,
+    ConflictGraph,
+    Link,
+    NetworkGraph,
+    build_graph,
+)
 from .invariants import InvariantReport
 from .scheduling import Schedule
 from .simulate import SimTrace
@@ -79,11 +86,20 @@ def graph_from_obj(obj) -> NetworkGraph:
 
 
 def load_graph(path: str) -> NetworkGraph:
+    """Read a graph file of at most GRAPH_FILE_LIMIT bytes."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(GRAPH_FILE_LIMIT + 1)
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path!r}: {exc}") from exc
+    if len(data) > GRAPH_FILE_LIMIT:
+        raise ResourceLimitError(
+            f"graph file {path!r} is larger than {GRAPH_FILE_LIMIT} bytes"
+        )
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph file {path!r} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphError(f"graph file {path!r} is not valid JSON: {exc}") from exc
     return graph_from_obj(payload)

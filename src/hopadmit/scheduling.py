@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .chordal import perfect_elimination_order
@@ -34,7 +33,7 @@ def normalize_demands(gc: ConflictGraph, tau: Mapping) -> dict[Link, Fraction]:
         if not gc.has_link(link):
             raise GraphError(f"demand names {link!r}, which is not a link")
         try:
-            value = Fraction(raw)
+            value = raw if type(raw) is Fraction else Fraction(raw)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise GraphError(f"demand for {link!r} is not a rational: {raw!r}") from exc
         if value < 0:
@@ -44,21 +43,11 @@ def normalize_demands(gc: ConflictGraph, tau: Mapping) -> dict[Link, Fraction]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _mis_of(gc: ConflictGraph, cap: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_mis_idx(len(gc.links), gc.adj, cap))
-
-
-@lru_cache(maxsize=4096)
-def _cliques_of(gc: ConflictGraph, cap: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_maximal_cliques_idx(len(gc.links), gc.adj, cap))
-
-
 def maximal_independent_sets(
     gc: ConflictGraph, cap: int = DEFAULT_SET_CAP
 ) -> list[tuple[Link, ...]]:
     """All maximal sets of pairwise non-conflicting links, sorted."""
-    return [tuple(gc.links[i] for i in s) for s in _mis_of(gc, cap)]
+    return [tuple(gc.links[i] for i in s) for s in _mis_idx(len(gc.links), gc.adj, cap)]
 
 
 def _component_lp(
@@ -69,8 +58,8 @@ def _component_lp(
     Returns the optimal duration and the positive-duration entries as
     (independent index set, duration) pairs.
     """
-    sets = _mis_of(comp, cap)
     n = len(comp.links)
+    sets = _mis_idx(n, comp.adj, cap)
     a_matrix = [[1 if i in s else 0 for s in sets] for i in range(n)]
     sol = solve_min_ge([1] * len(sets), a_matrix, weights)
     entries = [
@@ -207,7 +196,7 @@ def weighted_clique_number(
         return Fraction(0)
     sub = induced_conflict(gc, support)
     best = Fraction(0)
-    for clique in _cliques_of(sub, cap):
+    for clique in _maximal_cliques_idx(len(sub.links), sub.adj, cap):
         weight = sum((t[sub.links[i]] for i in clique), Fraction(0))
         if weight > best:
             best = weight

@@ -13,6 +13,9 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
+from hopadmit.invariants import _odd_hole_candidates
+from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
+from hopadmit.search import DEFAULT_SET_CAP
 from hopadmit.simplex import LPInfeasibleError, LPSolution, LPUnboundedError
 
 
@@ -78,6 +81,18 @@ def brute_is_chordal(n, adj):
         if len(seen) == len(members):
             return False
     return True
+
+
+def brute_non_chordal_masks(n, adj):
+    """Ascending bitmasks whose induced subgraph brute_is_chordal rejects."""
+    out = []
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        pos = {v: i for i, v in enumerate(members)}
+        sub = [frozenset(pos[w] for w in adj[v] if w in pos) for v in members]
+        if not brute_is_chordal(len(members), sub):
+            out.append(mask)
+    return out
 
 
 def verify_peo(n, adj, order):
@@ -488,3 +503,32 @@ def brute_multicolor(n, adj, demand):
         return best
 
     return solve(tuple(int(d) for d in demand))
+
+
+# ---------------------------------------------------------------------------
+# The imperfection sweep over every 0/1 mask, as it ran before chordal masks
+# were skipped. Unlike the scans above it calls the package's solvers on
+# each candidate; it is the reference for which candidates may be dropped.
+
+
+def full_mask_imperfection_lower_bound(gc, candidates=None, cap=DEFAULT_SET_CAP, enumerate_limit=12):
+    """imperfection_lower_bound with every nonzero 0/1 mask as a candidate."""
+    n = len(gc.links)
+    trial = [{link: Fraction(1)} for link in gc.links]
+    trial.extend(_odd_hole_candidates(gc, cap))
+    if n <= enumerate_limit:
+        for mask in range(1, 1 << n):
+            trial.append({gc.links[i]: Fraction(1) for i in range(n) if mask >> i & 1})
+    for extra in candidates or ():
+        trial.append({link: Fraction(v) for link, v in extra.items()})
+    best = Fraction(0)
+    witness = {}
+    for tau in trial:
+        clique = weighted_clique_number(gc, tau, cap)
+        if clique == 0:
+            continue
+        ratio = fractional_chromatic(gc, tau, cap) / clique
+        if ratio > best:
+            best = ratio
+            witness = tau
+    return best, witness

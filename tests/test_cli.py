@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hopadmit
 from hopadmit import __version__, cycle_graph
 from hopadmit.cli import main
 from hopadmit.jsonio import METRIC_COLUMNS, graph_to_obj, input_digest
@@ -24,6 +27,11 @@ def _run_json(capsys, *argv):
     code, out, err = _run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _src_env():
+    src = str(Path(hopadmit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
 
 
 def test_beta_envelope(capsys):
@@ -348,3 +356,97 @@ def test_oversized_graph_json_exits_3(capsys, tmp_path):
     graph_file.write_text(json.dumps(at_limit))
     code, _, err = _run(capsys, "conflict", str(graph_file))
     assert code == 0, err
+
+
+def test_oversized_graph_file_exits_3_before_parsing(capsys, tmp_path):
+    from hopadmit.graphs import GRAPH_FILE_LIMIT
+
+    small = json.dumps(graph_to_obj(cycle_graph(6)))
+    at_limit = tmp_path / "at_limit.json"
+    at_limit.write_text(small.ljust(GRAPH_FILE_LIMIT))
+    code, _, err = _run(capsys, "conflict", str(at_limit))
+    assert code == 0, err
+    padded = tmp_path / "padded.json"
+    padded.write_text(small.ljust(GRAPH_FILE_LIMIT + 1))
+    code, out, err = _run(capsys, "conflict", str(padded))
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
+def test_oversized_graph_file_keeps_memory_small(tmp_path):
+    pytest.importorskip("resource")
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(graph_to_obj(cycle_graph(6))).ljust(32 << 20))
+    probe = (
+        "import resource, sys\n"
+        "from hopadmit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+
+    def peak_kb(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=_src_env()
+        )
+        code, peak = proc.stderr.split()[-2:]
+        return int(code), int(peak)
+
+    small_code, small_peak = peak_kb("conflict", "cycle:5")
+    padded_code, padded_peak = peak_kb("conflict", str(padded))
+    assert (small_code, padded_code) == (0, 3)
+    # Peaks are in KiB (Linux). Parsing the 32 MiB file would take well
+    # over 32 MB.
+    assert padded_peak - small_peak < 8 * 1024
+
+
+def test_non_utf8_graph_file_exits_2(capsys, tmp_path):
+    graph_file = tmp_path / "latin1.json"
+    graph_file.write_bytes('{"vertices": ["\xe9"], "edges": []}'.encode("latin-1"))
+    code, out, err = _run(capsys, "conflict", str(graph_file))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+# First cap of INVARIANT_CAPS at which `invariants` exits 0 (below it, it
+# exits 3); None if it exits 3 at every cap.
+INVARIANT_CAPS = (1, 2, 3, 5, 8, 13, 21, 55, 1000)
+INVARIANT_CAP_THRESHOLDS = {
+    "cycle:5": 13,
+    "cycle:7": 55,
+    "cycle:9": 1000,
+    "complete:4": 21,
+    "complete:5": 55,
+    "clique_pendant:3": 21,
+    "clique_pendant:4": 55,
+    "star:5": 13,
+    "star:8": 55,
+    "circulant:9:1,3": 1000,
+    "circulant:8:1,2": 1000,
+    "cycle:10": 1000,
+    "cycle:14": 1000,
+    "cycle:18": 1000,
+    "cycle:22": None,
+}
+
+
+def test_invariants_cap_sets_exit_codes(capsys):
+    for spec, threshold in INVARIANT_CAP_THRESHOLDS.items():
+        for cap in INVARIANT_CAPS:
+            code, _, err = _run(capsys, "invariants", spec, "--cap-sets", str(cap))
+            expected = 0 if threshold is not None and cap >= threshold else 3
+            assert code == expected, (spec, cap, err)
+
+
+def test_python_dash_m_matches_main(capsys):
+    argv = ["chif", "cycle:6", "--demands", '{"v1-v2":"1","v3-v4":"1/2"}']
+    code, out, _ = _run(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopadmit", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0

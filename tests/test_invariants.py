@@ -13,6 +13,8 @@ from oracles import (
     brute_interfering_matching,
     brute_is_chordal,
     brute_link_distance,
+    brute_non_chordal_masks,
+    full_mask_imperfection_lower_bound,
     verify_hole,
     verify_peo,
     without_links,
@@ -37,6 +39,7 @@ from hopadmit import (
     star_graph,
     weighted_clique_number,
 )
+from hopadmit.invariants import POLYTOPE_VERTEX_LIMIT, _imperfect_masks
 from hopadmit.qstab import qstab_vertices
 
 
@@ -218,6 +221,62 @@ def test_imp_lower_accepts_user_candidates():
     even = {gc.links[i]: 1 for i in range(0, 10, 2)}
     value, _ = imperfection_lower_bound(gc, candidates=[even])
     assert value >= Fraction(5, 4)
+
+
+def _family_sweep_graphs():
+    """Family conflict graphs at radius 1 and 2, and rings 9 and 10."""
+    graphs = [conflict_graph(g, k) for _, g in family_graphs() for k in (1, 2)]
+    graphs += [conflict_graph(cycle_graph(n), 2) for n in (9, 10)]
+    return [gc for gc in graphs if gc.links]
+
+
+def _sweep_corpus():
+    """The family graphs plus 40 seeded random conflict graphs of 7 to 12
+    links."""
+    graphs = []
+    rng = random.Random(103)
+    while len(graphs) < 40:
+        g = random_connected_graph(rng, 8, 12)
+        if 7 <= len(g.links) <= 12:
+            graphs.append(conflict_graph(g, 2))
+    return _family_sweep_graphs() + graphs
+
+
+def test_imp_lower_matches_full_mask_sweep():
+    sizes = set()
+    for gc in _sweep_corpus():
+        sizes.add(len(gc.links))
+        assert imperfection_lower_bound(gc) == full_mask_imperfection_lower_bound(gc)
+    assert {7, 12} <= sizes
+
+
+def test_imp_lower_matches_full_mask_sweep_with_candidates():
+    rng = random.Random(107)
+    for gc in _family_sweep_graphs():
+        candidates = [
+            {link: Fraction(rng.randint(0, 3), rng.randint(1, 4)) for link in gc.links}
+            for _ in range(3)
+        ]
+        assert imperfection_lower_bound(
+            gc, candidates=candidates
+        ) == full_mask_imperfection_lower_bound(gc, candidates=candidates)
+    ring = conflict_graph(cycle_graph(10), 2)
+    even = {ring.links[i]: 1 for i in range(0, 10, 2)}
+    assert imperfection_lower_bound(
+        ring, candidates=[even]
+    ) == full_mask_imperfection_lower_bound(ring, candidates=[even])
+
+
+def test_imperfect_masks_are_the_non_chordal_masks():
+    kinds = set()
+    for gc in _sweep_corpus():
+        n = len(gc.links)
+        if n > POLYTOPE_VERTEX_LIMIT:
+            continue
+        expected = brute_non_chordal_masks(n, gc.adj)
+        assert _imperfect_masks(n, gc.adj) == expected
+        kinds.add(bool(expected))
+    assert kinds == {False, True}
 
 
 def test_imp_upper_certificates():
