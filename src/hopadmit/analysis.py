@@ -25,7 +25,6 @@ from .graphs import (
     conflict_graph,
     cycle_graph,
     make_link,
-    one_hop_subgraph,
 )
 from .invariants import (
     imperfection_upper_bound,
@@ -48,8 +47,7 @@ def local_views(
     """
     t = normalize_demands(conflict_graph(g, 2), tau)
     views = []
-    for v in g.vertices:
-        sub = one_hop_subgraph(g, v)
+    for sub in g.views:
         local = {link: t[link] for link in sub.links if link in t}
         value = (
             fractional_chromatic(conflict_graph(sub, 2), local, cap)
@@ -169,6 +167,8 @@ def ratio_lower_bound(
     """
     if not g.links:
         raise GraphError("ratio bounds need at least one link")
+    if empirical_samples < 0:
+        raise GraphError("empirical sample count must be nonnegative")
     candidates: list[tuple[str, dict[Link, Fraction]]] = []
     size, matching = max_interfering_matching(g, cap)
     if size >= 1:

@@ -32,6 +32,7 @@ from .jsonio import (
     metrics_to_csv,
     parse_fraction,
     ratio_bounds_to_obj,
+    read_json_file,
     schedule_to_obj,
     trace_to_obj,
 )
@@ -62,31 +63,20 @@ def _resolve_demands(arg: str, g: NetworkGraph):
         except json.JSONDecodeError as exc:
             raise GraphError(f"inline demands are not valid JSON: {exc}") from exc
     else:
-        try:
-            with open(arg, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise GraphError(f"cannot read demand file {arg!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"demand file {arg!r} is not valid JSON: {exc}") from exc
+        payload = read_json_file(arg, "demand")
     return demands_from_obj(payload, g)
 
 
-def _emit(envelope: dict, out: str | None) -> None:
-    text = canonical_json(envelope)
-    if out:
+def _emit(report: dict | str, out: str | None) -> None:
+    text = report if isinstance(report, str) else canonical_json(report)
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _envelope(args, command: str, input_obj: dict, result, seed=None) -> dict:
@@ -139,6 +129,8 @@ def _cmd_admit(args) -> dict:
     tau = _resolve_demands(args.demands, g)
     extra = {"demands": demands_to_obj(tau), "mode": args.mode}
     if args.mode == "central":
+        if args.threshold is not None:
+            raise GraphError("--threshold applies to --mode distributed only")
         gc = conflict_graph(g, args.k)
         value = fractional_chromatic(gc, tau, args.cap_sets)
         result = {
@@ -151,7 +143,7 @@ def _cmd_admit(args) -> dict:
         raise GraphError(
             f"distributed admission runs at interference radius 2 only, got --k {args.k}"
         )
-    if args.threshold == "auto":
+    if args.threshold in (None, "auto"):
         threshold, _ = admission_threshold(g, cap=args.cap_sets)
     else:
         threshold = parse_fraction(args.threshold)
@@ -194,6 +186,8 @@ def _cmd_threshold(args) -> dict:
 
 
 def _cmd_simulate(args):
+    if args.user_b is not None and args.policy != "user":
+        raise GraphError("--user-b applies to --policy user only")
     g = _resolve_graph(args.graph)
     user = parse_fraction(args.user_b) if args.user_b else None
     outcome = evaluate_policy(
@@ -260,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("central", "distributed"), default="central")
     p.add_argument(
         "--threshold",
-        default="auto",
-        help="distributed threshold: 'auto' or a rational like 2/5",
+        help="distributed threshold: 'auto' (default) or a rational like 2/5",
     )
     p.set_defaults(run=_cmd_admit)
 
@@ -306,17 +299,13 @@ def main(argv=None) -> int:
     try:
         if args.cap_sets < 1:
             raise GraphError(f"--cap-sets must be at least 1, got {args.cap_sets}")
-        report = args.run(args)
+        _emit(args.run(args), args.out)
     except (GraphError, BoundUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    if isinstance(report, str):
-        _emit_text(report, args.out)
-    else:
-        _emit(report, args.out)
     return 0
 
 

@@ -4,7 +4,8 @@ Vertices are strings. A link is a canonically sorted pair of distinct
 vertices. The conflict graph for interference radius k puts two links in
 conflict when their link distance (shortest vertex distance between their
 endpoint sets) is strictly below k; links able to share a time slot are
-exactly the independent sets of that graph.
+exactly the independent sets of that graph. It is built from a BFS of
+depth k - 1 around each link, so no all-pairs distances are ever held.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import GraphError, ResourceLimitError
@@ -32,8 +33,9 @@ def make_link(u: str, v: str) -> Link:
 class NetworkGraph:
     """Immutable undirected graph with sorted vertex and link tuples.
 
-    Adjacency and all-pairs distances are computed once per instance, on
-    first use, and live only as long as the graph does.
+    Adjacency, the conflict graph of each radius and the 1-hop views are
+    built once per instance, on first use, and live only as long as the
+    graph does.
     """
 
     vertices: tuple[str, ...]
@@ -48,9 +50,13 @@ class NetworkGraph:
         return {v: tuple(sorted(nb)) for v, nb in adj.items()}
 
     @cached_property
-    def distances(self) -> dict[str, dict[str, int]]:
-        """Hop distance from each vertex to every vertex it can reach."""
-        return {v: _bfs_distances(self, (v,)) for v in self.vertices}
+    def views(self) -> tuple[NetworkGraph, ...]:
+        """Each vertex's 1-hop subgraph, in vertex order."""
+        return tuple(one_hop_subgraph(self, v) for v in self.vertices)
+
+    @cached_property
+    def _conflict_graphs(self) -> dict[int, ConflictGraph]:
+        return {}
 
     @cached_property
     def _link_set(self) -> frozenset[Link]:
@@ -91,15 +97,21 @@ def build_graph(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> Netw
     return NetworkGraph(tuple(sorted(vset)), tuple(sorted(links)))
 
 
-def _bfs_distances(g: NetworkGraph, sources: Iterable[str]) -> dict[str, int]:
+def _bfs_distances(
+    g: NetworkGraph, sources: Iterable[str], depth: int | float = INFINITE
+) -> dict[str, int]:
+    """Hop distance from the sources to every vertex within depth hops."""
     dist = {s: 0 for s in sources}
     queue = deque(dist)
     adj = g.adjacency
     while queue:
         u = queue.popleft()
+        d = dist[u] + 1
+        if d > depth:
+            break
         for w in adj[u]:
             if w not in dist:
-                dist[w] = dist[u] + 1
+                dist[w] = d
                 queue.append(w)
     return dist
 
@@ -158,30 +170,33 @@ def induced_conflict(gc: ConflictGraph, keep: Sequence[int]) -> ConflictGraph:
     return ConflictGraph(tuple(gc.links[old] for old in order), adj, gc.k)
 
 
-@lru_cache(maxsize=4096)
 def conflict_graph(g: NetworkGraph, k: int = 2) -> ConflictGraph:
-    """Conflict graph of g: links conflict iff link distance < k."""
+    """Conflict graph of g: links conflict iff link distance < k.
+
+    Built once per graph and radius, and kept on the graph.
+    """
     if k < 1:
         raise GraphError(f"interference radius must be >= 1, got {k}")
+    memo = g._conflict_graphs
+    if k not in memo:
+        memo[k] = _build_conflict_graph(g, k)
+    return memo[k]
+
+
+def _build_conflict_graph(g: NetworkGraph, k: int) -> ConflictGraph:
+    # Link e conflicts with every other link touching a vertex within
+    # k - 1 hops of an endpoint of e.
     links = g.links
-    n = len(links)
-    dist = g.distances
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        a, b = links[i]
-        da, db = dist[a], dist[b]
-        for j in range(i + 1, n):
-            x, y = links[j]
-            d = min(
-                da.get(x, INFINITE),
-                da.get(y, INFINITE),
-                db.get(x, INFINITE),
-                db.get(y, INFINITE),
-            )
-            if d < k:
-                adj[i].add(j)
-                adj[j].add(i)
-    return ConflictGraph(links, tuple(frozenset(s) for s in adj), k)
+    incident: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for i, (a, b) in enumerate(links):
+        incident[a].append(i)
+        incident[b].append(i)
+    adj = []
+    for i, link in enumerate(links):
+        near = set().union(*(incident[x] for x in _bfs_distances(g, link, k - 1)))
+        near.discard(i)
+        adj.append(frozenset(near))
+    return ConflictGraph(links, tuple(adj), k)
 
 
 def conflict_components(
@@ -267,10 +282,10 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> NetworkGraph:
 
 GENERATOR_LIMIT = 1000
 
-# Graph files are read up to this many bytes before they are parsed, so a
-# huge file costs no more memory than this. 1 MiB holds GENERATOR_LIMIT
-# vertices and GENERATOR_LIMIT edges written by json.dump with indent=2
-# and vertex ids of 300 characters.
+# Graph and demand files are read up to this many bytes before they are
+# parsed, so a huge file costs no more memory than this. 1 MiB holds
+# GENERATOR_LIMIT vertices and GENERATOR_LIMIT edges written by json.dump
+# with indent=2 and vertex ids of 300 characters.
 GRAPH_FILE_LIMIT = 1 << 20
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .chordal import chordality_certificate, perfect_elimination_order
@@ -26,7 +25,6 @@ from .graphs import (
     conflict_components,
     conflict_graph,
     induced_conflict,
-    one_hop_subgraph,
 )
 from .qstab import DEFAULT_RAY_CAP, qstab_vertices
 from .scheduling import fractional_chromatic, weighted_clique_number
@@ -46,29 +44,16 @@ POLYTOPE_VERTEX_LIMIT = 12
 # Spaced matchings.
 
 
-@lru_cache(maxsize=4096)
 def _unit_distance_adjacency(g: NetworkGraph) -> tuple[frozenset[int], ...]:
-    """Adjacency between links at distance exactly one."""
+    """Adjacency between links at distance exactly one.
+
+    These are the radius-2 conflicts between links that share no endpoint.
+    """
     links = g.links
-    dist = g.distances
-    n = len(links)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        a, b = links[i]
-        for j in range(i + 1, n):
-            x, y = links[j]
-            if x in (a, b) or y in (a, b):
-                continue
-            ds = [
-                dist[a].get(x),
-                dist[a].get(y),
-                dist[b].get(x),
-                dist[b].get(y),
-            ]
-            if min((d for d in ds if d is not None), default=0) == 1:
-                adj[i].add(j)
-                adj[j].add(i)
-    return tuple(frozenset(s) for s in adj)
+    return tuple(
+        frozenset(j for j in nbrs if a not in links[j] and b not in links[j])
+        for (a, b), nbrs in zip(links, conflict_graph(g, 2).adj)
+    )
 
 
 def max_interfering_matching(
@@ -93,8 +78,8 @@ def max_local_interfering_matching(
     """Largest interfering matching inside any single 1-hop view."""
     best = 0
     where: str | None = None
-    for v in g.vertices:
-        size, _ = max_interfering_matching(one_hop_subgraph(g, v), cap)
+    for v, view in zip(g.vertices, g.views):
+        size, _ = max_interfering_matching(view, cap)
         if size > best:
             best = size
             where = v
@@ -117,8 +102,8 @@ def neighborhood_cover_number(
     if not gc.links:
         return 0, (), ()
     neighborhood_links = {
-        v: frozenset(gc.index(link) for link in one_hop_subgraph(g, v).links)
-        for v in g.vertices
+        v: frozenset(gc.index(link) for link in view.links)
+        for v, view in zip(g.vertices, g.views)
     }
     best = 0
     best_links: tuple[Link, ...] = ()

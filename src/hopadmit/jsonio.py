@@ -85,24 +85,33 @@ def graph_from_obj(obj) -> NetworkGraph:
     return build_graph(vertices, edges)
 
 
-def load_graph(path: str) -> NetworkGraph:
-    """Read a graph file of at most GRAPH_FILE_LIMIT bytes."""
+def read_json_file(path: str, kind: str):
+    """Parse the JSON in a file of at most GRAPH_FILE_LIMIT bytes.
+
+    A longer file raises ResourceLimitError before it is decoded; a file
+    that cannot be read, is not UTF-8 or is not JSON raises GraphError.
+    kind names the file in messages ("graph", "demand").
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read(GRAPH_FILE_LIMIT + 1)
     except OSError as exc:
-        raise GraphError(f"cannot read graph file {path!r}: {exc}") from exc
+        raise GraphError(f"cannot read {kind} file {path!r}: {exc}") from exc
     if len(data) > GRAPH_FILE_LIMIT:
         raise ResourceLimitError(
-            f"graph file {path!r} is larger than {GRAPH_FILE_LIMIT} bytes"
+            f"{kind} file {path!r} is larger than {GRAPH_FILE_LIMIT} bytes"
         )
     try:
-        payload = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise GraphError(f"graph file {path!r} is not UTF-8: {exc}") from exc
+        raise GraphError(f"{kind} file {path!r} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise GraphError(f"graph file {path!r} is not valid JSON: {exc}") from exc
-    return graph_from_obj(payload)
+        raise GraphError(f"{kind} file {path!r} is not valid JSON: {exc}") from exc
+
+
+def load_graph(path: str) -> NetworkGraph:
+    """Read a graph file of at most GRAPH_FILE_LIMIT bytes."""
+    return graph_from_obj(read_json_file(path, "graph"))
 
 
 def demands_to_obj(tau: Mapping[Link, Fraction]) -> dict:

@@ -23,8 +23,6 @@ from .search import maximal_cliques as _maximal_cliques_idx
 from .search import maximal_independent_sets as _mis_idx
 from .simplex import solve_min_ge
 
-DemandVector = Mapping[Link, Fraction]
-
 
 def normalize_demands(gc: ConflictGraph, tau: Mapping) -> dict[Link, Fraction]:
     """Coerce values to Fraction and reject unknown links or negative demand."""

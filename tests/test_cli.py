@@ -221,6 +221,54 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == stdout_text
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(
+        capsys, "chif", "cycle:5", "--demands", '{"v1-v2":"1"}', "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert not target.exists()
+
+
+def test_negative_empirical_count_exits_2(capsys):
+    code, out, err = _run(capsys, "beta", "cycle:6", "--empirical", "-3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_user_bound_outside_user_policy_exits_2(capsys):
+    for policy in ("theorem3", "oracle-exact"):
+        code, out, err = _run(
+            capsys, "simulate", "cycle:6", "--seed", "1", "--samples", "2",
+            "--policy", policy, "--user-b", "3",
+        )
+        assert code == 2, policy
+        assert out == ""
+        assert "error:" in err
+
+
+def test_threshold_in_central_mode_exits_2(capsys):
+    demands = json.dumps({"v1-v2": "1/5"})
+    for threshold in ("0", "auto", "1/5"):
+        code, out, err = _run(
+            capsys, "admit", "cycle:6", "--demands", demands, "--mode", "central",
+            "--threshold", threshold,
+        )
+        assert code == 2, threshold
+        assert out == ""
+        assert "error:" in err
+    # Without the flag, distributed mode still defaults to 'auto'.
+    auto = _run_json(capsys, "admit", "cycle:6", "--demands", demands, "--mode", "distributed")
+    explicit = _run_json(
+        capsys, "admit", "cycle:6", "--demands", demands, "--mode", "distributed",
+        "--threshold", "auto",
+    )
+    assert auto == explicit
+
+
 def test_missing_graph_file_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, "beta", str(tmp_path / "nosuch.json"))
     assert code == 2
@@ -407,6 +455,32 @@ def test_non_utf8_graph_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_oversized_demand_file_exits_3_before_parsing(capsys, tmp_path):
+    from hopadmit.graphs import GRAPH_FILE_LIMIT
+
+    small = json.dumps({"v1-v2": "1", "v3-v4": "1/2"})
+    at_limit = tmp_path / "at_limit.json"
+    at_limit.write_text(small.ljust(GRAPH_FILE_LIMIT))
+    code, _, err = _run(capsys, "chif", "cycle:6", "--demands", str(at_limit))
+    assert code == 0, err
+    padded = tmp_path / "padded.json"
+    padded.write_text(small.ljust(GRAPH_FILE_LIMIT + 1))
+    code, out, err = _run(capsys, "chif", "cycle:6", "--demands", str(padded))
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
+def test_non_utf8_demand_file_exits_2(capsys, tmp_path):
+    demand_file = tmp_path / "latin1.json"
+    demand_file.write_bytes('{"v1-v2": "1", "\xe9": "1"}'.encode("latin-1"))
+    code, out, err = _run(capsys, "chif", "cycle:6", "--demands", str(demand_file))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "UTF-8" in err
 
 
 # First cap of INVARIANT_CAPS at which `invariants` exits 0 (below it, it

@@ -29,7 +29,6 @@ from hopadmit import (
     cycle_graph,
     fractional_chromatic,
     normalize_demands,
-    one_hop_subgraph,
     sample_demands,
     star_graph,
 )
@@ -92,10 +91,11 @@ def components():
             entry[0].add(name)
 
     for i, g in enumerate(_acceptance_graphs()):
+        views = [conflict_graph(view, 2) for view in g.views]
         for tau in _demands(g, 1000 + i):
             add("acceptance", conflict_graph(g, 2), tau)
-            for v in g.vertices:
-                add("acceptance", conflict_graph(one_hop_subgraph(g, v), 2), tau)
+            for gc in views:
+                add("acceptance", gc, tau)
     families = family_graphs() + [("circulant:9:1,3", circulant_graph(9, (1, 3)))]
     for j, (name, g) in enumerate(families):
         for tau in _demands(g, 2000 + j):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from corpus import random_connected_graph
+from corpus import family_graphs, random_connected_graph
 from oracles import brute_conflict_pairs, brute_link_distance
 import hopadmit
 from hopadmit import (
@@ -95,6 +95,8 @@ def test_one_hop_subgraph_is_closed_neighborhood():
     assert sub.links == (("v1", "v2"), ("v2", "v3"))
     with pytest.raises(GraphError):
         one_hop_subgraph(g, "nope")
+    assert g.views == tuple(one_hop_subgraph(g, v) for v in g.vertices)
+    assert g.views is g.views
 
 
 def test_one_hop_subgraph_keeps_induced_links():
@@ -132,9 +134,10 @@ def test_conflict_graph_line_graph_adjacency():
 
 def test_conflict_graph_matches_brute(seed=5, trials=20):
     rng = random.Random(seed)
-    for _ in range(trials):
-        g = random_connected_graph(rng, max_vertices=7, max_links=9)
-        for k in (1, 2, 3):
+    graphs = [random_connected_graph(rng, max_vertices=7, max_links=9) for _ in range(trials)]
+    graphs.append(dict(family_graphs())["two_triangles"])
+    for g in graphs:
+        for k in (1, 2, 3, 4):
             gc = conflict_graph(g, k)
             want = brute_conflict_pairs(g, k)
             got = {
@@ -221,26 +224,27 @@ def test_generate_shorthand():
 
 
 def test_conflict_graph_deterministic():
-    a = conflict_graph(cycle_graph(9), 2)
-    b = conflict_graph(cycle_graph(9), 2)
-    assert a is b
+    # Memoized per graph instance and radius; equal graphs build equal
+    # conflict graphs but share nothing.
     g = cycle_graph(9)
+    a = conflict_graph(g, 2)
+    assert conflict_graph(g, 2) is a
+    assert conflict_graph(g) is a
+    assert conflict_graph(g, 3) is not a
+    other = conflict_graph(cycle_graph(9), 2)
+    assert other is not a
+    assert other == a
     rebuilt = conflict_graph(build_graph(g.vertices, g.links), 2)
     assert rebuilt == a
 
 
 def test_no_unbounded_module_caches():
-    # Keyed by the cached function, so a cache imported into other modules
-    # counts once.
-    caches = {}
+    # Graph-derived state lives on the graph instance, so no module binds a
+    # functools cache (lru_cache or cache), bounded or not.
+    caches = []
     for info in pkgutil.iter_modules(hopadmit.__path__):
         module = importlib.import_module(f"hopadmit.{info.name}")
-        for obj in vars(module).values():
+        for name, obj in vars(module).items():
             if callable(getattr(obj, "cache_parameters", None)):
-                key = f"{obj.__module__}.{obj.__qualname__}"
-                caches[key] = obj.cache_parameters()["maxsize"]
-    assert set(caches) == {
-        "hopadmit.graphs.conflict_graph",
-        "hopadmit.invariants._unit_distance_adjacency",
-    }
-    assert None not in caches.values()
+                caches.append(f"{module.__name__}.{name}")
+    assert caches == []
