@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import BoundUnavailableError, GraphError
+from .errors import BoundUnavailableError, GraphError, ResourceLimitError
 from .graphs import (
     INFINITE,
     Link,
@@ -34,6 +34,20 @@ from .invariants import (
 from .qstab import DEFAULT_RAY_CAP
 from .scheduling import fractional_chromatic, normalize_demands
 from .search import DEFAULT_SET_CAP, iter_induced_cycles
+
+# Random demand samples per run, for beta --empirical and simulate
+# --samples. Each kept sample costs about 1.75 KB, so the limit keeps a
+# run under about 200 MB; a larger count raises ResourceLimitError before
+# any sample is drawn.
+SAMPLE_LIMIT = 100_000
+
+
+def check_sample_count(count: int, what: str) -> None:
+    """Reject a negative count (GraphError) or one above SAMPLE_LIMIT."""
+    if count < 0:
+        raise GraphError(f"{what} must be nonnegative")
+    if count > SAMPLE_LIMIT:
+        raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
 def local_views(
@@ -167,8 +181,7 @@ def ratio_lower_bound(
     """
     if not g.links:
         raise GraphError("ratio bounds need at least one link")
-    if empirical_samples < 0:
-        raise GraphError("empirical sample count must be nonnegative")
+    check_sample_count(empirical_samples, "empirical sample count")
     candidates: list[tuple[str, dict[Link, Fraction]]] = []
     size, matching = max_interfering_matching(g, cap)
     if size >= 1:

@@ -1,9 +1,11 @@
 """Chordality testing with verifiable certificates.
 
 Maximum cardinality search produces an ordering whose reverse is a perfect
-elimination ordering exactly when the graph is chordal. On success the PEO
-is returned; on failure an induced chordless cycle of length at least four
-is extracted as a counterexample.
+elimination ordering exactly when the graph is chordal. The ordering is
+checked and each vertex's later neighbors collected in one pass
+(``elimination``), which is all a chordal graph's cliques need. For a
+certificate, the PEO is returned on success; on failure an induced
+chordless cycle of length at least four is extracted as a counterexample.
 """
 
 from __future__ import annotations
@@ -13,39 +15,50 @@ from typing import Sequence
 
 
 def mcs_order(n: int, adj: Sequence[frozenset[int]]) -> list[int]:
-    """Maximum cardinality search visit order (ties to the smallest index)."""
-    weight = [0] * n
-    visited = [False] * n
+    """Maximum cardinality search visit order (ties to the smallest index).
+
+    A vertex of weight w at index i scores w * n + (n - 1 - i), so the
+    largest score is the largest weight, ties to the smallest index; a
+    visited vertex scores -1.
+    """
+    score = list(range(n - 1, -1, -1))
     order = []
     for _ in range(n):
-        v = max(
-            (i for i in range(n) if not visited[i]),
-            key=lambda i: (weight[i], -i),
-        )
-        visited[v] = True
+        v = score.index(max(score))
+        score[v] = -1
         order.append(v)
         for w in adj[v]:
-            if not visited[w]:
-                weight[w] += 1
+            if score[w] >= 0:
+                score[w] += n
     return order
 
 
-def check_peo(n: int, adj: Sequence[frozenset[int]], order: Sequence[int]) -> bool:
-    """Whether the ordering is a perfect elimination ordering.
+def elimination(
+    n: int, adj: Sequence[frozenset[int]]
+) -> tuple[tuple[int, frozenset[int]], ...] | None:
+    """(vertex, later neighbors) pairs along the reversed MCS order, or
+    None when that order is not a perfect elimination ordering, which
+    happens exactly when the graph is not chordal.
 
-    Uses the classic single-representative test: for each vertex, its later
-    neighbors must all be adjacent to the earliest of them.
+    Each vertex's later neighbors must all be adjacent to the earliest of
+    them (the single-representative test).
     """
-    pos = {v: i for i, v in enumerate(order)}
+    order = mcs_order(n, adj)
+    order.reverse()
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    remaining = set(range(n))
+    out = []
     for v in order:
-        later = [w for w in adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=pos.__getitem__)
-        for w in later:
-            if w != first and w not in adj[first]:
-                return False
-    return True
+        remaining.discard(v)
+        later = adj[v] & remaining
+        if later:
+            first = min(later, key=pos.__getitem__)
+            if len(later - adj[first]) != 1:
+                return None
+        out.append((v, later))
+    return tuple(out)
 
 
 def find_hole(n: int, adj: Sequence[frozenset[int]]) -> list[int] | None:
@@ -96,9 +109,8 @@ def perfect_elimination_order(
 
     Returns None exactly when the graph is not chordal.
     """
-    order = mcs_order(n, adj)
-    order.reverse()
-    return order if check_peo(n, adj, order) else None
+    elim = elimination(n, adj)
+    return None if elim is None else [v for v, _ in elim]
 
 
 def chordality_certificate(

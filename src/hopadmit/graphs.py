@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .chordal import elimination
 from .errors import GraphError, ResourceLimitError
 
 Link = tuple[str, str]
@@ -152,6 +153,15 @@ class ConflictGraph:
     @cached_property
     def _link_index(self) -> dict[Link, int]:
         return {link: i for i, link in enumerate(self.links)}
+
+    @cached_property
+    def elimination(self) -> tuple[tuple[int, frozenset[int]], ...] | None:
+        """(link index, later neighbors) pairs along a perfect elimination
+        ordering, or None when the graph is not chordal. Built once per
+        instance; restricted to any subset of links it is still a perfect
+        elimination ordering of the induced subgraph.
+        """
+        return elimination(len(self.links), self.adj)
 
     def index(self, link: Link) -> int:
         return self._link_index[link]

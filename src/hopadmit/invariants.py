@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .chordal import chordality_certificate, perfect_elimination_order
+from .chordal import chordality_certificate
 from .errors import GraphError
 from .graphs import (
     ConflictGraph,
@@ -320,7 +320,7 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
     for a, b in pairs:
         keep = [i for i in range(m) if i not in (a, b)]
         sub = induced_conflict(gc, keep)
-        if perfect_elimination_order(len(sub.links), sub.adj) is None:
+        if sub.elimination is None:
             return None
     p = m // 2
     return Fraction(p, p - 1)
@@ -328,8 +328,7 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
 
 def _component_imp_upper(comp: ConflictGraph, ray_cap: int, cap: int) -> tuple[Fraction | None, str]:
     m = len(comp.links)
-    chordal = perfect_elimination_order(m, comp.adj) is not None
-    if chordal or is_bipartite(m, comp.adj):
+    if comp.elimination is not None or is_bipartite(m, comp.adj):
         return Fraction(1), "perfect"
     ring = _ring_scheme_bound(comp)
     if ring is not None:

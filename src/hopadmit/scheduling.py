@@ -4,18 +4,22 @@ A demand vector assigns each link a nonnegative rational airtime per unit
 time. A schedule is a list of (independent link set, duration) entries; the
 shortest schedule meeting a demand vector has total duration equal to the
 weighted fractional chromatic number of the conflict graph, computed here
-as an exact covering LP over maximal independent sets. A chordal support
-component is perfect (Lovasz), so its duration is its heaviest clique,
-read off a perfect elimination ordering without the LP.
+as an exact covering LP over maximal independent sets. A chordal graph is
+perfect (Lovasz), so its duration is its heaviest clique, read off the
+conflict graph's cached elimination ordering in integers over the
+demands' common denominator, without the LP. Chordality is hereditary, so
+on a chordal conflict graph this holds for every demand vector at once;
+on any other graph each connected support component is priced this way
+when it is chordal and by the LP when it is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
-from .chordal import perfect_elimination_order
 from .errors import GraphError
 from .graphs import ConflictGraph, Link, conflict_components, induced_conflict
 from .search import DEFAULT_SET_CAP
@@ -66,24 +70,45 @@ def _component_lp(
     return sol.value, entries
 
 
+def _heaviest_clique(
+    elimination: Sequence[tuple[int, frozenset[int]]],
+    weights: Mapping[int, Fraction],
+) -> Fraction:
+    """Heaviest clique of a chordal graph, given its elimination ordering.
+
+    Vertices missing from weights weigh 0. Every maximal clique is a vertex
+    plus its later neighbors, and a vertex of weight 0 can be skipped: its
+    later neighbors lie in the clique of the earliest of them. The sums are
+    taken in integers over the weights' common denominator.
+    """
+    den = lcm(*(w.denominator for w in weights.values()))
+    scaled = [0] * len(elimination)
+    for i, w in weights.items():
+        scaled[i] = w.numerator * (den // w.denominator)
+    best = max(
+        (
+            scaled[v] + sum([scaled[u] for u in later])
+            for v, later in elimination
+            if scaled[v]
+        ),
+        default=0,
+    )
+    return Fraction(best, den)
+
+
 def _component_duration(
     comp: ConflictGraph, weights: Sequence[Fraction], cap: int
 ) -> Fraction:
-    """Exact duration of one connected support component.
-
-    On a chordal component every maximal clique is a vertex plus its later
-    neighbors in a perfect elimination ordering, and the duration is the
-    heaviest of them; any other component is settled by the covering LP.
-    """
-    order = perfect_elimination_order(len(comp.links), comp.adj)
-    if order is None:
+    """Exact duration of one connected support component: its heaviest
+    clique when it is chordal, the covering LP otherwise."""
+    if comp.elimination is None:
         value, _ = _component_lp(comp, weights, cap)
         return value
-    pos = {v: i for i, v in enumerate(order)}
-    return max(
-        weights[v] + sum(weights[w] for w in comp.adj[v] if pos[w] > pos[v])
-        for v in order
-    )
+    return _heaviest_clique(comp.elimination, dict(enumerate(weights)))
+
+
+def _indexed(gc: ConflictGraph, t: dict[Link, Fraction]) -> dict[int, Fraction]:
+    return {gc.index(link): value for link, value in t.items()}
 
 
 def _support_components(
@@ -102,10 +127,13 @@ def fractional_chromatic(
 ) -> Fraction:
     """Minimum total schedule duration meeting the demand vector, exactly.
 
-    Demands restricted to zero give duration 0. The value decomposes as the
-    max over connected components of the demand's support.
+    Demands restricted to zero give duration 0. On a chordal conflict graph
+    the value is the heaviest clique; otherwise it decomposes as the max
+    over connected components of the demand's support.
     """
     t = normalize_demands(gc, tau)
+    if gc.elimination is not None:
+        return _heaviest_clique(gc.elimination, _indexed(gc, t))
     best = Fraction(0)
     for comp, weights in _support_components(gc, t):
         value = _component_duration(comp, weights, cap)
@@ -189,6 +217,8 @@ def weighted_clique_number(
 ) -> Fraction:
     """Largest total demand on a set of pairwise conflicting links."""
     t = normalize_demands(gc, tau)
+    if gc.elimination is not None:
+        return _heaviest_clique(gc.elimination, _indexed(gc, t))
     support = [i for i, link in enumerate(gc.links) if t.get(link, 0) > 0]
     if not support:
         return Fraction(0)

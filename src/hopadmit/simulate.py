@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .analysis import admission_threshold, local_estimate, local_views
+from .analysis import admission_threshold, check_sample_count, local_estimate, local_views
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
 from .scheduling import fractional_chromatic, normalize_demands
@@ -171,8 +171,7 @@ def evaluate_policy(
     uses 1 / user_bound as the threshold, and "oracle-exact" admits exactly
     the feasible vectors (reference policy, never misclassifies).
     """
-    if samples < 0:
-        raise GraphError("sample count must be nonnegative")
+    check_sample_count(samples, "sample count")
     if not g.links:
         raise GraphError("policy evaluation needs at least one link")
     threshold: Fraction | None

@@ -95,6 +95,25 @@ def brute_non_chordal_masks(n, adj):
     return out
 
 
+def lambda_scan_mcs_order(n, adj):
+    """Maximum cardinality search by a full scan per step (ties to the
+    smallest index), the order that mcs_order's score list must match."""
+    weight = [0] * n
+    visited = [False] * n
+    order = []
+    for _ in range(n):
+        v = max(
+            (i for i in range(n) if not visited[i]),
+            key=lambda i: (weight[i], -i),
+        )
+        visited[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not visited[w]:
+                weight[w] += 1
+    return order
+
+
 def verify_peo(n, adj, order):
     """Direct definition: later neighbors of each vertex form a clique."""
     if sorted(order) != list(range(n)):

@@ -239,6 +239,30 @@ def test_negative_empirical_count_exits_2(capsys):
     assert "error:" in err
 
 
+def test_sample_counts_above_limit_exit_3(capsys, monkeypatch):
+    from hopadmit import analysis, simulate
+    from hopadmit.analysis import SAMPLE_LIMIT
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(analysis, "_empirical_demands", no_draw)
+    monkeypatch.setattr(simulate, "sample_demands", no_draw)
+    over = str(SAMPLE_LIMIT + 1)
+    assert over == "100001"
+    for argv in (
+        ("beta", "cycle:6", "--empirical", over),
+        ("simulate", "cycle:6", "--seed", "1", "--samples", over),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "resource limit" in err
+    code, out, err = _run(capsys, "simulate", "cycle:6", "--seed", "1", "--samples", "-1")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_user_bound_outside_user_policy_exits_2(capsys):
     for policy in ("theorem3", "oracle-exact"):
         code, out, err = _run(

@@ -1,0 +1,84 @@
+"""Property test: heaviest cliques along the cached elimination ordering.
+
+On random graphs of at most 8 vertices, half of them built chordal by
+attaching each new vertex to a clique of earlier ones, with random
+rational demands: elimination is None exactly when find_hole finds a
+hole, and on a chordal graph fractional_chromatic equals the dense
+tableau LP over every maximal independent set, and weighted_clique_number
+the brute-force heaviest clique.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from oracles import (  # noqa: E402
+    brute_maximal_cliques,
+    brute_maximal_independent_sets,
+    tableau_min_ge,
+)
+from hopadmit import fractional_chromatic, weighted_clique_number  # noqa: E402
+from hopadmit.chordal import find_hole  # noqa: E402
+from hopadmit.graphs import ConflictGraph  # noqa: E402
+
+
+@st.composite
+def any_graphs(draw, n):
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+@st.composite
+def chordal_graphs(draw, n):
+    # Each new vertex joins a clique of the earlier ones, so the reversed
+    # construction order is a perfect elimination ordering.
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        clique: list[int] = []
+        for u in draw(st.permutations(range(v))):
+            if all(w in adj[u] for w in clique) and draw(st.booleans()):
+                clique.append(u)
+        for u in clique:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 8))
+    adj = draw(st.one_of(any_graphs(n), chordal_graphs(n)))
+    links = tuple((f"a{i}", f"b{i}") for i in range(n))
+    gc = ConflictGraph(links, tuple(frozenset(a) for a in adj), 2)
+    demand = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+    tau = {link: draw(demand) for link in links}
+    return gc, tau
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(instances())
+def test_elimination_prices_chordal_graphs(instance):
+    gc, tau = instance
+    n = len(gc.links)
+    assert (gc.elimination is None) == (find_hole(n, gc.adj) is not None)
+    if gc.elimination is None:
+        return
+    weights = [tau[link] for link in gc.links]
+    sets = sorted(brute_maximal_independent_sets(n, gc.adj), key=sorted)
+    a_matrix = [[1 if i in s else 0 for s in sets] for i in range(n)]
+    assert fractional_chromatic(gc, tau) == tableau_min_ge([1] * len(sets), a_matrix, weights).value
+    heaviest = max(
+        (sum((weights[i] for i in c), Fraction(0)) for c in brute_maximal_cliques(n, gc.adj)),
+        default=Fraction(0),
+    )
+    assert weighted_clique_number(gc, tau) == heaviest
