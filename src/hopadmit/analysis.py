@@ -31,7 +31,6 @@ from .invariants import (
     max_interfering_matching,
     neighborhood_cover_number,
 )
-from .qstab import DEFAULT_RAY_CAP
 from .scheduling import fractional_chromatic, normalize_demands
 from .search import DEFAULT_SET_CAP, iter_induced_cycles
 
@@ -206,9 +205,7 @@ def ratio_lower_bound(
 
 
 def ratio_upper_bound(
-    g: NetworkGraph,
-    cap: int = DEFAULT_SET_CAP,
-    ray_cap: int = DEFAULT_RAY_CAP,
+    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
 ) -> tuple[Fraction | None, Fraction | None, str, int]:
     """Imperfection bound times cover number; None when no route certifies.
 
@@ -216,7 +213,7 @@ def ratio_upper_bound(
     """
     if not g.links:
         raise GraphError("ratio bounds need at least one link")
-    imp, tag = imperfection_upper_bound(conflict_graph(g, 2), ray_cap, cap)
+    imp, tag = imperfection_upper_bound(conflict_graph(g, 2), cap)
     cover, _, _ = neighborhood_cover_number(g, cap)
     upper = None if imp is None else imp * cover
     return upper, imp, tag, cover
@@ -227,11 +224,10 @@ def ratio_bounds(
     empirical_samples: int = 0,
     seed: int = 0,
     cap: int = DEFAULT_SET_CAP,
-    ray_cap: int = DEFAULT_RAY_CAP,
 ) -> RatioBounds:
     """Certified two-sided bounds; exact is set when the sides meet."""
     lower, witness, source = ratio_lower_bound(g, empirical_samples, seed, cap)
-    upper, imp, tag, cover = ratio_upper_bound(g, cap, ray_cap)
+    upper, imp, tag, cover = ratio_upper_bound(g, cap)
     if upper is not None and lower > upper:
         raise RuntimeError(
             f"certified bounds crossed: lower {lower} > upper {upper}"
@@ -271,7 +267,6 @@ def admission_threshold(
     g: NetworkGraph,
     user_bound=None,
     cap: int = DEFAULT_SET_CAP,
-    ray_cap: int = DEFAULT_RAY_CAP,
 ) -> tuple[Fraction, dict]:
     """Local-value threshold under which admission is always safe.
 
@@ -295,7 +290,7 @@ def admission_threshold(
                 stacklevel=2,
             )
         return Fraction(1) / bound, {"source": "user", "ratio_bound": bound}
-    upper, imp, tag, cover = ratio_upper_bound(g, cap, ray_cap)
+    upper, imp, tag, cover = ratio_upper_bound(g, cap)
     if upper is None:
         raise BoundUnavailableError(
             "no imperfection certificate applies to this conflict graph"

@@ -102,24 +102,13 @@ def _shortest_path_avoiding(
     return None
 
 
-def perfect_elimination_order(
-    n: int, adj: Sequence[frozenset[int]]
-) -> list[int] | None:
-    """The reversed MCS order if it is a perfect elimination ordering.
-
-    Returns None exactly when the graph is not chordal.
-    """
-    elim = elimination(n, adj)
-    return None if elim is None else [v for v, _ in elim]
-
-
 def chordality_certificate(
     n: int, adj: Sequence[frozenset[int]]
 ) -> tuple[bool, list[int]]:
     """(True, perfect elimination ordering) or (False, induced hole)."""
-    order = perfect_elimination_order(n, adj)
-    if order is not None:
-        return True, order
+    elim = elimination(n, adj)
+    if elim is not None:
+        return True, [v for v, _ in elim]
     hole = find_hole(n, adj)
     if hole is None:
         raise RuntimeError("elimination check failed but no hole was found")

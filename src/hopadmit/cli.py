@@ -36,7 +36,7 @@ from .jsonio import (
     schedule_to_obj,
     trace_to_obj,
 )
-from .scheduling import fractional_chromatic, is_feasible, min_schedule
+from .scheduling import fractional_chromatic, min_schedule
 from .search import DEFAULT_SET_CAP
 from .simulate import evaluate_policy, run_admission
 

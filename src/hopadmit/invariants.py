@@ -26,7 +26,7 @@ from .graphs import (
     conflict_graph,
     induced_conflict,
 )
-from .qstab import DEFAULT_RAY_CAP, qstab_vertices
+from .qstab import qstab_vertices
 from .scheduling import fractional_chromatic, weighted_clique_number
 from .search import (
     DEFAULT_SET_CAP,
@@ -228,18 +228,18 @@ def imperfection_lower_bound(
     gc: ConflictGraph,
     candidates: Sequence[Mapping] | None = None,
     cap: int = DEFAULT_SET_CAP,
-    enumerate_limit: int = POLYTOPE_VERTEX_LIMIT,
 ) -> tuple[Fraction, dict[Link, Fraction]]:
     """Best LP-to-clique-bound gap over a candidate demand family.
 
     Candidates tried, in order: one indicator per link, indicators of
     chordless odd cycles, every 0/1 vector whose support induces a
     subgraph that is not chordal when the graph has at most
-    enumerate_limit links, plus any supplied vectors. A chordal support is
-    perfect (Lovasz), so its ratio is exactly 1 and cannot beat the first
-    link indicator; `_imperfect_masks` leaves those vectors out by a
-    hereditary pass over the masks that no cap can stop. Always sound as a
-    lower bound; equals the true ratio whenever some candidate attains it.
+    POLYTOPE_VERTEX_LIMIT links, plus any supplied vectors. A chordal
+    support is perfect (Lovasz), so its ratio is exactly 1 and cannot beat
+    the first link indicator; `_imperfect_masks` leaves those vectors out
+    by a hereditary pass over the masks that no cap can stop. Always sound
+    as a lower bound; equals the true ratio whenever some candidate
+    attains it.
     """
     n = len(gc.links)
     if n == 0:
@@ -248,7 +248,7 @@ def imperfection_lower_bound(
         {link: Fraction(1)} for link in gc.links
     ]
     trial.extend(_odd_hole_candidates(gc, cap))
-    if n <= enumerate_limit:
+    if n <= POLYTOPE_VERTEX_LIMIT:
         for mask in _imperfect_masks(n, gc.adj):
             trial.append(
                 {
@@ -326,7 +326,7 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
     return Fraction(p, p - 1)
 
 
-def _component_imp_upper(comp: ConflictGraph, ray_cap: int, cap: int) -> tuple[Fraction | None, str]:
+def _component_imp_upper(comp: ConflictGraph, cap: int) -> tuple[Fraction | None, str]:
     m = len(comp.links)
     if comp.elimination is not None or is_bipartite(m, comp.adj):
         return Fraction(1), "perfect"
@@ -336,7 +336,7 @@ def _component_imp_upper(comp: ConflictGraph, ray_cap: int, cap: int) -> tuple[F
     if m <= POLYTOPE_VERTEX_LIMIT:
         cliques = maximal_cliques(m, comp.adj, cap)
         best = Fraction(1)
-        for vertex in qstab_vertices(m, cliques, ray_cap):
+        for vertex in qstab_vertices(m, cliques):
             tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
             if not tau:
                 continue
@@ -350,9 +350,7 @@ def _component_imp_upper(comp: ConflictGraph, ray_cap: int, cap: int) -> tuple[F
 
 
 def imperfection_upper_bound(
-    gc: ConflictGraph,
-    ray_cap: int = DEFAULT_RAY_CAP,
-    cap: int = DEFAULT_SET_CAP,
+    gc: ConflictGraph, cap: int = DEFAULT_SET_CAP
 ) -> tuple[Fraction | None, str]:
     """Certified upper bound on the imperfection ratio, with its route.
 
@@ -367,9 +365,7 @@ def imperfection_upper_bound(
     best = Fraction(0)
     tag = "perfect"
     for comp in conflict_components(gc):
-        value, route = _component_imp_upper(
-            induced_conflict(gc, comp), ray_cap, cap
-        )
+        value, route = _component_imp_upper(induced_conflict(gc, comp), cap)
         if value is None:
             return None, "unavailable"
         if value > best:
@@ -396,9 +392,7 @@ class InvariantReport:
 
 
 def invariant_report(
-    g: NetworkGraph,
-    cap: int = DEFAULT_SET_CAP,
-    ray_cap: int = DEFAULT_RAY_CAP,
+    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
 ) -> InvariantReport:
     """Compute every invariant of the conflict graph of g at radius 2."""
     gc = conflict_graph(g, 2)
@@ -408,7 +402,7 @@ def invariant_report(
         imp_lo, imp_wit = imperfection_lower_bound(gc, cap=cap)
     else:
         imp_lo, imp_wit = Fraction(1), {}
-    imp_hi, cert = imperfection_upper_bound(gc, ray_cap, cap)
+    imp_hi, cert = imperfection_upper_bound(gc, cap)
     return InvariantReport(
         nu=nu,
         nu_witness=nu_wit,

@@ -27,12 +27,13 @@ def _reduce(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def qstab_vertices(
-    n: int, cliques: Sequence[Sequence[int]], ray_cap: int = DEFAULT_RAY_CAP
+    n: int, cliques: Sequence[Sequence[int]]
 ) -> list[tuple[Fraction, ...]]:
     """All extreme points of the clique polytope, sorted.
 
     cliques must jointly cover range(n); isolated indices should be passed
-    as singleton cliques.
+    as singleton cliques. More than DEFAULT_RAY_CAP intermediate rays raise
+    ResourceLimitError.
     """
     covered = set()
     for q in cliques:
@@ -100,9 +101,9 @@ def qstab_vertices(
                 )
                 fresh.append(_reduce(combo))
         rays = keep + fresh
-        if len(rays) > ray_cap:
+        if len(rays) > DEFAULT_RAY_CAP:
             raise ResourceLimitError(
-                f"double description ray count exceeded cap of {ray_cap}"
+                f"double description ray count exceeded cap of {DEFAULT_RAY_CAP}"
             )
 
     vertices = set()

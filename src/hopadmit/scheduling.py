@@ -60,10 +60,8 @@ def _component_lp(
     Returns the optimal duration and the positive-duration entries as
     (independent index set, duration) pairs.
     """
-    n = len(comp.links)
-    sets = _mis_idx(n, comp.adj, cap)
-    a_matrix = [[1 if i in s else 0 for s in sets] for i in range(n)]
-    sol = solve_min_ge([1] * len(sets), a_matrix, weights)
+    sets = _mis_idx(len(comp.links), comp.adj, cap)
+    sol = solve_min_ge(sets, weights)
     entries = [
         (sets[j], dur) for j, dur in enumerate(sol.x) if dur > 0
     ]

@@ -1,29 +1,33 @@
-"""Exact rational linear programming via a revised two-phase primal simplex.
+"""Exact covering LP via a revised two-phase primal simplex.
 
-Solves: minimize c.x subject to A x >= b, x >= 0.
+Solves: minimize sum(x) subject to sum(x[j] for every j with i in
+sets[j]) >= b[i] for every row i, x >= 0. Column j is the 0/1 indicator of
+the row-index tuple sets[j] and costs 1; b holds nonnegative Fractions.
+This is the weighted fractional chromatic number LP over independent link
+sets.
 
-Every row operation of a tableau simplex applies one linear map to all
-columns, so each tableau column is that map times the column's initial
-entries. The solver keeps only the map: the tableau's columns of the
-starting unit basis, one per constraint row, plus the rhs, all as
-arbitrary-precision integers over one positive common denominator
-(fraction-free Gauss-Jordan pivoting). Reduced costs and the entering
-column are computed on demand from the sparse constraint columns; for 0/1
-columns, such as the independent sets of the scheduling LP, that takes
-only additions. The pivot sequence is the full tableau's: Bland's rule
-picks entering and leaving variables, which rules out cycling. Every
-exact division is checked; a nonzero remainder would mean the invariant
-broke, and raises instead of silently corrupting results.
+Row i is scaled by b[i].denominator, so every entry is an integer. Every
+row operation of a tableau simplex applies one linear map to all columns,
+so each tableau column is that map times the column's scaled entries. The
+solver keeps only the map composed with the scaling: one block column per
+row, the tableau column of that row's unscaled unit vector, plus the rhs,
+all as arbitrary-precision integers over one positive common denominator
+(fraction-free Gauss-Jordan pivoting). The tableau column of a set is then
+the sum of its rows' block columns, which takes only additions. A row's
+surplus column is minus its block column over the row's scale. The pivot
+sequence is the full tableau's: Bland's rule picks entering and leaving
+variables, which rules out cycling. Every exact division is checked; a
+nonzero remainder would mean the invariant broke, and raises instead of
+silently corrupting results.
 
-Row 0 of the kept block holds the scaled reduced costs of the starting
-unit columns, from which the optimal dual vector is read.
+Row 0 of the kept block holds den times the reduced cost of each row's
+unit column, which at the optimum is minus that row's dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 
@@ -37,19 +41,15 @@ class LPUnboundedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal primal x, dual y (one entry per row of A) and value.
+    """Optimal primal x (one entry per set), dual y (one per row) and value.
 
-    y >= 0, A^T y <= c and b.y = c.x = value.
+    y >= 0, no set's rows sum to more than 1 under y, and
+    b.y = sum(x) = value.
     """
 
     value: Fraction
     x: tuple[Fraction, ...]
     y: tuple[Fraction, ...]
-
-
-# A sparse column: the rows holding its nonzero entries, and their values,
-# or None when every value is 1.
-Column = tuple[tuple[int, ...], tuple[int, ...] | None]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -59,12 +59,15 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _dot(row: list[int], column: Column) -> int:
-    """Entry of the current tableau row (a block row) in a column."""
-    rows, values = column
-    if values is None:
-        return sum([row[r] for r in rows])
-    return sum([row[r] * v for r, v in zip(rows, values)])
+def _entry(
+    row: list[int], sets: Sequence[Sequence[int]], scale: list[int], j: int
+) -> int:
+    """Entry of the current tableau row (a block row) in column j: set j
+    for j < len(sets), else the surplus of row j - len(sets)."""
+    n = len(sets)
+    if j < n:
+        return sum([row[r] for r in sets[j]])
+    return _exact_div(-row[j - n], scale[j - n])
 
 
 def _pivot(block: list[list[int]], den: int, col: list[int], r: int) -> int:
@@ -89,28 +92,34 @@ def _pivot_until_optimal(
     block: list[list[int]],
     den: int,
     basis: list[int],
-    columns: list[Column],
-    cost: list[int],
+    sets: Sequence[Sequence[int]],
+    scale: list[int],
+    priced: bool,
 ) -> int:
     """Run Bland-rule pivots until no column improves the objective.
 
-    Block row 0 gives the (scaled) reduced costs den*cost_j + row0.a_j of a
-    minimization problem; constraint rows follow, with basis[i] naming the
-    basic variable of row i+1.
+    Block row 0 gives the (scaled) reduced costs of a minimization problem,
+    den per set when priced plus row0 times the column; constraint rows
+    follow, with basis[i] naming the basic variable of row i+1.
     """
+    n, m = len(sets), len(scale)
     while True:
         y = block[0]
+        cost = den if priced else 0
         enter = -1
-        for j, column in enumerate(columns):
-            reduced = _dot(y, column)
-            if cost[j]:
-                reduced += den * cost[j]
+        for j, s in enumerate(sets):
+            reduced = sum([y[r] for r in s]) + cost
             if reduced < 0:
                 enter = j
                 break
-        if enter < 0:
-            return den
-        col = [reduced] + [_dot(row, columns[enter]) for row in block[1:]]
+        else:
+            # A surplus column's reduced cost is -y[i] / scale[i].
+            i = next((i for i in range(m) if y[i] > 0), -1)
+            if i < 0:
+                return den
+            enter = n + i
+            reduced = _exact_div(-y[i], scale[i])
+        col = [reduced] + [_entry(row, sets, scale, enter) for row in block[1:]]
         leave = -1
         for i in range(1, len(block)):
             a = col[i]
@@ -129,57 +138,29 @@ def _pivot_until_optimal(
         basis[leave - 1] = enter
 
 
-def solve_min_ge(c: Sequence, a_matrix: Sequence[Sequence], b: Sequence) -> LPSolution:
-    """Minimize c.x subject to A x >= b, x >= 0."""
-    cf = [Fraction(v) for v in c]
-    bf = [Fraction(v) for v in b]
-    rows = [[v if type(v) is int else Fraction(v) for v in row] for row in a_matrix]
-    n, m = len(cf), len(rows)
-    if len(bf) != m or any(len(row) != n for row in rows):
-        raise ValueError("inconsistent LP dimensions")
+def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolution:
+    """Minimize sum(x) subject to, for every row i, the sets holding i
+    having total x >= b[i], x >= 0."""
+    n, m = len(sets), len(b)
     if m == 0:
         return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)), ())
 
-    # Variables: n structural, then one per row. Each row is scaled to
-    # integers. A row with nonnegative rhs keeps its sense, gets a surplus
-    # variable, and starts from an artificial; a row with negative rhs is
-    # negated into <= form, whose slack variable is feasible at the start.
-    # The starting basic column of row i is the i-th unit column, and
-    # block[i + 1] is row i + 1 of the tableau restricted to those columns
-    # and the rhs.
-    scale = [lcm(rhs.denominator, *(v.denominator for v in row)) for row, rhs in zip(rows, bf)]
-    sign = [-1 if rhs < 0 else 1 for rhs in bf]
-    entries: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    block: list[list[int]] = [[0] * (m + 1)]
-    for i, row in enumerate(rows):
-        factor = sign[i] * scale[i]
-        for j, v in enumerate(row):
-            if v:
-                entries[j].append((i, int(v * factor)))
+    # Variables: n sets, one surplus per row, then one artificial per row,
+    # which starts basic. block[i + 1] is row i + 1 of the tableau over the
+    # rows' unit columns and the rhs.
+    scale = [rhs.denominator for rhs in b]
+    block: list[list[int]] = [[-d for d in scale] + [-sum(rhs.numerator for rhs in b)]]
+    for i, rhs in enumerate(b):
         unit = [0] * (m + 1)
-        unit[i] = 1
-        unit[m] = int(bf[i] * factor)
+        unit[i] = scale[i]
+        unit[m] = rhs.numerator
         block.append(unit)
-    columns: list[Column] = []
-    for col_entries in entries:
-        idx = tuple(i for i, _ in col_entries)
-        values = tuple(v for _, v in col_entries)
-        columns.append((idx, None if all(v == 1 for v in values) else values))
-    columns += [((i,), (-sign[i],)) for i in range(m)]
-    basis = [n + i if sign[i] < 0 else n + m + i for i in range(m)]
+    basis = [n + m + i for i in range(m)]
 
     # Phase 1: minimize the sum of artificials. Row 0 starts as minus the
-    # sum of the artificial-basic rows, so a column's reduced cost is its
-    # negated entry sum over those rows. Artificial columns never enter, so
-    # they need no column of their own.
-    no_cost = [0] * (n + m)
-    art_rows = [i for i in range(m) if sign[i] > 0]
-    den = 1
-    if art_rows:
-        for i in art_rows:
-            block[0][i] = -1
-        block[0][m] = -sum(block[i + 1][m] for i in art_rows)
-        den = _pivot_until_optimal(block, 1, basis, columns, no_cost)
+    # sum of the rows, so a column's reduced cost is its negated entry sum.
+    # Artificial columns never enter, so they need no column of their own.
+    den = _pivot_until_optimal(block, 1, basis, sets, scale, False)
 
     if any(block[r + 1][m] != 0 for r in range(m) if basis[r] >= n + m):
         raise LPInfeasibleError("constraints have no nonnegative solution")
@@ -191,30 +172,24 @@ def solve_min_ge(c: Sequence, a_matrix: Sequence[Sequence], b: Sequence) -> LPSo
     for r in range(m):
         if basis[r] < n + m:
             continue
-        pivot_col = next(j for j in range(n + m) if _dot(block[r + 1], columns[j]))
-        if _dot(block[r + 1], columns[pivot_col]) < 0:
+        pivot_col = next(j for j in range(n + m) if _entry(block[r + 1], sets, scale, j))
+        if _entry(block[r + 1], sets, scale, pivot_col) < 0:
             block[r + 1] = [-v for v in block[r + 1]]
-        col = [_dot(row, columns[pivot_col]) for row in block]
+        col = [_entry(row, sets, scale, pivot_col) for row in block]
         den = _pivot(block, den, col, r + 1)
         basis[r] = pivot_col
 
-    # Phase 2: true objective.
-    lc = lcm(*(v.denominator for v in cf)) if cf else 1
-    cost = [int(v * lc) for v in cf] + [0] * m
-    block[0] = [
-        -sum(cost[basis[i]] * block[i + 1][r] for i in range(m)) for r in range(m + 1)
-    ]
-    den = _pivot_until_optimal(block, den, basis, columns, cost)
+    # Phase 2: every set costs 1.
+    costed = [block[i + 1] for i in range(m) if basis[i] < n]
+    block[0] = [-sum([row[r] for row in costed]) for r in range(m + 1)]
+    den = _pivot_until_optimal(block, den, basis, sets, scale, True)
 
     x = [Fraction(0)] * n
+    total = 0
     for row, var in enumerate(basis, start=1):
         if var < n:
             x[var] = Fraction(block[row][m], den)
-    value = sum((cj * xj for cj, xj in zip(cf, x)), Fraction(0))
-    # Optimality makes every reduced cost den*cost_j + row0.a_j nonnegative
-    # on the scaled, sign-adjusted rows; undoing the scaling and the
-    # negation gives the dual of the original rows.
-    y = tuple(
-        Fraction(-block[0][i] * sign[i] * scale[i], den * lc) for i in range(m)
-    )
-    return LPSolution(value, tuple(x), y)
+            total += block[row][m]
+    # Row 0's entry for a row's unit column is den times minus its dual.
+    y = tuple(Fraction(-v, den) for v in block[0][:m])
+    return LPSolution(Fraction(total, den), tuple(x), y)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .analysis import admission_threshold, check_sample_count, local_estimate, local_views
 from .errors import GraphError
@@ -161,9 +161,7 @@ def evaluate_policy(
     seed: int,
     policy: str = "theorem3",
     user_bound=None,
-    denom_max: int = 4,
     cap: int = DEFAULT_SET_CAP,
-    sampler: Callable[..., dict[Link, Fraction]] | None = None,
 ) -> dict:
     """Run many random admission rounds and tally the outcomes.
 
@@ -187,7 +185,6 @@ def evaluate_policy(
     else:
         raise GraphError(f"unknown policy {policy!r}")
 
-    draw = sampler or sample_demands
     rng = random.Random(seed)
     rows = []
     tally = {
@@ -198,7 +195,7 @@ def evaluate_policy(
     }
     gc = conflict_graph(g, 2)
     for sample_id in range(samples):
-        tau = draw(g, rng, denom_max, target=threshold or Fraction(1), cap=cap)
+        tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
         if threshold is None:
             oracle_value = fractional_chromatic(gc, tau, cap)
             feasible = oracle_value <= 1

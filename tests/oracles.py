@@ -307,9 +307,10 @@ def brute_lp(n_vars, constraints, objective, maximize):
 # ---------------------------------------------------------------------------
 # Dense two-phase tableau simplex: the full-tableau form of the package's
 # revised solver, pivot for pivot (Bland's rule, fraction-free integer
-# rows over one common denominator). tableau_min_ge must return the same
-# LPSolution, or raise the same error, as hopadmit.simplex.solve_min_ge;
-# solve_max_le is the packing form the duality tests use.
+# rows over one common denominator). On the covering LP, tableau_covering
+# must return the same LPSolution, or raise the same error, as
+# hopadmit.simplex.solve_min_ge; solve_max_le is the packing form the
+# duality tests use.
 
 
 def _exact_div(num, den):
@@ -441,6 +442,18 @@ def tableau_min_ge(c, a_matrix, b):
         for i in range(m)
     )
     return LPSolution(value, x, y)
+
+
+def covering_matrix(sets, m):
+    """Dense 0/1 rows of the covering LP over m rows: row i holds a 1 in
+    column j exactly when i is in sets[j]."""
+    return [[1 if i in s else 0 for s in sets] for i in range(m)]
+
+
+def tableau_covering(sets, b):
+    """tableau_min_ge on the covering LP that solve_min_ge(sets, b) solves:
+    every set costs 1."""
+    return tableau_min_ge([1] * len(sets), covering_matrix(sets, len(b)), b)
 
 
 def solve_max_le(c, a_matrix, b):

@@ -317,6 +317,18 @@ def test_unknown_demand_link_exits_2(capsys):
     assert "error:" in err
 
 
+def test_ray_cap_exits_3(capsys, monkeypatch):
+    # cycle:7's conflict graph is one 7-cycle of links, so the invariants'
+    # upper bound enumerates the vertices of its clique polytope.
+    from hopadmit import qstab
+
+    monkeypatch.setattr(qstab, "DEFAULT_RAY_CAP", 3)
+    code, out, err = _run(capsys, "invariants", "cycle:7")
+    assert code == 3
+    assert out == ""
+    assert "resource limit:" in err
+
+
 def test_tiny_cap_exits_3(capsys):
     demands = json.dumps({f"v{i}-v{i % 10 + 1}": "1" for i in range(1, 11)})
     code, _, err = _run(

@@ -20,7 +20,7 @@ st = hypothesis.strategies
 from oracles import (  # noqa: E402
     brute_maximal_cliques,
     brute_maximal_independent_sets,
-    tableau_min_ge,
+    tableau_covering,
 )
 from hopadmit import fractional_chromatic, weighted_clique_number  # noqa: E402
 from hopadmit.chordal import find_hole  # noqa: E402
@@ -74,9 +74,8 @@ def test_elimination_prices_chordal_graphs(instance):
     if gc.elimination is None:
         return
     weights = [tau[link] for link in gc.links]
-    sets = sorted(brute_maximal_independent_sets(n, gc.adj), key=sorted)
-    a_matrix = [[1 if i in s else 0 for s in sets] for i in range(n)]
-    assert fractional_chromatic(gc, tau) == tableau_min_ge([1] * len(sets), a_matrix, weights).value
+    sets = sorted(tuple(sorted(s)) for s in brute_maximal_independent_sets(n, gc.adj))
+    assert fractional_chromatic(gc, tau) == tableau_covering(sets, weights).value
     heaviest = max(
         (sum((weights[i] for i in c), Fraction(0)) for c in brute_maximal_cliques(n, gc.adj)),
         default=Fraction(0),

@@ -32,7 +32,7 @@ from hopadmit import (
     sample_demands,
     star_graph,
 )
-from hopadmit.chordal import perfect_elimination_order
+from hopadmit.chordal import elimination
 from hopadmit.scheduling import _component_lp, _support_components
 from hopadmit.search import DEFAULT_SET_CAP
 
@@ -74,7 +74,7 @@ def _kind(adj):
     n = len(adj)
     if all(len(a) == n - 1 for a in adj):
         return "clique"
-    return "chordal" if perfect_elimination_order(n, adj) is not None else "lp"
+    return "chordal" if elimination(n, adj) is not None else "lp"
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def test_fast_path_equals_brute_force(components):
         n = len(adj)
         if n > BRUTE_SCAN_LINKS:
             continue
-        chordal = perfect_elimination_order(n, adj) is not None
+        chordal = elimination(n, adj) is not None
         assert chordal == brute_is_chordal(n, adj)
         if n <= BRUTE_LP_LINKS:
             names, comp, weights, value = entries[0]

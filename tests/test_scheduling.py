@@ -14,7 +14,7 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_multicolor,
     solve_max_le,
-    tableau_min_ge,
+    tableau_covering,
 )
 from hopadmit import (
     GraphError,
@@ -277,7 +277,7 @@ def test_min_schedule_same_under_tableau_solver(monkeypatch):
 
     instances = list(_schedule_instances())
     revised = [min_schedule(gc, tau) for _, gc, tau in instances]
-    monkeypatch.setattr(scheduling, "solve_min_ge", tableau_min_ge)
+    monkeypatch.setattr(scheduling, "solve_min_ge", tableau_covering)
     for (name, gc, tau), want in zip(instances, revised):
         assert min_schedule(gc, tau) == want, name
 

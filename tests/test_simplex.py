@@ -1,4 +1,4 @@
-"""Exact rational LP solver: known optima, brute cross-checks, duality,
+"""Exact covering LP solver: known optima, brute cross-checks, duality,
 the dual certificate, and pivot-for-pivot agreement with the dense tableau."""
 
 from __future__ import annotations
@@ -8,50 +8,75 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_lp, solve_max_le, tableau_min_ge
+from oracles import brute_lp, covering_matrix, solve_max_le, tableau_covering
 from hopadmit import conflict_graph, cycle_graph
-from hopadmit.scheduling import maximal_independent_sets
-from hopadmit.simplex import (
-    LPInfeasibleError,
-    LPUnboundedError,
-    solve_min_ge,
-)
+from hopadmit.search import maximal_independent_sets
+from hopadmit.simplex import LPInfeasibleError, LPUnboundedError, solve_min_ge
 
 
 def _dot(a, b):
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
+def _assert_feasible(sets, b, sol):
+    assert len(sol.x) == len(sets)
+    assert all(v >= 0 for v in sol.x)
+    for i, need in enumerate(b):
+        assert sum((x for s, x in zip(sets, sol.x) if i in s), Fraction(0)) >= need
+    assert sum(sol.x, Fraction(0)) == sol.value
+
+
+def _assert_dual_certificate(sets, b, sol):
+    """y >= 0, no set's rows sum to more than 1 under y, and b.y = value."""
+    assert len(sol.y) == len(b)
+    assert all(v >= 0 for v in sol.y)
+    for s in sets:
+        assert sum((sol.y[i] for i in s), Fraction(0)) <= 1
+    assert _dot(b, sol.y) == sol.value
+
+
 def test_known_covering_lp():
-    sol = solve_min_ge([1, 1], [[1, 2], [2, 1]], [3, 3])
+    sets = [(0, 1), (1, 2)]
+    b = [Fraction(1), Fraction(2), Fraction(1)]
+    sol = solve_min_ge(sets, b)
     assert sol.value == 2
     assert sol.x == (1, 1)
+    _assert_dual_certificate(sets, b, sol)
 
 
 def test_fractional_optimum_is_exact():
-    sol = solve_min_ge(
-        [1, 1, 1],
-        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
-        [1, 1, 1],
-    )
+    sol = solve_min_ge([(0, 2), (0, 1), (1, 2)], [Fraction(1)] * 3)
     assert sol.value == Fraction(3, 2)
     assert all(v == Fraction(1, 2) for v in sol.x)
 
 
+def test_rational_coefficients():
+    # Demands with different denominators: each row is scaled by its own.
+    sets = [(0,), (0, 1), (1, 2)]
+    b = [Fraction(5, 6), Fraction(1, 3), Fraction(1, 4)]
+    sol = solve_min_ge(sets, b)
+    assert sol.value == Fraction(13, 12)
+    assert sol == tableau_covering(sets, b)
+    _assert_feasible(sets, b, sol)
+    _assert_dual_certificate(sets, b, sol)
+
+
 def test_zero_rhs_gives_zero():
-    sol = solve_min_ge([2, 3], [[1, 0], [0, 1]], [0, 0])
+    sol = solve_min_ge([(0,), (1,)], [Fraction(0), Fraction(0)])
     assert sol.value == 0
     assert sol.x == (0, 0)
+    assert solve_min_ge([(), ()], []).x == (0, 0)
 
 
 def test_infeasible_raises():
+    # Row 1 is in no set: a positive demand there cannot be met, a zero
+    # demand can.
     with pytest.raises(LPInfeasibleError):
-        solve_min_ge([1], [[1], [-1]], [1, 0])
-
-
-def test_unbounded_min_raises():
-    with pytest.raises(LPUnboundedError):
-        solve_min_ge([-1], [[1]], [0])
+        solve_min_ge([(0,)], [Fraction(1), Fraction(1)])
+    with pytest.raises(LPInfeasibleError):
+        solve_min_ge([], [Fraction(1, 2)])
+    sol = solve_min_ge([(0,)], [Fraction(1), Fraction(0)])
+    assert sol.value == 1
 
 
 def test_unbounded_max_raises():
@@ -65,14 +90,8 @@ def test_max_known_value():
     assert sol.x == (2, 2)
 
 
-def test_rational_coefficients():
-    sol = solve_min_ge(
-        [Fraction(1, 2), Fraction(1, 3)],
-        [[Fraction(1, 4), 1]],
-        [Fraction(5, 6)],
-    )
-    assert sol.value == Fraction(5, 18)
-    assert _dot(sol.x, [Fraction(1, 4), 1]) >= Fraction(5, 6)
+def _random_sets(rng, n, m, p=0.5):
+    return [tuple(i for i in range(m) if rng.random() < p) for _ in range(n)]
 
 
 def test_min_ge_matches_brute(seed=23, trials=120):
@@ -80,20 +99,17 @@ def test_min_ge_matches_brute(seed=23, trials=120):
     for _ in range(trials):
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
-        c = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n)]
-        a = [[rng.randint(-2, 4) for _ in range(n)] for _ in range(m)]
-        b = [Fraction(rng.randint(-2, 6), rng.randint(1, 2)) for _ in range(m)]
-        want = brute_lp(n, [(row, rhs, ">=") for row, rhs in zip(a, b)], c, maximize=False)
+        sets = _random_sets(rng, n, m)
+        b = [Fraction(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m)]
+        rows = covering_matrix(sets, m)
+        want = brute_lp(n, [(row, rhs, ">=") for row, rhs in zip(rows, b)], [1] * n, maximize=False)
         if want is None:
             with pytest.raises(LPInfeasibleError):
-                solve_min_ge(c, a, b)
+                solve_min_ge(sets, b)
             continue
-        sol = solve_min_ge(c, a, b)
+        sol = solve_min_ge(sets, b)
         assert sol.value == want
-        assert all(v >= 0 for v in sol.x)
-        for row, rhs in zip(a, b):
-            assert _dot(sol.x, row) >= rhs
-        assert _dot(sol.x, c) == sol.value
+        _assert_feasible(sets, b, sol)
 
 
 def test_max_le_matches_brute(seed=29, trials=120):
@@ -115,112 +131,92 @@ def test_max_le_matches_brute(seed=29, trials=120):
 
 
 def test_covering_duality(seed=31, trials=60):
+    """The covering optimum equals the packing optimum: maximize b.y with
+    every set's rows summing to at most 1 under y."""
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
-        a = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
-        for i, row in enumerate(a):
-            if not any(row):
-                row[i % n] = 1
-        b = [rng.randint(0, 5) for _ in range(m)]
-        c = [rng.randint(1, 4) for _ in range(n)]
-        primal = solve_min_ge(c, a, b)
-        transposed = [[a[i][j] for i in range(m)] for j in range(n)]
-        dual = solve_max_le(b, transposed, c)
+        sets = _random_sets(rng, n, m)
+        for i in range(m):
+            if not any(i in s for s in sets):
+                j = i % n
+                sets[j] = tuple(sorted(sets[j] + (i,)))
+        b = [Fraction(rng.randint(0, 5)) for _ in range(m)]
+        primal = solve_min_ge(sets, b)
+        packing = [[1 if i in s else 0 for i in range(m)] for s in sets]
+        dual = solve_max_le(b, packing, [1] * n)
         assert primal.value == dual.value
 
 
 def test_degenerate_ties_terminate():
-    sol = solve_min_ge(
-        [1, 1, 1, 1],
-        [
-            [1, 1, 0, 0],
-            [0, 1, 1, 0],
-            [0, 0, 1, 1],
-            [1, 0, 0, 1],
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-        ],
-        [1, 1, 1, 1, 1, 1],
-    )
+    sets = [(0, 3, 4), (0, 1, 5), (1, 2, 4), (2, 3, 5)]
+    b = [Fraction(1)] * 6
+    sol = solve_min_ge(sets, b)
     assert sol.value == 2
+    _assert_dual_certificate(sets, b, sol)
 
 
-def _outcome(solver, c, a, b):
+def _outcome(solver, sets, b):
     try:
-        return solver(c, a, b)
-    except (LPInfeasibleError, LPUnboundedError) as exc:
+        return solver(sets, b)
+    except LPInfeasibleError as exc:
         return type(exc)
 
 
-def _assert_dual_certificate(c, a, b, sol):
-    assert len(sol.y) == len(a)
-    assert all(v >= 0 for v in sol.y)
-    for j, cj in enumerate(c):
-        assert sum((Fraction(row[j]) * yi for row, yi in zip(a, sol.y)), Fraction(0)) <= cj
-    assert _dot(b, sol.y) == sol.value
-
-
-def _random_lp(rng):
-    """Small LPs with degenerate ties, negative and zero rhs, rational
-    entries, duplicated rows, and infeasible and unbounded instances."""
-    n = rng.randint(1, 6)
+def _random_covering_lp(rng):
+    """Small covering LPs with rational and zero demands, empty and
+    duplicated sets, duplicated rows, degenerate ties, and infeasible
+    instances (a row in no set with positive demand)."""
+    n = rng.randint(1, 7)
     m = rng.randint(1, 6)
-    c = [Fraction(rng.randint(-1, 5), rng.randint(1, 3)) for _ in range(n)]
-    a = [
-        [rng.choice((0, 0, 1, 1, 2, -1, Fraction(1, 2))) for _ in range(n)]
+    sets = _random_sets(rng, n, m, rng.choice((0.3, 0.5, 0.7)))
+    for _ in range(rng.randint(0, 2)):
+        sets.append(sets[rng.randrange(n)])
+    b = [
+        rng.choice((Fraction(0), Fraction(1), Fraction(1, 2), Fraction(rng.randint(0, 6), rng.randint(1, 3))))
         for _ in range(m)
     ]
-    b = [Fraction(rng.randint(-3, 6), rng.randint(1, 2)) for _ in range(m)]
     for _ in range(rng.randint(0, 2)):
-        i = rng.randrange(len(a))
-        a.append(list(a[i]))
+        i = rng.randrange(len(b))
+        sets = [s + (len(b),) if i in s else s for s in sets]
         b.append(b[i])
-    return c, a, b
+    return sets, b
 
 
 def test_revised_simplex_matches_tableau(seed=37, trials=1500):
     rng = random.Random(seed)
     seen = set()
     for _ in range(trials):
-        c, a, b = _random_lp(rng)
-        got = _outcome(solve_min_ge, c, a, b)
-        assert got == _outcome(tableau_min_ge, c, a, b)
+        sets, b = _random_covering_lp(rng)
+        got = _outcome(solve_min_ge, sets, b)
+        assert got == _outcome(tableau_covering, sets, b)
         if isinstance(got, type):
             seen.add(got)
             continue
         seen.add("optimal")
-        _assert_dual_certificate(c, a, b, got)
-    assert seen == {"optimal", LPInfeasibleError, LPUnboundedError}
+        _assert_feasible(sets, b, got)
+        _assert_dual_certificate(sets, b, got)
+    assert seen == {"optimal", LPInfeasibleError}
 
 
 def test_dual_of_redundant_rows():
-    a = [[1, 1], [1, 1], [2, 2], [1, 0]]
-    b = [2, 2, 4, 1]
-    sol = solve_min_ge([1, 2], a, b)
-    assert sol == tableau_min_ge([1, 2], a, b)
+    # Rows 0 and 1 are the same row; row 2 is covered by every set.
+    sets = [(0, 1, 2), (2, 3), (0, 1, 2, 3)]
+    b = [Fraction(2), Fraction(2), Fraction(1), Fraction(1, 2)]
+    sol = solve_min_ge(sets, b)
+    assert sol == tableau_covering(sets, b)
     assert sol.value == 2
-    _assert_dual_certificate([1, 2], a, b, sol)
-
-
-def test_negated_rows_give_nonnegative_duals():
-    # x1 >= 1 and -x1 - x2 >= -5 (x1 + x2 <= 5): the second row is negated.
-    sol = solve_min_ge([1, -1], [[1, 0], [-1, -1]], [1, -5])
-    assert sol.value == -3
-    assert sol.y == (2, 1)
-    _assert_dual_certificate([1, -1], [[1, 0], [-1, -1]], [1, -5], sol)
+    _assert_dual_certificate(sets, b, sol)
 
 
 @pytest.mark.parametrize("n", range(16, 23))
 def test_ring_covering_lp_matches_tableau(n):
     gc = conflict_graph(cycle_graph(n), 2)
-    sets = maximal_independent_sets(gc)
-    a = [[1 if link in s else 0 for s in sets] for link in gc.links]
+    sets = maximal_independent_sets(len(gc.links), gc.adj)
     rng = random.Random(n)
     w = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in gc.links]
-    c = [1] * len(sets)
-    sol = solve_min_ge(c, a, w)
-    assert sol == tableau_min_ge(c, a, w)
-    _assert_dual_certificate(c, a, w, sol)
-    assert sol.value == _dot(c, sol.x)
+    sol = solve_min_ge(sets, w)
+    assert sol == tableau_covering(sets, w)
+    _assert_feasible(sets, w, sol)
+    _assert_dual_certificate(sets, w, sol)

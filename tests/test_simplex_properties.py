@@ -1,9 +1,11 @@
 """Property test: the revised simplex follows the dense tableau exactly.
 
-On small random LPs, minimize c.x subject to A x >= b, x >= 0, with
-rational entries, negative rhs and duplicated rows, solve_min_ge returns
-the same LPSolution as tableau_min_ge or raises the same error, and every
-optimum carries a dual certificate: y >= 0, A^T y <= c and b.y = value.
+On small random covering LPs, minimize sum(x) subject to every row i being
+covered at least b[i] by the sets holding it, x >= 0, with rational and
+zero demands, duplicated sets and duplicated rows, solve_min_ge returns
+the same LPSolution as the dense tableau or raises the same error, and
+every optimum carries a dual certificate: y >= 0, no set's rows sum to
+more than 1 under y, and b.y = value.
 """
 
 from __future__ import annotations
@@ -15,42 +17,42 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import tableau_min_ge  # noqa: E402
-from hopadmit.simplex import LPInfeasibleError, LPUnboundedError, solve_min_ge  # noqa: E402
+from oracles import tableau_covering  # noqa: E402
+from hopadmit.simplex import LPInfeasibleError, solve_min_ge  # noqa: E402
 
-entries = st.sampled_from((0, 0, 1, 1, 2, -1, Fraction(1, 2), Fraction(-2, 3)))
-rationals = st.builds(Fraction, st.integers(-3, 6), st.integers(1, 3))
+demands = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
 
 @st.composite
-def lps(draw):
-    n = draw(st.integers(1, 5))
+def covering_lps(draw):
     m = draw(st.integers(1, 5))
-    c = draw(st.lists(rationals, min_size=n, max_size=n))
-    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
-    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    row_sets = st.lists(st.integers(0, m - 1), max_size=m).map(lambda s: tuple(sorted(set(s))))
+    sets = draw(st.lists(row_sets, min_size=1, max_size=6))
+    for j in draw(st.lists(st.integers(0, len(sets) - 1), max_size=2)):
+        sets.append(sets[j])
+    b = draw(st.lists(demands, min_size=m, max_size=m))
     for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
-        a.append(list(a[i]))
+        sets = [s + (len(b),) if i in s else s for s in sets]
         b.append(b[i])
-    return c, a, b
+    return sets, b
 
 
-def _outcome(solver, c, a, b):
+def _outcome(solver, sets, b):
     try:
-        return solver(c, a, b)
-    except (LPInfeasibleError, LPUnboundedError) as exc:
+        return solver(sets, b)
+    except LPInfeasibleError as exc:
         return type(exc)
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@hypothesis.given(lps())
+@hypothesis.given(covering_lps())
 def test_revised_equals_tableau(lp):
-    c, a, b = lp
-    got = _outcome(solve_min_ge, c, a, b)
-    assert got == _outcome(tableau_min_ge, c, a, b)
+    sets, b = lp
+    got = _outcome(solve_min_ge, sets, b)
+    assert got == _outcome(tableau_covering, sets, b)
     if isinstance(got, type):
         return
     assert all(v >= 0 for v in got.y)
-    for j, cj in enumerate(c):
-        assert sum((Fraction(row[j]) * yi for row, yi in zip(a, got.y)), Fraction(0)) <= cj
-    assert sum((Fraction(bi) * yi for bi, yi in zip(b, got.y)), Fraction(0)) == got.value
+    for s in sets:
+        assert sum((got.y[i] for i in s), Fraction(0)) <= 1
+    assert sum((bi * yi for bi, yi in zip(b, got.y)), Fraction(0)) == got.value

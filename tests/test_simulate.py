@@ -19,6 +19,7 @@ from hopadmit import (
     make_link,
     one_hop_subgraph,
 )
+from hopadmit import simulate
 from hopadmit.simulate import evaluate_policy, run_admission, sample_demands
 
 
@@ -147,22 +148,21 @@ def test_oracle_policy_never_misclassifies():
     )
 
 
-def test_false_rejects_happen():
+def test_false_rejects_happen(monkeypatch):
     """A feasible demand above the local threshold is turned away."""
 
-    def heavy_single_link(g, rng, denom_max, target=None, cap=None):
+    def heavy_single_link(g, rng, target=None, cap=None):
         return {g.links[0]: Fraction(1, 2)}
 
-    result = evaluate_policy(
-        cycle_graph(10), 10, seed=0, sampler=heavy_single_link
-    )
+    monkeypatch.setattr(simulate, "sample_demands", heavy_single_link)
+    result = evaluate_policy(cycle_graph(10), 10, seed=0)
     summary = result["summary"]
     assert summary["false_reject"] == 10
     assert summary["false_admit"] == 0
     assert summary["false_reject_rate"] == 1
 
 
-def test_pendant_ray_is_exactly_tight():
+def test_pendant_ray_is_exactly_tight(monkeypatch):
     """Uniform pendant demands on the clique-pendant graph never misclassify.
 
     The automatic threshold is calibrated against exactly this family, so
@@ -171,11 +171,12 @@ def test_pendant_ray_is_exactly_tight():
     g = clique_pendant_graph(4)
     pendants = [make_link(f"x{i}", f"y{i}") for i in range(1, 5)]
 
-    def pendant_ray(graph, rng, denom_max, target=None, cap=None):
+    def pendant_ray(graph, rng, target=None, cap=None):
         c = Fraction(rng.randint(1, 8), 8)
         return {link: c for link in pendants}
 
-    result = evaluate_policy(g, 40, seed=6, sampler=pendant_ray)
+    monkeypatch.setattr(simulate, "sample_demands", pendant_ray)
+    result = evaluate_policy(g, 40, seed=6)
     summary = result["summary"]
     assert summary["threshold"] == Fraction(1, 4)
     assert summary["false_reject"] == 0
@@ -184,15 +185,16 @@ def test_pendant_ray_is_exactly_tight():
     assert summary["true_reject"] > 0
 
 
-def test_clique_link_demands_show_conservatism():
+def test_clique_link_demands_show_conservatism(monkeypatch):
     """The same graph turns away feasible single clique-link demands."""
     g = clique_pendant_graph(4)
     clique_link = make_link("x1", "x2")
 
-    def single_clique_link(graph, rng, denom_max, target=None, cap=None):
+    def single_clique_link(graph, rng, target=None, cap=None):
         return {clique_link: Fraction(rng.randint(3, 8), 8)}
 
-    result = evaluate_policy(g, 30, seed=8, sampler=single_clique_link)
+    monkeypatch.setattr(simulate, "sample_demands", single_clique_link)
+    result = evaluate_policy(g, 30, seed=8)
     summary = result["summary"]
     assert summary["false_admit"] == 0
     assert summary["false_reject"] == 30
