@@ -15,7 +15,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import BoundUnavailableError, GraphError, ResourceLimitError
 from .graphs import (
@@ -139,11 +139,10 @@ def _alternate_link_demand(
 
 def _empirical_demands(
     g: NetworkGraph, count: int, seed: int, cap: int
-) -> list[dict[Link, Fraction]]:
+) -> Iterator[dict[Link, Fraction]]:
     rng = random.Random(seed)
     gc = conflict_graph(g, 2)
     n = len(gc.links)
-    out = []
     for _ in range(count):
         if rng.random() < 0.5:
             tau = {
@@ -152,7 +151,7 @@ def _empirical_demands(
                 if rng.random() < 0.5
             }
             if tau:
-                out.append(tau)
+                yield tau
         else:
             start = rng.randrange(n)
             clique = [start]
@@ -161,8 +160,26 @@ def _empirical_demands(
                 pick = rng.choice(sorted(frontier))
                 clique.append(pick)
                 frontier &= gc.adj[pick]
-            out.append({gc.links[i]: Fraction(1) for i in clique})
-    return out
+            yield {gc.links[i]: Fraction(1) for i in clique}
+
+
+def _check_ratio_input(g: NetworkGraph, empirical_samples: int) -> None:
+    if not g.links:
+        raise GraphError("ratio bounds need at least one link")
+    check_sample_count(empirical_samples, "empirical sample count")
+
+
+def _ratio_candidates(
+    g: NetworkGraph, empirical_samples: int, seed: int, cap: int
+) -> Iterator[tuple[str, dict[Link, Fraction]]]:
+    size, matching = max_interfering_matching(g, cap)
+    if size >= 1:
+        yield "nu-ratio", {link: Fraction(1) for link in matching}
+    _, cycle = uncovered_cycle_order(g, cap)
+    if cycle is not None:
+        yield "odd-cycle", _alternate_link_demand(g, cycle)
+    for tau in _empirical_demands(g, empirical_samples, seed, cap):
+        yield "empirical", tau
 
 
 def ratio_lower_bound(
@@ -170,37 +187,34 @@ def ratio_lower_bound(
     empirical_samples: int = 0,
     seed: int = 0,
     cap: int = DEFAULT_SET_CAP,
+    upper: Fraction | None = None,
 ) -> tuple[Fraction, dict[Link, Fraction], str]:
     """Best certified ratio over witness demands, each replayed exactly.
 
-    Witness families: the indicator of a maximum interfering matching, the
-    alternate links of an uncovered (4k+2)-cycle, and optional seeded
-    empirical demand vectors. The reported bound is always the replayed
-    exact ratio of its witness, never a formula.
+    Witness families, in order: the indicator of a maximum interfering
+    matching, the alternate links of an uncovered (4k+2)-cycle, and
+    optional seeded empirical demand vectors. The reported bound is always
+    the replayed exact ratio of its witness, never a formula.
+
+    Witnesses are built one at a time. With a certified upper bound on the
+    ratio (`upper`, as from `ratio_upper_bound`), the replay stops once the
+    best ratio reaches it: later witnesses can only tie, and a tie keeps
+    the earlier one, so (value, witness, source) is what the full replay
+    returns, and the cycle search and samples behind the skipped witnesses
+    never run. Without `upper` every witness is replayed.
     """
-    if not g.links:
-        raise GraphError("ratio bounds need at least one link")
-    check_sample_count(empirical_samples, "empirical sample count")
-    candidates: list[tuple[str, dict[Link, Fraction]]] = []
-    size, matching = max_interfering_matching(g, cap)
-    if size >= 1:
-        candidates.append(
-            ("nu-ratio", {link: Fraction(1) for link in matching})
-        )
-    order, cycle = uncovered_cycle_order(g, cap)
-    if cycle is not None:
-        candidates.append(("odd-cycle", _alternate_link_demand(g, cycle)))
-    for tau in _empirical_demands(g, empirical_samples, seed, cap):
-        candidates.append(("empirical", tau))
+    _check_ratio_input(g, empirical_samples)
     best = Fraction(0)
     witness: dict[Link, Fraction] = {}
     source = "nu-ratio"
-    for src, tau in candidates:
+    for src, tau in _ratio_candidates(g, empirical_samples, seed, cap):
         ratio = duration_ratio(g, tau, cap)
         if ratio > best:
             best = ratio
             witness = tau
             source = src
+            if upper is not None and best >= upper:
+                break
     return best, witness, source
 
 
@@ -225,9 +239,17 @@ def ratio_bounds(
     seed: int = 0,
     cap: int = DEFAULT_SET_CAP,
 ) -> RatioBounds:
-    """Certified two-sided bounds; exact is set when the sides meet."""
-    lower, witness, source = ratio_lower_bound(g, empirical_samples, seed, cap)
+    """Certified two-sided bounds; exact is set when the sides meet.
+
+    The upper bound is computed first and passed to `ratio_lower_bound`,
+    which stops replaying witnesses once they reach it; the bounds are the
+    ones the full replay gives.
+    """
+    _check_ratio_input(g, empirical_samples)
     upper, imp, tag, cover = ratio_upper_bound(g, cap)
+    lower, witness, source = ratio_lower_bound(
+        g, empirical_samples, seed, cap, upper=upper
+    )
     if upper is not None and lower > upper:
         raise RuntimeError(
             f"certified bounds crossed: lower {lower} > upper {upper}"

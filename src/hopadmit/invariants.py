@@ -3,7 +3,7 @@
 Three quantities drive the admission analysis:
 
 * the largest matching whose links pairwise sit at distance exactly one
-  (disjoint but still conflicting), globally and within 1-hop views;
+  (disjoint but still conflicting);
 * the worst-case number of 1-hop neighborhoods needed to cover a maximal
   set of pairwise conflicting links;
 * lower and upper bounds on the imperfection ratio of the conflict graph,
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .chordal import chordality_certificate
 from .errors import GraphError
@@ -70,20 +70,6 @@ def max_interfering_matching(
     adj = _unit_distance_adjacency(g)
     clique = max_clique(len(g.links), adj, cap)
     return len(clique), tuple(g.links[i] for i in clique)
-
-
-def max_local_interfering_matching(
-    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
-) -> tuple[int, str | None]:
-    """Largest interfering matching inside any single 1-hop view."""
-    best = 0
-    where: str | None = None
-    for v, view in zip(g.vertices, g.views):
-        size, _ = max_interfering_matching(view, cap)
-        if size > best:
-            best = size
-            where = v
-    return best, where
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +147,19 @@ def is_chordal(
 
 def _odd_hole_candidates(
     gc: ConflictGraph, cap: int, most: int = 128
-) -> list[dict[Link, Fraction]]:
+) -> Iterator[dict[Link, Fraction]]:
+    """Indicators of the chordless odd cycles of the shortest odd length
+    from 5 to 13 that has any, at most `most` of them, found lazily."""
     n = len(gc.links)
     for length in range(5, min(n, 13) + 1, 2):
-        found = []
+        found = 0
         for cycle in iter_induced_cycles(n, gc.adj, length, cap):
-            found.append({gc.links[i]: Fraction(1) for i in cycle})
-            if len(found) >= most:
-                break
+            yield {gc.links[i]: Fraction(1) for i in cycle}
+            found += 1
+            if found >= most:
+                return
         if found:
-            return found
-    return []
+            return
 
 
 def _members(mask: int):
@@ -224,10 +212,24 @@ def _imperfect_masks(n: int, adj: Sequence[frozenset[int]]) -> list[int]:
     return [mask for mask, bit in enumerate(bin(marked)[:1:-1]) if bit == "1"]
 
 
+def _imperfection_candidates(
+    gc: ConflictGraph, extras: list[dict[Link, Fraction]], cap: int
+) -> Iterator[dict[Link, Fraction]]:
+    n = len(gc.links)
+    for link in gc.links:
+        yield {link: Fraction(1)}
+    yield from _odd_hole_candidates(gc, cap)
+    if n <= POLYTOPE_VERTEX_LIMIT:
+        for mask in _imperfect_masks(n, gc.adj):
+            yield {gc.links[i]: Fraction(1) for i in _members(mask)}
+    yield from extras
+
+
 def imperfection_lower_bound(
     gc: ConflictGraph,
     candidates: Sequence[Mapping] | None = None,
     cap: int = DEFAULT_SET_CAP,
+    upper: Fraction | None = None,
 ) -> tuple[Fraction, dict[Link, Fraction]]:
     """Best LP-to-clique-bound gap over a candidate demand family.
 
@@ -240,28 +242,22 @@ def imperfection_lower_bound(
     by a hereditary pass over the masks that no cap can stop. Always sound
     as a lower bound; equals the true ratio whenever some candidate
     attains it.
+
+    Candidates are built one at a time. With a certified upper bound on
+    the ratio (`upper`, as from `imperfection_upper_bound`), the replay
+    stops once the best ratio reaches it: no later candidate can beat it,
+    and a tie keeps the earlier witness, so the result is the one the full
+    replay returns, and the searches behind the skipped candidates never
+    run. Without `upper` every candidate is replayed.
     """
-    n = len(gc.links)
-    if n == 0:
+    if not gc.links:
         raise GraphError("imperfection ratio needs at least one link")
-    trial: list[dict[Link, Fraction]] = [
-        {link: Fraction(1)} for link in gc.links
+    extras = [
+        {link: Fraction(v) for link, v in extra.items()} for extra in candidates or ()
     ]
-    trial.extend(_odd_hole_candidates(gc, cap))
-    if n <= POLYTOPE_VERTEX_LIMIT:
-        for mask in _imperfect_masks(n, gc.adj):
-            trial.append(
-                {
-                    gc.links[i]: Fraction(1)
-                    for i in range(n)
-                    if mask >> i & 1
-                }
-            )
-    for extra in candidates or ():
-        trial.append({link: Fraction(v) for link, v in extra.items()})
     best = Fraction(0)
     witness: dict[Link, Fraction] = {}
-    for tau in trial:
+    for tau in _imperfection_candidates(gc, extras, cap):
         clique = weighted_clique_number(gc, tau, cap)
         if clique == 0:
             continue
@@ -269,6 +265,8 @@ def imperfection_lower_bound(
         if ratio > best:
             best = ratio
             witness = tau
+            if upper is not None and best >= upper:
+                break
     return best, witness
 
 
@@ -398,11 +396,11 @@ def invariant_report(
     gc = conflict_graph(g, 2)
     nu, nu_wit = max_interfering_matching(g, cap)
     lam, lam_links, lam_verts = neighborhood_cover_number(g, cap)
+    imp_hi, cert = imperfection_upper_bound(gc, cap)
     if gc.links:
-        imp_lo, imp_wit = imperfection_lower_bound(gc, cap=cap)
+        imp_lo, imp_wit = imperfection_lower_bound(gc, cap=cap, upper=imp_hi)
     else:
         imp_lo, imp_wit = Fraction(1), {}
-    imp_hi, cert = imperfection_upper_bound(gc, cap)
     return InvariantReport(
         nu=nu,
         nu_witness=nu_wit,

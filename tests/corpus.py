@@ -15,6 +15,17 @@ from hopadmit import (
 )
 
 
+def random_adjacency(rng: random.Random, n: int, p: float) -> tuple[frozenset[int], ...]:
+    """Index adjacency of a G(n, p) random graph."""
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+    return tuple(frozenset(a) for a in adj)
+
+
 def random_connected_graph(
     rng: random.Random, max_vertices: int = 8, max_links: int = 12
 ) -> NetworkGraph:

@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from hopadmit.invariants import _odd_hole_candidates
+from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP
 from hopadmit.simplex import LPInfeasibleError, LPSolution, LPUnboundedError
@@ -564,3 +564,22 @@ def full_mask_imperfection_lower_bound(gc, candidates=None, cap=DEFAULT_SET_CAP,
             best = ratio
             witness = tau
     return best, witness
+
+
+# ---------------------------------------------------------------------------
+# The largest interfering matching inside one 1-hop view. No command needs
+# it; the tests compare it with the global matching. It calls the
+# package's maximum-clique search on each view.
+
+
+def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
+    """Largest interfering matching inside any single 1-hop view, with the
+    first vertex whose view attains it (None when no view has a link)."""
+    best = 0
+    where = None
+    for v, view in zip(g.vertices, g.views):
+        size, _ = max_interfering_matching(view, cap)
+        if size > best:
+            best = size
+            where = v
+    return best, where

@@ -214,6 +214,43 @@ def test_ratio_bounds_ring_exact():
     assert b.exact is None
 
 
+def test_ratio_lower_with_upper_equals_full_replay():
+    """The upper bound as the stop changes no (value, witness, source)."""
+    graphs = [g for _, g in family_graphs()]
+    graphs += [cycle_graph(n) for n in (9, 10, 14)]
+    graphs += random_corpus(47, 40)
+    met = 0
+    for g in graphs:
+        upper = ratio_upper_bound(g)[0]
+        for samples in (0, 12):
+            expected = ratio_lower_bound(g, samples, seed=5)
+            assert ratio_lower_bound(g, samples, seed=5, upper=upper) == expected
+            b = ratio_bounds(g, samples, seed=5)
+            assert (b.lower, b.lower_witness, b.lower_source) == expected
+        met += expected[0] == upper
+    assert met >= 20
+
+
+def test_nu_ratio_at_upper_skips_later_witnesses(monkeypatch):
+    from hopadmit import analysis
+
+    g = clique_pendant_graph(3)
+    expected = ratio_lower_bound(g, empirical_samples=5)
+    assert expected[2] == "nu-ratio"
+    assert expected[0] == ratio_upper_bound(g)[0] == 3
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("witness built after the stop")
+
+    monkeypatch.setattr(analysis, "uncovered_cycle_order", forbidden)
+    monkeypatch.setattr(analysis, "_empirical_demands", forbidden)
+    b = ratio_bounds(g, empirical_samples=5)
+    assert (b.lower, b.lower_witness, b.lower_source) == expected
+    assert b.exact == 3
+    with pytest.raises(AssertionError):
+        ratio_lower_bound(g)
+
+
 def test_ring_ratio_formula():
     assert ring_ratio_exact(10) == Fraction(5, 2)
     assert ring_ratio_exact(14) == Fraction(7, 3)

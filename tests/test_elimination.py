@@ -11,21 +11,11 @@ import random
 
 import pytest
 
-from corpus import family_graphs, random_connected_graph
+from corpus import family_graphs, random_adjacency, random_connected_graph
 from oracles import lambda_scan_mcs_order, verify_peo
 from hopadmit import conflict_graph
 from hopadmit.chordal import mcs_order
 from hopadmit.graphs import ConflictGraph
-
-
-def _random_adj(rng, n, p):
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                adj[i].add(j)
-                adj[j].add(i)
-    return tuple(frozenset(a) for a in adj)
 
 
 def _as_conflict_graph(adj):
@@ -37,7 +27,7 @@ def test_mcs_order_matches_lambda_scan(seed=211, trials=3000):
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(0, 14)
-        adj = _random_adj(rng, n, rng.random())
+        adj = random_adjacency(rng, n, rng.random())
         assert mcs_order(n, adj) == lambda_scan_mcs_order(n, adj), adj
 
 
@@ -61,7 +51,7 @@ def test_elimination_lists_later_neighbors():
 def test_elimination_agrees_with_networkx(seed=227, trials=600):
     nx = pytest.importorskip("networkx")
     rng = random.Random(seed)
-    adjs = [_random_adj(rng, rng.randint(1, 12), rng.random()) for _ in range(trials)]
+    adjs = [random_adjacency(rng, rng.randint(1, 12), rng.random()) for _ in range(trials)]
     for _ in range(60):
         g = random_connected_graph(rng)
         adjs += [conflict_graph(g, k).adj for k in (1, 2, 3)]

@@ -15,6 +15,7 @@ from oracles import (
     brute_link_distance,
     brute_non_chordal_masks,
     full_mask_imperfection_lower_bound,
+    max_local_interfering_matching,
     verify_hole,
     verify_peo,
     without_links,
@@ -33,7 +34,6 @@ from hopadmit import (
     is_chordal,
     make_link,
     max_interfering_matching,
-    max_local_interfering_matching,
     neighborhood_cover_number,
     one_hop_subgraph,
     star_graph,
@@ -243,28 +243,64 @@ def _sweep_corpus():
 
 
 def test_imp_lower_matches_full_mask_sweep():
+    """With and without the certified upper bound as the stop."""
     sizes = set()
+    stopped = 0
     for gc in _sweep_corpus():
         sizes.add(len(gc.links))
-        assert imperfection_lower_bound(gc) == full_mask_imperfection_lower_bound(gc)
+        expected = full_mask_imperfection_lower_bound(gc)
+        upper, _ = imperfection_upper_bound(gc)
+        assert imperfection_lower_bound(gc) == expected
+        assert imperfection_lower_bound(gc, upper=upper) == expected
+        stopped += upper == expected[0]
     assert {7, 12} <= sizes
+    assert stopped >= 40
 
 
 def test_imp_lower_matches_full_mask_sweep_with_candidates():
     rng = random.Random(107)
-    for gc in _family_sweep_graphs():
+    ring = conflict_graph(cycle_graph(10), 2)
+    even = {ring.links[i]: 1 for i in range(0, 10, 2)}
+    cases = [(ring, [even])]
+    for gc in _sweep_corpus():
         candidates = [
             {link: Fraction(rng.randint(0, 3), rng.randint(1, 4)) for link in gc.links}
             for _ in range(3)
         ]
-        assert imperfection_lower_bound(
-            gc, candidates=candidates
-        ) == full_mask_imperfection_lower_bound(gc, candidates=candidates)
-    ring = conflict_graph(cycle_graph(10), 2)
-    even = {ring.links[i]: 1 for i in range(0, 10, 2)}
-    assert imperfection_lower_bound(
-        ring, candidates=[even]
-    ) == full_mask_imperfection_lower_bound(ring, candidates=[even])
+        cases.append((gc, candidates))
+    for gc, candidates in cases:
+        expected = full_mask_imperfection_lower_bound(gc, candidates=candidates)
+        upper, _ = imperfection_upper_bound(gc)
+        assert imperfection_lower_bound(gc, candidates=candidates) == expected
+        assert imperfection_lower_bound(gc, candidates, upper=upper) == expected
+
+
+def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
+    """Upper bound 1 on a perfect graph: only the first link indicator is
+    replayed, and neither the hole search nor the mask pass runs."""
+    from hopadmit import invariants
+
+    gc = conflict_graph(clique_pendant_graph(3), 2)
+    assert imperfection_upper_bound(gc) == (1, "perfect")
+    expected = imperfection_lower_bound(gc)
+    replayed = []
+
+    def counting(gc, tau, cap):
+        replayed.append(tau)
+        return fractional_chromatic(gc, tau, cap)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("candidate built after the stop")
+
+    monkeypatch.setattr(invariants, "fractional_chromatic", counting)
+    monkeypatch.setattr(invariants, "_imperfect_masks", forbidden)
+    monkeypatch.setattr(invariants, "iter_induced_cycles", forbidden)
+    assert imperfection_lower_bound(gc, upper=Fraction(1)) == expected
+    assert replayed == [{gc.links[0]: 1}]
+    report = invariant_report(clique_pendant_graph(3))
+    assert (report.imp_lower, report.imp_lower_witness) == expected
+    with pytest.raises(AssertionError):
+        imperfection_lower_bound(gc)
 
 
 def test_imperfect_masks_are_the_non_chordal_masks():
