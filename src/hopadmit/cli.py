@@ -60,7 +60,7 @@ def _resolve_demands(arg: str, g: NetworkGraph):
     if text.startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise GraphError(f"inline demands are not valid JSON: {exc}") from exc
     else:
         payload = read_json_file(arg, "demand")
@@ -147,8 +147,6 @@ def _cmd_admit(args) -> dict:
         threshold, _ = admission_threshold(g, cap=args.cap_sets)
     else:
         threshold = parse_fraction(args.threshold)
-        if threshold <= 0:
-            raise GraphError("threshold must be positive")
     trace = run_admission(g, tau, threshold, args.cap_sets)
     return _envelope(args, "admit", _graph_input(args, g, extra), trace_to_obj(trace))
 
@@ -293,9 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main call and reused by every later one.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if args.cap_sets < 1:
             raise GraphError(f"--cap-sets must be at least 1, got {args.cap_sets}")

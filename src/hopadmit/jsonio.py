@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -30,18 +31,37 @@ from .scheduling import Schedule
 from .simulate import SimTrace
 
 
+# Python's default limit on the digits of an int converted from or to a
+# string, used as the bound on a parsed decimal exponent.
+DIGIT_LIMIT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
+
+
 def format_fraction(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise ResourceLimitError("a rational result has too many digits to print") from exc
 
 
 def parse_fraction(text) -> Fraction:
+    """The rational a string spells, or GraphError.
+
+    A decimal exponent beyond DIGIT_LIMIT in magnitude is refused before
+    Fraction would expand it.
+    """
+    value = str(text).strip()
+    exponent = _EXPONENT.search(value)
     try:
-        return Fraction(str(text).strip())
+        if exponent is None or abs(int(exponent.group(1))) <= DIGIT_LIMIT:
+            return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphError(f"not a rational: {text!r}") from exc
+    raise GraphError(f"exponent of {text!r} exceeds {DIGIT_LIMIT} in magnitude")
 
 
 def link_id(link: Link) -> str:
@@ -105,7 +125,7 @@ def read_json_file(path: str, kind: str):
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise GraphError(f"{kind} file {path!r} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise GraphError(f"{kind} file {path!r} is not valid JSON: {exc}") from exc
 
 

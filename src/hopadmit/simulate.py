@@ -7,6 +7,13 @@ duration of that view from ``analysis.local_views``, and admits when it
 stays within the threshold. The protocol is defined at interference
 radius 2 only. The run is compared against a centralized feasibility
 oracle and classified; everything is deterministic for fixed inputs.
+
+``_decide`` is the one place that combines the view values, the oracle
+and the classification. ``run_admission`` wraps it in the full protocol
+trace (messages, reconstructed views, the check that each view matches its
+1-hop subgraph), which ``admit --mode distributed`` prints.
+``evaluate_policy`` calls ``_decide`` directly for every sample and builds
+no trace.
 """
 
 from __future__ import annotations
@@ -59,6 +66,26 @@ def _classify(admit: bool, feasible: bool) -> str:
     return "false-reject" if feasible else "true-reject"
 
 
+def _decide(
+    g: NetworkGraph, tau: Mapping, threshold: Fraction | None, cap: int
+) -> tuple[list[tuple[NetworkGraph, Fraction]], Fraction, bool, str]:
+    """The admission decision for one demand vector.
+
+    Returns every vertex's (1-hop view, value) from ``local_views``, the
+    oracle's exact duration, the decision and its classification. The
+    network admits iff every view's value is within the threshold; a
+    threshold of None admits exactly the feasible vectors.
+    """
+    views = local_views(g, tau, cap)
+    oracle_value = fractional_chromatic(conflict_graph(g, 2), tau, cap)
+    feasible = oracle_value <= 1
+    if threshold is None:
+        admit = feasible
+    else:
+        admit = all(value <= threshold for _, value in views)
+    return views, oracle_value, admit, _classify(admit, feasible)
+
+
 def run_admission(
     g: NetworkGraph,
     tau: Mapping,
@@ -71,6 +98,7 @@ def run_admission(
     thr = Fraction(threshold)
     if thr <= 0:
         raise GraphError("threshold must be positive")
+    values, oracle_value, all_admit, classification = _decide(g, demands, thr, cap)
 
     incident: dict[str, list[tuple[Link, Fraction]]] = {v: [] for v in g.vertices}
     for link in g.links:
@@ -87,7 +115,7 @@ def run_admission(
             inbox[receiver].append(payload)
 
     views = []
-    for v, (subgraph, value) in zip(g.vertices, local_views(g, demands, cap)):
+    for v, (subgraph, value) in zip(g.vertices, values):
         reach = {v, *g.neighbors(v)}
         known: dict[Link, Fraction] = dict(incident[v])
         for payload in inbox[v]:
@@ -108,17 +136,14 @@ def run_admission(
             )
         )
 
-    all_admit = all(view.admit for view in views)
-    oracle_value = fractional_chromatic(gc, demands, cap)
-    feasible = oracle_value <= 1
     return SimTrace(
         threshold=thr,
         messages=tuple(messages),
         views=tuple(views),
         all_admit=all_admit,
         oracle_value=oracle_value,
-        oracle_feasible=feasible,
-        classification=_classify(all_admit, feasible),
+        oracle_feasible=oracle_value <= 1,
+        classification=classification,
     )
 
 
@@ -193,27 +218,15 @@ def evaluate_policy(
         "true-reject": 0,
         "false-reject": 0,
     }
-    gc = conflict_graph(g, 2)
     for sample_id in range(samples):
         tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
-        if threshold is None:
-            oracle_value = fractional_chromatic(gc, tau, cap)
-            feasible = oracle_value <= 1
-            admit = feasible
-            local_max = local_estimate(g, tau, cap)
-            classification = _classify(admit, feasible)
-        else:
-            trace = run_admission(g, tau, threshold, cap)
-            oracle_value = trace.oracle_value
-            admit = trace.all_admit
-            local_max = max(view.local_value for view in trace.views)
-            classification = trace.classification
+        views, oracle_value, admit, classification = _decide(g, tau, threshold, cap)
         tally[classification] += 1
         rows.append(
             {
                 "sample_id": sample_id,
                 "seed": seed,
-                "local_max": local_max,
+                "local_max": max(value for _, value in views),
                 "oracle_chif": oracle_value,
                 "decision": "admit" if admit else "reject",
                 "classification": classification,

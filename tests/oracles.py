@@ -9,14 +9,19 @@ correctness.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from math import lcm
 
+from hopadmit.analysis import admission_threshold, check_sample_count, local_estimate
+from hopadmit.errors import GraphError
+from hopadmit.graphs import conflict_graph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP
 from hopadmit.simplex import LPInfeasibleError, LPSolution, LPUnboundedError
+from hopadmit.simulate import _classify, run_admission, sample_demands
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +588,73 @@ def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
             best = size
             where = v
     return best, where
+
+
+# ---------------------------------------------------------------------------
+# The policy sweep as it ran before it decided samples without a trace: the
+# full 2-round protocol per sample for a threshold, local_estimate plus the
+# oracle for "oracle-exact". It calls the package's solvers.
+
+
+def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None, cap=DEFAULT_SET_CAP):
+    """evaluate_policy through run_admission, rows and summary."""
+    check_sample_count(samples, "sample count")
+    if not g.links:
+        raise GraphError("policy evaluation needs at least one link")
+    meta = {}
+    if policy == "theorem3":
+        threshold, meta = admission_threshold(g, cap=cap)
+    elif policy == "user":
+        if user_bound is None:
+            raise GraphError("user policy needs a ratio bound")
+        threshold, meta = admission_threshold(g, user_bound=user_bound, cap=cap)
+    elif policy == "oracle-exact":
+        threshold = None
+    else:
+        raise GraphError(f"unknown policy {policy!r}")
+
+    rng = random.Random(seed)
+    rows = []
+    tally = dict.fromkeys(("true-admit", "false-admit", "true-reject", "false-reject"), 0)
+    gc = conflict_graph(g, 2)
+    for sample_id in range(samples):
+        tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
+        if threshold is None:
+            oracle_value = fractional_chromatic(gc, tau, cap)
+            admit = oracle_value <= 1
+            local_max = local_estimate(g, tau, cap)
+            classification = _classify(admit, admit)
+        else:
+            trace = run_admission(g, tau, threshold, cap)
+            oracle_value = trace.oracle_value
+            admit = trace.all_admit
+            local_max = max(view.local_value for view in trace.views)
+            classification = trace.classification
+        tally[classification] += 1
+        rows.append(
+            {
+                "sample_id": sample_id,
+                "seed": seed,
+                "local_max": local_max,
+                "oracle_chif": oracle_value,
+                "decision": "admit" if admit else "reject",
+                "classification": classification,
+            }
+        )
+
+    feasible_total = tally["true-admit"] + tally["false-reject"]
+    summary = {
+        "policy": policy,
+        "samples": samples,
+        "seed": seed,
+        "threshold": threshold,
+        "false_admit": tally["false-admit"],
+        "false_reject": tally["false-reject"],
+        "true_admit": tally["true-admit"],
+        "true_reject": tally["true-reject"],
+        "false_reject_rate": (
+            Fraction(tally["false-reject"], feasible_total) if feasible_total else Fraction(0)
+        ),
+    }
+    summary.update({f"threshold_{k}": v for k, v in meta.items()})
+    return {"summary": summary, "rows": rows}

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -590,3 +591,88 @@ def test_python_dash_m_matches_main(capsys):
     )
     assert (proc.returncode, proc.stdout) == (code, out)
     assert code == 0
+
+
+def test_distributed_threshold_must_be_positive(capsys):
+    for text in ("0", "-1/2", "0/7"):
+        code, out, err = _run(
+            capsys, "admit", "cycle:6", "--demands", '{"v1-v2": "1/5"}',
+            "--mode", "distributed", f"--threshold={text}",
+        )
+        assert (code, out, err) == (2, "", "error: threshold must be positive\n"), text
+
+
+def test_rational_text_prints_lowest_terms(capsys):
+    for text, printed in (("3/4", "3/4"), ("0.25", "1/4"), ("1e-3", "1/1000")):
+        envelope = _run_json(capsys, "chif", "cycle:5", "--demands", json.dumps({"v1-v2": text}))
+        assert envelope["input"]["demands"] == {"v1-v2": printed}
+        assert envelope["result"]["chi_f"] == printed
+        envelope = _run_json(
+            capsys, "admit", "cycle:5", "--demands", '{"v1-v2": "1/5"}',
+            "--mode", "distributed", "--threshold", text,
+        )
+        assert envelope["result"]["threshold"] == printed
+
+
+def test_oversized_exponents_exit_2(capsys):
+    """Exponent text that Fraction would expand past the 4,300-digit int
+    limit is refused before it is expanded."""
+    for text in ("1e-5000", "1e999999999", "0e5000", "1e" + "9" * 5000):
+        for argv in (
+            ("chif", "cycle:5", "--demands", json.dumps({"v1-v2": text})),
+            ("admit", "cycle:5", "--demands", '{"v1-v2": "1/5"}', "--mode", "distributed",
+             "--threshold", text),
+            ("threshold", "cycle:5", "--user-b", text),
+            ("simulate", "cycle:5", "--seed", "1", "--samples", "2", "--policy", "user",
+             "--user-b", text),
+        ):
+            start = time.perf_counter()
+            code, out, err = _run(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:"), argv
+
+
+def test_result_past_digit_limit_exits_3(capsys):
+    big = 10**2200
+    demands = json.dumps({"v1-v2": f"1/{big + 1}", "v2-v3": f"1/{big + 3}"})
+    code, out, err = _run(capsys, "chif", "cycle:5", "--demands", demands)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:")
+
+
+def test_oversized_json_integers_exit_2(capsys, tmp_path):
+    digits = "9" * 5000
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(
+        '{"vertices": ["a", "b"], "edges": [["a", "b"]], "x": ' + digits + "}"
+    )
+    code, out, err = _run(capsys, "invariants", str(graph_file))
+    assert (code, out) == (2, "")
+    assert "is not valid JSON" in err
+    code, out, err = _run(capsys, "chif", "cycle:5", "--demands", '{"v1-v2": ' + digits + "}")
+    assert (code, out) == (2, "")
+    assert "are not valid JSON" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    from hopadmit import cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    first = _run(capsys, "beta", "cycle:10")
+    with pytest.raises(SystemExit) as exc:
+        main(["chif", "cycle:6"])
+    assert exc.value.code == 2
+    assert "--demands" in capsys.readouterr().err
+    second = _run(capsys, "beta", "cycle:10")
+    assert len(built) == 1
+    assert first == second
+    assert first[0] == 0

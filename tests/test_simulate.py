@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from corpus import family_graphs, random_connected_graph
+from corpus import family_graphs, random_connected_graph, random_corpus
+from oracles import traced_evaluate_policy
 from hopadmit import (
+    BoundUnavailableError,
     GraphError,
     admission_threshold,
     build_graph,
@@ -241,3 +244,43 @@ def test_evaluate_policy_validates():
         evaluate_policy(g, 5, seed=0, policy="user")
     with pytest.raises(GraphError):
         evaluate_policy(g, 5, seed=0, policy="coin-flip")
+
+
+POLICIES = (
+    ("theorem3", None),
+    ("user", Fraction(5, 2)),
+    ("user", Fraction(1)),
+    ("oracle-exact", None),
+)
+
+
+def _outcome(evaluate, g, policy, user_bound, seed):
+    """The sweep's result, or the type of error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # user bound below the lower bound
+        try:
+            return evaluate(g, 12, seed, policy=policy, user_bound=user_bound)
+        except BoundUnavailableError as exc:
+            return type(exc)
+
+
+def test_policy_sweep_equals_traced_reference():
+    """Deciding each sample without a trace gives the traced sweep's rows
+    and summary, for every policy."""
+    graphs = [g for _, g in family_graphs()] + random_corpus(29, 20, 7, 10)
+    for index, g in enumerate(graphs):
+        for policy, user_bound in POLICIES:
+            expected = _outcome(traced_evaluate_policy, g, policy, user_bound, index)
+            got = _outcome(evaluate_policy, g, policy, user_bound, index)
+            assert got == expected, (index, policy)
+            assert repr(got) == repr(expected), (index, policy)
+
+
+def test_policy_sweep_builds_no_trace(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the policy sweep ran the traced protocol")
+
+    monkeypatch.setattr(simulate, "run_admission", forbidden)
+    for policy, user_bound in POLICIES:
+        result = _outcome(evaluate_policy, cycle_graph(10), policy, user_bound, 5)
+        assert result["summary"]["policy"] == policy
