@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -300,16 +301,23 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    try:
-        if args.cap_sets < 1:
-            raise GraphError(f"--cap-sets must be at least 1, got {args.cap_sets}")
-        _emit(args.run(args), args.out)
-    except (GraphError, BoundUnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
+    # Library warnings reach stderr as one line each, without the source
+    # location and line that the default formatter adds.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if args.cap_sets < 1:
+                raise GraphError(f"--cap-sets must be at least 1, got {args.cap_sets}")
+            _emit(args.run(args), args.out)
+        except (GraphError, BoundUnavailableError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ResourceLimitError as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 from .chordal import chordality_certificate
 from .errors import GraphError
@@ -162,86 +163,72 @@ def _odd_hole_candidates(
             return
 
 
-def _members(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _is_perfect(comp: ConflictGraph) -> bool:
+    """Chordal or bipartite, so perfect and of imperfection ratio 1."""
+    return comp.elimination is not None or is_bipartite(len(comp.links), comp.adj)
 
 
-def _hole_masks(n: int, nbr: Sequence[int]) -> set[int]:
-    """Bitmasks of the chordless cycles of length at least four.
+def _polytope_witness(
+    comp: ConflictGraph, cap: int
+) -> tuple[Fraction, dict[Link, Fraction]]:
+    """Exact imperfection ratio of a component, with a vertex attaining it.
 
-    Each cycle is grown from its smallest vertex s along induced paths:
-    the next vertex avoids the path and the neighbors of its interior, and
-    a vertex adjacent to s closes the cycle.
+    The ratio is the largest chi_f over the vertices of the clique polytope
+    (Gerke and McDiarmid, 2001), whose weighted clique number is at most
+    one, so the first vertex of largest chi_f replays to the ratio. The
+    witness is that vertex scaled to its primitive integer vector, or empty
+    when no vertex beats 1.
     """
-    holes = set()
-    for s in range(n):
-        above = -1 << (s + 1)
-        stack = [(1 << s | 1 << v, v, 0) for v in _members(nbr[s] & above)]
-        while stack:
-            path, last, interior = stack.pop()
-            for w in _members(nbr[last] & above & ~path & ~interior):
-                if nbr[s] >> w & 1:
-                    if path.bit_count() >= 3:
-                        holes.add(path | 1 << w)
-                else:
-                    stack.append((path | 1 << w, w, interior | nbr[last]))
-    return holes
-
-
-def _imperfect_masks(n: int, adj: Sequence[frozenset[int]]) -> list[int]:
-    """Every vertex bitmask whose induced subgraph is not chordal, ascending.
-
-    A graph is chordal unless it has a chordless cycle of length at least
-    four, so a mask is not chordal exactly when it is such a cycle or
-    dropping one of its members leaves a mask that is not chordal. The
-    pass marks the cycles in a bitset over all 2**n masks and then, member
-    by member, marks every mask whose copy without that member is marked.
-    """
-    nbr = [sum(1 << j for j in adj[i]) for i in range(n)]
-    marked = sum(1 << hole for hole in _hole_masks(n, nbr))
-    every = (1 << (1 << n)) - 1
-    for i in range(n):
-        step = 1 << i
-        # Masks holding member i: the block of step clear then step set
-        # bits, repeated across all 2**n positions.
-        holding = every // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step)
-        marked |= (marked << step) & holding
-    return [mask for mask, bit in enumerate(bin(marked)[:1:-1]) if bit == "1"]
+    m = len(comp.links)
+    best = Fraction(1)
+    witness: dict[Link, Fraction] = {}
+    for vertex in qstab_vertices(m, maximal_cliques(m, comp.adj, cap)):
+        tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
+        if not tau:
+            continue
+        value = fractional_chromatic(comp, tau, cap)
+        if value > best:
+            best = value
+            witness = tau
+    if witness:
+        scale = Fraction(
+            lcm(*(x.denominator for x in witness.values())),
+            gcd(*(x.numerator for x in witness.values())),
+        )
+        witness = {link: x * scale for link, x in witness.items()}
+    return best, witness
 
 
 def _imperfection_candidates(
-    gc: ConflictGraph, extras: list[dict[Link, Fraction]], cap: int
+    gc: ConflictGraph, cap: int
 ) -> Iterator[dict[Link, Fraction]]:
-    n = len(gc.links)
     for link in gc.links:
         yield {link: Fraction(1)}
     yield from _odd_hole_candidates(gc, cap)
-    if n <= POLYTOPE_VERTEX_LIMIT:
-        for mask in _imperfect_masks(n, gc.adj):
-            yield {gc.links[i]: Fraction(1) for i in _members(mask)}
-    yield from extras
+    for comp in conflict_components(gc):
+        if len(comp) > POLYTOPE_VERTEX_LIMIT:
+            continue
+        sub = induced_conflict(gc, comp)
+        if not _is_perfect(sub):
+            _, witness = _polytope_witness(sub, cap)
+            if witness:
+                yield witness
 
 
 def imperfection_lower_bound(
     gc: ConflictGraph,
-    candidates: Sequence[Mapping] | None = None,
     cap: int = DEFAULT_SET_CAP,
     upper: Fraction | None = None,
 ) -> tuple[Fraction, dict[Link, Fraction]]:
     """Best LP-to-clique-bound gap over a candidate demand family.
 
     Candidates tried, in order: one indicator per link, indicators of
-    chordless odd cycles, every 0/1 vector whose support induces a
-    subgraph that is not chordal when the graph has at most
-    POLYTOPE_VERTEX_LIMIT links, plus any supplied vectors. A chordal
-    support is perfect (Lovasz), so its ratio is exactly 1 and cannot beat
-    the first link indicator; `_imperfect_masks` leaves those vectors out
-    by a hereditary pass over the masks that no cap can stop. Always sound
-    as a lower bound; equals the true ratio whenever some candidate
-    attains it.
+    chordless odd cycles, and for each conflict component of at most
+    POLYTOPE_VERTEX_LIMIT links that is neither chordal nor bipartite its
+    clique polytope vertex of largest chi_f, scaled to integers. That
+    vertex attains the component's imperfection ratio, so the result equals
+    the true ratio whenever every imperfect component is that small, and
+    it is always sound as a lower bound. The cap bounds every search.
 
     Candidates are built one at a time. With a certified upper bound on
     the ratio (`upper`, as from `imperfection_upper_bound`), the replay
@@ -252,12 +239,9 @@ def imperfection_lower_bound(
     """
     if not gc.links:
         raise GraphError("imperfection ratio needs at least one link")
-    extras = [
-        {link: Fraction(v) for link, v in extra.items()} for extra in candidates or ()
-    ]
     best = Fraction(0)
     witness: dict[Link, Fraction] = {}
-    for tau in _imperfection_candidates(gc, extras, cap):
+    for tau in _imperfection_candidates(gc, cap):
         clique = weighted_clique_number(gc, tau, cap)
         if clique == 0:
             continue
@@ -326,22 +310,13 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
 
 def _component_imp_upper(comp: ConflictGraph, cap: int) -> tuple[Fraction | None, str]:
     m = len(comp.links)
-    if comp.elimination is not None or is_bipartite(m, comp.adj):
+    if _is_perfect(comp):
         return Fraction(1), "perfect"
     ring = _ring_scheme_bound(comp)
     if ring is not None:
         return ring, "ring-formula"
     if m <= POLYTOPE_VERTEX_LIMIT:
-        cliques = maximal_cliques(m, comp.adj, cap)
-        best = Fraction(1)
-        for vertex in qstab_vertices(m, cliques):
-            tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
-            if not tau:
-                continue
-            value = fractional_chromatic(comp, tau, cap)
-            if value > best:
-                best = value
-        return best, "polytope-enumeration"
+        return _polytope_witness(comp, cap)[0], "polytope-enumeration"
     if m % 2 == 1 and all(len(a) == 2 for a in comp.adj):
         return Fraction(m, m - 1), "odd-cycle-family"
     return None, "unavailable"

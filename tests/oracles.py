@@ -88,18 +88,6 @@ def brute_is_chordal(n, adj):
     return True
 
 
-def brute_non_chordal_masks(n, adj):
-    """Ascending bitmasks whose induced subgraph brute_is_chordal rejects."""
-    out = []
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        pos = {v: i for i, v in enumerate(members)}
-        sub = [frozenset(pos[w] for w in adj[v] if w in pos) for v in members]
-        if not brute_is_chordal(len(members), sub):
-            out.append(mask)
-    return out
-
-
 def lambda_scan_mcs_order(n, adj):
     """Maximum cardinality search by a full scan per step (ties to the
     smallest index), the order that mcs_order's score list must match."""
@@ -543,12 +531,12 @@ def brute_multicolor(n, adj, demand):
 
 
 # ---------------------------------------------------------------------------
-# The imperfection sweep over every 0/1 mask, as it ran before chordal masks
-# were skipped. Unlike the scans above it calls the package's solvers on
-# each candidate; it is the reference for which candidates may be dropped.
+# The imperfection sweep over every 0/1 mask on graphs of at most 12 links.
+# Unlike the scans above it calls the package's solvers on each candidate;
+# it is the reference for the lower bound's value and witness.
 
 
-def full_mask_imperfection_lower_bound(gc, candidates=None, cap=DEFAULT_SET_CAP, enumerate_limit=12):
+def full_mask_imperfection_lower_bound(gc, cap=DEFAULT_SET_CAP, enumerate_limit=12):
     """imperfection_lower_bound with every nonzero 0/1 mask as a candidate."""
     n = len(gc.links)
     trial = [{link: Fraction(1)} for link in gc.links]
@@ -556,8 +544,6 @@ def full_mask_imperfection_lower_bound(gc, candidates=None, cap=DEFAULT_SET_CAP,
     if n <= enumerate_limit:
         for mask in range(1, 1 << n):
             trial.append({gc.links[i]: Fraction(1) for i in range(n) if mask >> i & 1})
-    for extra in candidates or ():
-        trial.append({link: Fraction(v) for link, v in extra.items()})
     best = Fraction(0)
     witness = {}
     for tau in trial:

@@ -676,3 +676,31 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert len(built) == 1
     assert first == second
     assert first[0] == 0
+
+
+def test_user_bound_warning_is_one_stderr_line(capsys):
+    """A user bound below the certified lower bound warns on stderr as one
+    `warning:` line, with no source location, and leaves stdout alone."""
+    line = (
+        "warning: user ratio bound 3/4 is below the certified lower bound 2; "
+        "admissions may be unsound\n"
+    )
+    for argv in (
+        ("threshold", "cycle:5", "--user-b", "3/4"),
+        ("simulate", "cycle:5", "--seed", "1", "--samples", "3", "--policy", "user",
+         "--user-b", "3/4"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, line), argv
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopadmit", *argv],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, line), argv
+        result = json.loads(out)["result"]
+        if argv[0] == "threshold":
+            assert result == {"ratio_bound": "3/4", "source": "user", "threshold": "4/3"}
+        else:
+            assert result["summary"]["threshold"] == "4/3"

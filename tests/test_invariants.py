@@ -13,7 +13,6 @@ from oracles import (
     brute_interfering_matching,
     brute_is_chordal,
     brute_link_distance,
-    brute_non_chordal_masks,
     full_mask_imperfection_lower_bound,
     max_local_interfering_matching,
     verify_hole,
@@ -39,7 +38,6 @@ from hopadmit import (
     star_graph,
     weighted_clique_number,
 )
-from hopadmit.invariants import POLYTOPE_VERTEX_LIMIT, _imperfect_masks
 from hopadmit.qstab import qstab_vertices
 
 
@@ -209,18 +207,30 @@ def test_imp_lower_line_c5():
     assert replay == value
 
 
+def test_imp_lower_reaches_polytope_value_on_two_7_rings():
+    """Two disjoint 7-rings: 14 links, each component the complement of C7
+    at radius 2, with no chordless odd cycle of length 5 or more. Only the
+    components' polytope witnesses lift the lower bound above 1."""
+    verts = [f"{side}{i}" for side in "ab" for i in range(7)]
+    edges = [(f"{side}{i}", f"{side}{(i + 1) % 7}") for side in "ab" for i in range(7)]
+    g = build_graph(verts, edges)
+    gc = conflict_graph(g, 2)
+    assert len(gc.links) == 14
+    report = invariant_report(g)
+    assert report.imp_lower == report.imp_upper == Fraction(7, 6)
+    assert report.imp_upper_certificate == "polytope-enumeration"
+    witness = report.imp_lower_witness
+    assert all(x.denominator == 1 for x in witness.values())
+    replay = fractional_chromatic(gc, witness) / weighted_clique_number(gc, witness)
+    assert replay == Fraction(7, 6)
+    assert imperfection_lower_bound(gc) == (report.imp_lower, witness)
+
+
 def test_imp_lower_perfect_graphs():
     for g in (complete_graph(4), star_graph(4), clique_pendant_graph(3)):
         gc = conflict_graph(g, 2)
         value, _ = imperfection_lower_bound(gc)
         assert value == 1
-
-
-def test_imp_lower_accepts_user_candidates():
-    gc = conflict_graph(cycle_graph(10), 2)
-    even = {gc.links[i]: 1 for i in range(0, 10, 2)}
-    value, _ = imperfection_lower_bound(gc, candidates=[even])
-    assert value >= Fraction(5, 4)
 
 
 def _family_sweep_graphs():
@@ -257,27 +267,10 @@ def test_imp_lower_matches_full_mask_sweep():
     assert stopped >= 40
 
 
-def test_imp_lower_matches_full_mask_sweep_with_candidates():
-    rng = random.Random(107)
-    ring = conflict_graph(cycle_graph(10), 2)
-    even = {ring.links[i]: 1 for i in range(0, 10, 2)}
-    cases = [(ring, [even])]
-    for gc in _sweep_corpus():
-        candidates = [
-            {link: Fraction(rng.randint(0, 3), rng.randint(1, 4)) for link in gc.links}
-            for _ in range(3)
-        ]
-        cases.append((gc, candidates))
-    for gc, candidates in cases:
-        expected = full_mask_imperfection_lower_bound(gc, candidates=candidates)
-        upper, _ = imperfection_upper_bound(gc)
-        assert imperfection_lower_bound(gc, candidates=candidates) == expected
-        assert imperfection_lower_bound(gc, candidates, upper=upper) == expected
-
-
 def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
     """Upper bound 1 on a perfect graph: only the first link indicator is
-    replayed, and neither the hole search nor the mask pass runs."""
+    replayed, and neither the hole search nor the polytope enumeration
+    runs."""
     from hopadmit import invariants
 
     gc = conflict_graph(clique_pendant_graph(3), 2)
@@ -293,7 +286,7 @@ def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
         raise AssertionError("candidate built after the stop")
 
     monkeypatch.setattr(invariants, "fractional_chromatic", counting)
-    monkeypatch.setattr(invariants, "_imperfect_masks", forbidden)
+    monkeypatch.setattr(invariants, "qstab_vertices", forbidden)
     monkeypatch.setattr(invariants, "iter_induced_cycles", forbidden)
     assert imperfection_lower_bound(gc, upper=Fraction(1)) == expected
     assert replayed == [{gc.links[0]: 1}]
@@ -301,18 +294,6 @@ def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
     assert (report.imp_lower, report.imp_lower_witness) == expected
     with pytest.raises(AssertionError):
         imperfection_lower_bound(gc)
-
-
-def test_imperfect_masks_are_the_non_chordal_masks():
-    kinds = set()
-    for gc in _sweep_corpus():
-        n = len(gc.links)
-        if n > POLYTOPE_VERTEX_LIMIT:
-            continue
-        expected = brute_non_chordal_masks(n, gc.adj)
-        assert _imperfect_masks(n, gc.adj) == expected
-        kinds.add(bool(expected))
-    assert kinds == {False, True}
 
 
 def test_imp_upper_certificates():
