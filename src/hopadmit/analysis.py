@@ -31,7 +31,12 @@ from .invariants import (
     max_interfering_matching,
     neighborhood_cover_number,
 )
-from .scheduling import fractional_chromatic, normalize_demands
+from .scheduling import (
+    fractional_chromatic,
+    heaviest_clique_sum,
+    integer_weights,
+    normalize_demands,
+)
 from .search import DEFAULT_SET_CAP, iter_induced_cycles
 
 # Random demand samples per run, for beta --empirical and simulate
@@ -49,6 +54,39 @@ def check_sample_count(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
+def scaled_view_values(
+    g: NetworkGraph, t: dict[Link, Fraction], cap: int = DEFAULT_SET_CAP
+) -> tuple[list[int], int, list]:
+    """Every 1-hop view's exact duration, in integers where it can be.
+
+    t holds demands already normalized against conflict_graph(g, 2). They
+    are scaled once to integers over their common denominator den. Returns
+    (scaled, den, values): scaled holds the demands by link index of that
+    conflict graph, and values[i] is the duration of the view of vertex i
+    times den. A view whose conflict graph is chordal is worth its
+    heaviest clique sum over its row of g.view_cliques, an integer; any
+    other view solves the covering LP on its own links, and its value is
+    that Fraction times den. This is the only place a 1-hop value is
+    computed.
+    """
+    gc = conflict_graph(g, 2)
+    scaled, den = integer_weights(
+        len(gc.links), {gc.index(link): value for link, value in t.items()}
+    )
+    values: list = []
+    for sub, cliques in zip(g.views, g.view_cliques):
+        if cliques is not None:
+            values.append(heaviest_clique_sum(cliques, scaled))
+            continue
+        local = {link: t[link] for link in sub.links if link in t}
+        values.append(
+            fractional_chromatic(conflict_graph(sub, 2), local, cap) * den
+            if local
+            else 0
+        )
+    return scaled, den, values
+
+
 def local_views(
     g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
 ) -> list[tuple[NetworkGraph, Fraction]]:
@@ -56,24 +94,20 @@ def local_views(
 
     A view is the subgraph induced by the vertex's closed neighborhood; its
     value is the exact minimum schedule duration for the demands of the
-    links inside it. This is the only place a 1-hop LP is solved.
+    links inside it. The demands are normalized once and every view is
+    priced by `scaled_view_values`, from the clique table that
+    `NetworkGraph.view_cliques` builds once per graph.
     """
     t = normalize_demands(conflict_graph(g, 2), tau)
-    views = []
-    for sub in g.views:
-        local = {link: t[link] for link in sub.links if link in t}
-        value = (
-            fractional_chromatic(conflict_graph(sub, 2), local, cap)
-            if local
-            else Fraction(0)
-        )
-        views.append((sub, value))
-    return views
+    _, den, values = scaled_view_values(g, t, cap)
+    return [(sub, Fraction(value, den)) for sub, value in zip(g.views, values)]
 
 
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
     """Largest minimum schedule duration over all 1-hop views."""
-    return max((value for _, value in local_views(g, tau, cap)), default=Fraction(0))
+    t = normalize_demands(conflict_graph(g, 2), tau)
+    _, den, values = scaled_view_values(g, t, cap)
+    return Fraction(max(values, default=0), den)
 
 
 def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:

@@ -34,9 +34,9 @@ def make_link(u: str, v: str) -> Link:
 class NetworkGraph:
     """Immutable undirected graph with sorted vertex and link tuples.
 
-    Adjacency, the conflict graph of each radius and the 1-hop views are
-    built once per instance, on first use, and live only as long as the
-    graph does.
+    Adjacency, the conflict graph of each radius, the 1-hop views and
+    their clique table are built once per instance, on first use, and live
+    only as long as the graph does.
     """
 
     vertices: tuple[str, ...]
@@ -54,6 +54,33 @@ class NetworkGraph:
     def views(self) -> tuple[NetworkGraph, ...]:
         """Each vertex's 1-hop subgraph, in vertex order."""
         return tuple(one_hop_subgraph(self, v) for v in self.vertices)
+
+    @cached_property
+    def view_cliques(
+        self,
+    ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...] | None, ...]:
+        """Each 1-hop view's elimination cliques, in vertex order.
+
+        A view's entry is the elimination of its radius-2 conflict graph,
+        (link, later neighbors) pairs, relabelled to link indices of
+        conflict_graph(self, 2), or None when that conflict graph is not
+        chordal. The relabelling is sound because at radius 2 a view's
+        conflict graph is the global one restricted to the view's links:
+        two links conflict when they share an endpoint or one edge joins
+        their endpoints, and that edge lies inside the closed neighborhood.
+        """
+        gc = conflict_graph(self, 2)
+        table = []
+        for sub in self.views:
+            elim = conflict_graph(sub, 2).elimination
+            if elim is None:
+                table.append(None)
+                continue
+            glob = [gc.index(link) for link in sub.links]
+            table.append(
+                tuple((glob[v], tuple(glob[u] for u in later)) for v, later in elim)
+            )
+        return tuple(table)
 
     @cached_property
     def _conflict_graphs(self) -> dict[int, ConflictGraph]:
@@ -162,6 +189,20 @@ class ConflictGraph:
         elimination ordering of the induced subgraph.
         """
         return elimination(len(self.links), self.adj)
+
+    @cached_property
+    def components(self) -> tuple[ConflictGraph, ...]:
+        """The subgraph induced by each connected component, in the order
+        of conflict_components. Built once per instance, so whatever is
+        derived from a component, and kept in its memo, is derived once
+        per graph."""
+        return tuple(induced_conflict(self, comp) for comp in conflict_components(self))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values other modules derive from this graph, keyed by their
+        caller; they live as long as the graph does."""
+        return {}
 
     def index(self, link: Link) -> int:
         return self._link_index[link]

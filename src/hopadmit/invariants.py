@@ -23,7 +23,6 @@ from .graphs import (
     ConflictGraph,
     Link,
     NetworkGraph,
-    conflict_components,
     conflict_graph,
     induced_conflict,
 )
@@ -178,7 +177,20 @@ def _polytope_witness(
     one, so the first vertex of largest chi_f replays to the ratio. The
     witness is that vertex scaled to its primitive integer vector, or empty
     when no vertex beats 1.
+
+    The result is kept in the component's memo, per cap: the upper and the
+    lower bound of one report walk the same cached components
+    (`ConflictGraph.components`), so each is enumerated once.
     """
+    key = ("polytope-witness", cap)
+    if key not in comp.memo:
+        comp.memo[key] = _enumerate_polytope(comp, cap)
+    return comp.memo[key]
+
+
+def _enumerate_polytope(
+    comp: ConflictGraph, cap: int
+) -> tuple[Fraction, dict[Link, Fraction]]:
     m = len(comp.links)
     best = Fraction(1)
     witness: dict[Link, Fraction] = {}
@@ -205,12 +217,11 @@ def _imperfection_candidates(
     for link in gc.links:
         yield {link: Fraction(1)}
     yield from _odd_hole_candidates(gc, cap)
-    for comp in conflict_components(gc):
-        if len(comp) > POLYTOPE_VERTEX_LIMIT:
+    for comp in gc.components:
+        if len(comp.links) > POLYTOPE_VERTEX_LIMIT:
             continue
-        sub = induced_conflict(gc, comp)
-        if not _is_perfect(sub):
-            _, witness = _polytope_witness(sub, cap)
+        if not _is_perfect(comp):
+            _, witness = _polytope_witness(comp, cap)
             if witness:
                 yield witness
 
@@ -337,8 +348,8 @@ def imperfection_upper_bound(
         return Fraction(1), "perfect"
     best = Fraction(0)
     tag = "perfect"
-    for comp in conflict_components(gc):
-        value, route = _component_imp_upper(induced_conflict(gc, comp), cap)
+    for comp in gc.components:
+        value, route = _component_imp_upper(comp, cap)
         if value is None:
             return None, "unavailable"
         if value > best:

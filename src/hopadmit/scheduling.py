@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError
 from .graphs import ConflictGraph, Link, conflict_components, induced_conflict
@@ -38,9 +38,9 @@ def normalize_demands(gc: ConflictGraph, tau: Mapping) -> dict[Link, Fraction]:
             value = raw if type(raw) is Fraction else Fraction(raw)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise GraphError(f"demand for {link!r} is not a rational: {raw!r}") from exc
-        if value < 0:
+        if value.numerator < 0:
             raise GraphError(f"demand for {link!r} is negative")
-        if value:
+        if value.numerator:
             out[link] = value
     return out
 
@@ -68,22 +68,32 @@ def _component_lp(
     return sol.value, entries
 
 
-def _heaviest_clique(
-    elimination: Sequence[tuple[int, frozenset[int]]],
-    weights: Mapping[int, Fraction],
-) -> Fraction:
-    """Heaviest clique of a chordal graph, given its elimination ordering.
+def integer_weights(
+    n: int, weights: Mapping[int, Fraction]
+) -> tuple[list[int], int]:
+    """Weights of indices 0..n-1 as integers over their common denominator.
 
-    Vertices missing from weights weigh 0. Every maximal clique is a vertex
-    plus its later neighbors, and a vertex of weight 0 can be skipped: its
-    later neighbors lie in the clique of the earliest of them. The sums are
-    taken in integers over the weights' common denominator.
+    Returns (scaled, den) with weights[i] == scaled[i] / den; indices
+    missing from weights get 0.
     """
     den = lcm(*(w.denominator for w in weights.values()))
-    scaled = [0] * len(elimination)
+    scaled = [0] * n
     for i, w in weights.items():
         scaled[i] = w.numerator * (den // w.denominator)
-    best = max(
+    return scaled, den
+
+
+def heaviest_clique_sum(
+    elimination: Iterable[tuple[int, Iterable[int]]], scaled: Sequence[int]
+) -> int:
+    """Heaviest clique of a chordal graph in integer weights, given its
+    elimination ordering as (vertex, later neighbors) pairs.
+
+    Every maximal clique is a vertex plus its later neighbors, and a vertex
+    of weight 0 can be skipped: its later neighbors lie in the clique of
+    the earliest of them.
+    """
+    return max(
         (
             scaled[v] + sum([scaled[u] for u in later])
             for v, later in elimination
@@ -91,7 +101,16 @@ def _heaviest_clique(
         ),
         default=0,
     )
-    return Fraction(best, den)
+
+
+def _heaviest_clique(
+    elimination: Sequence[tuple[int, frozenset[int]]],
+    weights: Mapping[int, Fraction],
+) -> Fraction:
+    """Heaviest clique of a chordal graph, summed in integers over the
+    weights' common denominator. Vertices missing from weights weigh 0."""
+    scaled, den = integer_weights(len(elimination), weights)
+    return Fraction(heaviest_clique_sum(elimination, scaled), den)
 
 
 def _component_duration(

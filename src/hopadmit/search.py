@@ -19,11 +19,16 @@ def maximal_cliques(
 ) -> list[tuple[int, ...]]:
     """All maximal cliques via Bron-Kerbosch with pivoting.
 
+    The search runs on an explicit stack, one frame per clique under
+    extension, so a large clique costs no Python recursion depth.
     Raises ResourceLimitError once more than cap cliques have been found.
     """
     out: list[tuple[int, ...]] = []
+    # (r, p, x, the vertices of p still to branch on) for each clique r
+    # under extension, innermost last.
+    stack: list[tuple[list[int], set[int], set[int], Iterator[int]]] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
+    def visit(r: list[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             if len(out) >= cap:
                 raise ResourceLimitError(
@@ -38,12 +43,20 @@ def maximal_cliques(
             if score > best:
                 best = score
                 pivot = u
-        for v in sorted(p - adj[pivot]):
-            expand(r + [v], p & adj[v], x & adj[v])
+        stack.append((r, p, x, iter(sorted(p - adj[pivot]))))
+
+    visit([], set(range(n)), set())
+    while stack:
+        r, p, x, todo = stack[-1]
+        for v in todo:
+            depth = len(stack)
+            visit(r + [v], p & adj[v], x & adj[v])
             p.remove(v)
             x.add(v)
-
-    expand([], set(range(n)), set())
+            if len(stack) > depth:
+                break
+        else:
+            stack.pop()
     return sorted(out)
 
 
@@ -85,28 +98,33 @@ def max_clique(
                 ordered.append((v, idx + 1))
         return ordered
 
-    def expand(r: list[int], p: list[int]) -> None:
-        nonlocal best, budget
-        ordered = coloring_order(p)
-        for v, bound in reversed(ordered):
-            if len(r) + bound <= len(best):
-                return
+    # One frame per vertex added to r: the candidates p and the (vertex,
+    # color bound) pairs still to branch on, on an explicit stack so a
+    # large clique costs no Python recursion depth.
+    r: list[int] = []
+    everything = list(range(n))
+    stack = [(everything, reversed(coloring_order(everything)))]
+    while stack:
+        p, todo = stack[-1]
+        step = next(todo, None)
+        if step is not None and len(r) + step[1] > len(best):
+            v = step[0]
             budget -= 1
             if budget < 0:
                 raise ResourceLimitError(
                     f"maximum clique search exceeded cap of {cap} branches"
                 )
-            r.append(v)
             nxt = [u for u in p if u in adj[v] and u != v]
-            if not nxt:
-                if len(r) > len(best):
-                    best = list(r)
-            else:
-                expand(r, nxt)
-            r.pop()
             p.remove(v)
-
-    expand([], list(range(n)))
+            if nxt:
+                r.append(v)
+                stack.append((nxt, reversed(coloring_order(nxt))))
+            elif len(r) + 1 > len(best):
+                best = r + [v]
+            continue
+        stack.pop()
+        if stack:
+            r.pop()
     return tuple(sorted(best))
 
 

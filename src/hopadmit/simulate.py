@@ -3,17 +3,22 @@
 Round 0: every node knows its incident links and their demands. Round 1:
 every node sends that knowledge to each neighbor. A node then reconstructs
 exactly the subgraph induced by its closed neighborhood, takes the exact
-duration of that view from ``analysis.local_views``, and admits when it
-stays within the threshold. The protocol is defined at interference
-radius 2 only. The run is compared against a centralized feasibility
-oracle and classified; everything is deterministic for fixed inputs.
+duration of that view from ``analysis.scaled_view_values``, and admits
+when it stays within the threshold. The protocol is defined at
+interference radius 2 only. The run is compared against a centralized
+feasibility oracle and classified; everything is deterministic for fixed
+inputs.
 
 ``_decide`` is the one place that combines the view values, the oracle
-and the classification. ``run_admission`` wraps it in the full protocol
-trace (messages, reconstructed views, the check that each view matches its
-1-hop subgraph), which ``admit --mode distributed`` prints.
-``evaluate_policy`` calls ``_decide`` directly for every sample and builds
-no trace.
+and the classification. It normalizes each demand vector once, scales it
+once to integers over its common denominator, and prices every chordal
+view (from the graph's clique table, ``NetworkGraph.view_cliques``) and a
+chordal oracle from that one integer vector; only the row's ``local_max``
+and the oracle value become ``Fraction`` objects. ``run_admission`` wraps
+it in the full protocol trace (messages, reconstructed views, the check
+that each view matches its 1-hop subgraph), which ``admit --mode
+distributed`` prints. ``evaluate_policy`` calls ``_decide`` directly for
+every sample and builds no trace.
 """
 
 from __future__ import annotations
@@ -23,10 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .analysis import admission_threshold, check_sample_count, local_estimate, local_views
+from .analysis import (
+    admission_threshold,
+    check_sample_count,
+    local_estimate,
+    scaled_view_values,
+)
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
-from .scheduling import fractional_chromatic, normalize_demands
+from .scheduling import fractional_chromatic, heaviest_clique_sum, normalize_demands
 from .search import DEFAULT_SET_CAP
 
 
@@ -68,22 +78,32 @@ def _classify(admit: bool, feasible: bool) -> str:
 
 def _decide(
     g: NetworkGraph, tau: Mapping, threshold: Fraction | None, cap: int
-) -> tuple[list[tuple[NetworkGraph, Fraction]], Fraction, bool, str]:
+) -> tuple[list, int, Fraction, bool, str]:
     """The admission decision for one demand vector.
 
-    Returns every vertex's (1-hop view, value) from ``local_views``, the
-    oracle's exact duration, the decision and its classification. The
-    network admits iff every view's value is within the threshold; a
-    threshold of None admits exactly the feasible vectors.
+    The demands are normalized once and scaled once to integers over their
+    common denominator den. Returns every vertex's 1-hop view value times
+    den from ``analysis.scaled_view_values``, den, the oracle's exact
+    duration, the decision and its classification. The network admits iff
+    every view's value is within the threshold, compared in integers; a
+    threshold of None admits exactly the feasible vectors. On a chordal
+    conflict graph the oracle is the heaviest clique of the same integer
+    vector; on any other it is the covering LP.
     """
-    views = local_views(g, tau, cap)
-    oracle_value = fractional_chromatic(conflict_graph(g, 2), tau, cap)
+    gc = conflict_graph(g, 2)
+    t = normalize_demands(gc, tau)
+    scaled, den, values = scaled_view_values(g, t, cap)
+    if gc.elimination is not None:
+        oracle_value = Fraction(heaviest_clique_sum(gc.elimination, scaled), den)
+    else:
+        oracle_value = fractional_chromatic(gc, t, cap)
     feasible = oracle_value <= 1
     if threshold is None:
         admit = feasible
     else:
-        admit = all(value <= threshold for _, value in views)
-    return views, oracle_value, admit, _classify(admit, feasible)
+        top = max(values, default=0)
+        admit = top * threshold.denominator <= threshold.numerator * den
+    return values, den, oracle_value, admit, _classify(admit, feasible)
 
 
 def run_admission(
@@ -98,7 +118,9 @@ def run_admission(
     thr = Fraction(threshold)
     if thr <= 0:
         raise GraphError("threshold must be positive")
-    values, oracle_value, all_admit, classification = _decide(g, demands, thr, cap)
+    values, den, oracle_value, all_admit, classification = _decide(
+        g, demands, thr, cap
+    )
 
     incident: dict[str, list[tuple[Link, Fraction]]] = {v: [] for v in g.vertices}
     for link in g.links:
@@ -115,7 +137,8 @@ def run_admission(
             inbox[receiver].append(payload)
 
     views = []
-    for v, (subgraph, value) in zip(g.vertices, values):
+    for v, subgraph, scaled_value in zip(g.vertices, g.views, values):
+        value = Fraction(scaled_value, den)
         reach = {v, *g.neighbors(v)}
         known: dict[Link, Fraction] = dict(incident[v])
         for payload in inbox[v]:
@@ -220,13 +243,15 @@ def evaluate_policy(
     }
     for sample_id in range(samples):
         tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
-        views, oracle_value, admit, classification = _decide(g, tau, threshold, cap)
+        values, den, oracle_value, admit, classification = _decide(
+            g, tau, threshold, cap
+        )
         tally[classification] += 1
         rows.append(
             {
                 "sample_id": sample_id,
                 "seed": seed,
-                "local_max": max(value for _, value in views),
+                "local_max": Fraction(max(values), den),
                 "oracle_chif": oracle_value,
                 "decision": "admit" if admit else "reject",
                 "classification": classification,

@@ -489,6 +489,16 @@ def brute_chif(n, adj, weights):
     return brute_lp(n, constraints, [Fraction(w) for w in weights], maximize=True)
 
 
+def tableau_chif(n, adj, weights):
+    """Weighted fractional chromatic number as the primal covering LP over
+    the subset scan's maximal independent sets, solved on the dense
+    tableau (tableau_min_ge)."""
+    if not any(weights):
+        return Fraction(0)
+    sets = sorted(brute_maximal_independent_sets(n, adj), key=sorted)
+    return tableau_covering(sets, [Fraction(w) for w in weights]).value
+
+
 # ---------------------------------------------------------------------------
 # Exact integral multi-coloring: minimum number of unit slots, each an
 # independent set, covering an integer demand per vertex.

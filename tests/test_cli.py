@@ -704,3 +704,17 @@ def test_user_bound_warning_is_one_stderr_line(capsys):
             assert result == {"ratio_bound": "3/4", "source": "user", "threshold": "4/3"}
         else:
             assert result["summary"]["threshold"] == "4/3"
+
+
+def test_large_clique_search_needs_no_recursion(capsys):
+    """star:200 has a 200-link conflict clique. The clique searches keep
+    their own stack, so a recursion limit far below 200 frames still lets
+    threshold finish."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        code, out, err = _run(capsys, "threshold", "star:200")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["threshold"] == "1"

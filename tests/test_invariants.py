@@ -226,6 +226,30 @@ def test_imp_lower_reaches_polytope_value_on_two_7_rings():
     assert imperfection_lower_bound(gc) == (report.imp_lower, witness)
 
 
+def test_report_enumerates_each_polytope_once(monkeypatch):
+    """On two disjoint 7-rings the report enumerates each component's clique
+    polytope once: the lower bound reuses the upper route's witness."""
+    from hopadmit import invariants
+
+    verts = [f"{side}{i}" for side in "ab" for i in range(7)]
+    edges = [(f"{side}{i}", f"{side}{(i + 1) % 7}") for side in "ab" for i in range(7)]
+    g = build_graph(verts, edges)
+    expected = invariant_report(build_graph(verts, edges))
+    calls = []
+    real = invariants.qstab_vertices
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "qstab_vertices", counting)
+    report = invariant_report(g)
+    assert calls == [7, 7]
+    assert report.imp_lower == report.imp_upper == Fraction(7, 6)
+    assert report.imp_lower_witness == expected.imp_lower_witness
+    assert report == expected
+
+
 def test_imp_lower_perfect_graphs():
     for g in (complete_graph(4), star_graph(4), clique_pendant_graph(3)):
         gc = conflict_graph(g, 2)
