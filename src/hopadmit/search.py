@@ -14,6 +14,22 @@ from .errors import ResourceLimitError
 DEFAULT_SET_CAP = 10**6
 
 
+def _clique_pivot(p: set[int], x: set[int], adj: Sequence[frozenset[int]]) -> int:
+    """The first vertex of p | x, in ascending order, with the most
+    neighbours in p. None has more than len(p), and none of p more than
+    len(p) - 1 (no vertex is its own neighbour), so the scan stops at the
+    first vertex that reaches that bound."""
+    bound = len(p) if x else len(p) - 1
+    pivot = best = -1
+    for u in sorted(p | x):
+        score = len(p & adj[u])
+        if score > best:
+            pivot, best = u, score
+            if score == bound:
+                break
+    return pivot
+
+
 def maximal_cliques(
     n: int, adj: Sequence[frozenset[int]], cap: int = DEFAULT_SET_CAP
 ) -> list[tuple[int, ...]]:
@@ -36,13 +52,7 @@ def maximal_cliques(
                 )
             out.append(tuple(sorted(r)))
             return
-        pivot = -1
-        best = -1
-        for u in sorted(p | x):
-            score = len(p & adj[u])
-            if score > best:
-                best = score
-                pivot = u
+        pivot = _clique_pivot(p, x, adj)
         stack.append((r, p, x, iter(sorted(p - adj[pivot]))))
 
     visit([], set(range(n)), set())

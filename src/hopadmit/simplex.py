@@ -12,13 +12,16 @@ so each tableau column is that map times the column's scaled entries. The
 solver keeps only the map composed with the scaling: one block column per
 row, the tableau column of that row's unscaled unit vector, plus the rhs,
 all as arbitrary-precision integers over one positive common denominator
-(fraction-free Gauss-Jordan pivoting). The tableau column of a set is then
-the sum of its rows' block columns, which takes only additions. A row's
-surplus column is minus its block column over the row's scale. The pivot
-sequence is the full tableau's: Bland's rule picks entering and leaving
-variables, which rules out cycling. Every exact division is checked; a
-nonzero remainder would mean the invariant broke, and raises instead of
-silently corrupting results.
+(fraction-free Gauss-Jordan pivoting). A set's tableau column is the sum
+of its rows' block columns, and a row's surplus column is minus its block
+column over the row's scale. Bland's rule picks entering and leaving
+variables, as on the full tableau, which rules out cycling.
+
+Each row's exact divisions are checked at once, raising ArithmeticError
+otherwise: floor division by a positive divisor leaves remainders in
+[0, divisor), so the quotients times the divisor sum to the exact row sum
+only if every remainder is zero. A row with no entry in the pivot column
+is only rescaled by piv / den, and skipped when piv == den.
 
 Row 0 of the kept block holds den times the reduced cost of each row's
 unit column, which at the optimum is minus that row's dual.
@@ -28,7 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
+
+Reader = Callable[[list[int]], Sequence[int]]
 
 
 class LPInfeasibleError(RuntimeError):
@@ -52,22 +58,28 @@ class LPSolution:
     y: tuple[Fraction, ...]
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("fraction-free pivot produced a non-integer entry")
-    return q
+def _reader(s: Sequence[int]) -> Reader:
+    """Set s's entries of a block row in one C-level call (a slice where
+    itemgetter would return a bare value for one index or need at least one)."""
+    if len(s) > 1:
+        return itemgetter(*s)
+    return itemgetter(slice(s[0], s[0] + 1) if s else slice(0))
 
 
-def _entry(
-    row: list[int], sets: Sequence[Sequence[int]], scale: list[int], j: int
-) -> int:
-    """Entry of the current tableau row (a block row) in column j: set j
-    for j < len(sets), else the surplus of row j - len(sets)."""
-    n = len(sets)
+def _column(
+    rows: list[list[int]], readers: Sequence[Reader], scale: list[int], j: int
+) -> list[int]:
+    """Tableau column j over the given block rows: set j for j < n, else
+    the surplus of row k = j - n, minus block column k over scale[k]."""
+    n = len(readers)
     if j < n:
-        return sum([row[r] for r in sets[j]])
-    return _exact_div(-row[j - n], scale[j - n])
+        read = readers[j]
+        return [sum(read(row)) for row in rows]
+    k, d = j - n, scale[j - n]
+    col = [-row[k] // d for row in rows]
+    if sum(col) * d != -sum([row[k] for row in rows]):
+        raise ArithmeticError("surplus column has a non-integer entry")
+    return col
 
 
 def _pivot(block: list[list[int]], den: int, col: list[int], r: int) -> int:
@@ -77,49 +89,42 @@ def _pivot(block: list[list[int]], den: int, col: list[int], r: int) -> int:
     if piv <= 0:
         raise ArithmeticError("pivot element must be positive")
     row_r = block[r]
+    sum_r = sum(row_r)
     for i, row in enumerate(block):
-        if i == r:
-            continue
         f = col[i]
-        if den == 1:
-            block[i] = [v * piv - f * w for v, w in zip(row, row_r)]
+        if i == r or (not f and piv == den):
+            continue
+        if f:
+            new = [(v * piv - f * w) // den for v, w in zip(row, row_r)]
         else:
-            block[i] = [_exact_div(v * piv - f * w, den) for v, w in zip(row, row_r)]
+            new = [v * piv // den for v in row]
+        if sum(new) * den != piv * sum(row) - f * sum_r:
+            raise ArithmeticError("fraction-free pivot produced a non-integer entry")
+        block[i] = new
     return piv
 
 
 def _pivot_until_optimal(
-    block: list[list[int]],
-    den: int,
-    basis: list[int],
-    sets: Sequence[Sequence[int]],
-    scale: list[int],
-    priced: bool,
+    block: list[list[int]], den: int, basis: list[int], readers: Sequence[Reader],
+    scale: list[int], priced: bool,
 ) -> int:
-    """Run Bland-rule pivots until no column improves the objective.
-
-    Block row 0 gives the (scaled) reduced costs of a minimization problem,
-    den per set when priced plus row0 times the column; constraint rows
-    follow, with basis[i] naming the basic variable of row i+1.
-    """
-    n, m = len(sets), len(scale)
+    """Run Bland-rule pivots until no column improves the objective. Block
+    row 0 holds den times the reduced costs (plus den per set when priced);
+    basis[i] names the basic variable of block row i + 1."""
     while True:
         y = block[0]
         cost = den if priced else 0
-        enter = -1
-        for j, s in enumerate(sets):
-            reduced = sum([y[r] for r in s]) + cost
-            if reduced < 0:
-                enter = j
+        for enter, read in enumerate(readers):
+            if sum(read(y)) + cost < 0:
                 break
         else:
             # A surplus column's reduced cost is -y[i] / scale[i].
-            i = next((i for i in range(m) if y[i] > 0), -1)
-            if i < 0:
+            enter = next((len(readers) + i for i, v in enumerate(y[:-1]) if v > 0), -1)
+            if enter < 0:
                 return den
-            enter = n + i
-            reduced = _exact_div(-y[i], scale[i])
-        col = [reduced] + [_entry(row, sets, scale, enter) for row in block[1:]]
+            cost = 0
+        col = _column(block, readers, scale, enter)
+        col[0] += cost
         leave = -1
         for i in range(1, len(block)):
             a = col[i]
@@ -142,25 +147,20 @@ def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolu
     """Minimize sum(x) subject to, for every row i, the sets holding i
     having total x >= b[i], x >= 0."""
     n, m = len(sets), len(b)
-    if m == 0:
-        return LPSolution(Fraction(0), tuple(Fraction(0) for _ in range(n)), ())
-
     # Variables: n sets, one surplus per row, then one artificial per row,
     # which starts basic. block[i + 1] is row i + 1 of the tableau over the
     # rows' unit columns and the rhs.
     scale = [rhs.denominator for rhs in b]
-    block: list[list[int]] = [[-d for d in scale] + [-sum(rhs.numerator for rhs in b)]]
-    for i, rhs in enumerate(b):
-        unit = [0] * (m + 1)
-        unit[i] = scale[i]
-        unit[m] = rhs.numerator
-        block.append(unit)
+    block = [[-d for d in scale] + [-sum(rhs.numerator for rhs in b)]]
+    block += [[d if k == i else 0 for k in range(m)] + [rhs.numerator]
+              for i, (d, rhs) in enumerate(zip(scale, b))]
     basis = [n + m + i for i in range(m)]
+    readers = [_reader(s) for s in sets]
 
     # Phase 1: minimize the sum of artificials. Row 0 starts as minus the
     # sum of the rows, so a column's reduced cost is its negated entry sum.
     # Artificial columns never enter, so they need no column of their own.
-    den = _pivot_until_optimal(block, 1, basis, sets, scale, False)
+    den = _pivot_until_optimal(block, 1, basis, readers, scale, False)
 
     if any(block[r + 1][m] != 0 for r in range(m) if basis[r] >= n + m):
         raise LPInfeasibleError("constraints have no nonnegative solution")
@@ -169,20 +169,20 @@ def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolu
     # first column with a nonzero entry in the row. If artificial n + m + s
     # is basic in a row, the surplus column n + s holds -den there, so the
     # search always succeeds and no row is redundant.
-    for r in range(m):
-        if basis[r] < n + m:
-            continue
-        pivot_col = next(j for j in range(n + m) if _entry(block[r + 1], sets, scale, j))
-        if _entry(block[r + 1], sets, scale, pivot_col) < 0:
+    for r in [r for r in range(m) if basis[r] >= n + m]:
+        rows_r = [block[r + 1]]
+        enter = next(j for j in range(n + m) if _column(rows_r, readers, scale, j)[0])
+        col = _column(block, readers, scale, enter)
+        if col[r + 1] < 0:
             block[r + 1] = [-v for v in block[r + 1]]
-        col = [_entry(row, sets, scale, pivot_col) for row in block]
+            col[r + 1] = -col[r + 1]
         den = _pivot(block, den, col, r + 1)
-        basis[r] = pivot_col
+        basis[r] = enter
 
     # Phase 2: every set costs 1.
     costed = [block[i + 1] for i in range(m) if basis[i] < n]
     block[0] = [-sum([row[r] for row in costed]) for r in range(m + 1)]
-    den = _pivot_until_optimal(block, den, basis, sets, scale, True)
+    den = _pivot_until_optimal(block, den, basis, readers, scale, True)
 
     x = [Fraction(0)] * n
     total = 0

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles (subset scans,
 Gaussian elimination, memoized search, a dense tableau simplex) without
 touching the package's solvers, so agreement is meaningful evidence of
-correctness.
+correctness. The one exception, pivot_trace, records the package
+simplex's pivots so tests can compare them with reference_pivot's.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import random
 from collections import deque
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
+from hopadmit import simplex
 from hopadmit.analysis import admission_threshold, check_sample_count, local_estimate
-from hopadmit.errors import GraphError
+from hopadmit.errors import GraphError, ResourceLimitError
 from hopadmit.graphs import conflict_graph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
@@ -61,6 +64,39 @@ def brute_maximal_cliques(n, adj):
         if not grows:
             found.add(frozenset(members))
     return found
+
+
+def scan_clique_pivot(p, x, adj):
+    """Bron-Kerbosch pivot by a full scan: the first vertex of p | x, in
+    ascending order, with the most neighbours in p."""
+    pivot = -1
+    best = -1
+    for u in sorted(p | x):
+        score = len(p & adj[u])
+        if score > best:
+            best = score
+            pivot = u
+    return pivot
+
+
+def scan_maximal_cliques(n, adj, cap=DEFAULT_SET_CAP):
+    """search.maximal_cliques with the full-scan pivot: the same recursion
+    order, output and cap error."""
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            if len(out) >= cap:
+                raise ResourceLimitError(f"maximal set enumeration exceeded cap of {cap}")
+            out.append(tuple(sorted(r)))
+            return
+        for v in sorted(p - adj[scan_clique_pivot(p, x, adj)]):
+            expand(r + [v], p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    expand([], set(range(n)), set())
+    return sorted(out)
 
 
 def brute_max_clique_size(n, adj):
@@ -313,20 +349,42 @@ def _exact_div(num, den):
     return q
 
 
-def _tableau_pivot(tableau, den, r, c):
-    piv = tableau[r][c]
+def reference_pivot(block, den, col, r):
+    """Fraction-free Gauss-Jordan pivot on row r of block, whose pivot
+    column is col, checking every division on its own; returns the new
+    common denominator. Same signature and result as
+    hopadmit.simplex._pivot, which checks each row once."""
+    piv = col[r]
     if piv <= 0:
         raise ArithmeticError("pivot element must be positive")
-    row_r = tableau[r]
-    for i, row in enumerate(tableau):
+    row_r = block[r]
+    for i, row in enumerate(block):
         if i == r:
             continue
-        f = row[c]
+        f = col[i]
         if den == 1:
-            tableau[i] = [v * piv - f * w for v, w in zip(row, row_r)]
+            block[i] = [v * piv - f * w for v, w in zip(row, row_r)]
         else:
-            tableau[i] = [_exact_div(v * piv - f * w, den) for v, w in zip(row, row_r)]
+            block[i] = [_exact_div(v * piv - f * w, den) for v, w in zip(row, row_r)]
     return piv
+
+
+def pivot_trace(sets, b, pivot=None):
+    """(leaving block row, pivot element) of each pivot solve_min_ge(sets,
+    b) makes, and its outcome: the LPSolution or the LP error's type. With
+    pivot given, the solver pivots with it instead of simplex._pivot."""
+    use = pivot or simplex._pivot
+    trace = []
+
+    def recording(block, den, col, r):
+        trace.append((r, col[r]))
+        return use(block, den, col, r)
+
+    with mock.patch.object(simplex, "_pivot", recording):
+        try:
+            return trace, simplex.solve_min_ge(sets, b)
+        except (LPInfeasibleError, LPUnboundedError) as exc:
+            return trace, type(exc)
 
 
 def _tableau_until_optimal(tableau, den, basis, allowed):
@@ -348,7 +406,7 @@ def _tableau_until_optimal(tableau, den, basis, allowed):
                 leave = i
         if leave < 0:
             raise LPUnboundedError("objective is unbounded")
-        den = _tableau_pivot(tableau, den, leave, enter)
+        den = reference_pivot(tableau, den, [row[enter] for row in tableau], leave)
         basis[leave - 1] = enter
 
 
@@ -412,7 +470,7 @@ def tableau_min_ge(c, a_matrix, b):
             continue
         if tableau[r + 1][pivot_col] < 0:
             tableau[r + 1] = [-v for v in tableau[r + 1]]
-        den = _tableau_pivot(tableau, den, r + 1, pivot_col)
+        den = reference_pivot(tableau, den, [row[pivot_col] for row in tableau], r + 1)
         basis[r] = pivot_col
     for r in reversed(drop):
         del tableau[r + 1]

@@ -1,5 +1,6 @@
 """Exact covering LP solver: known optima, brute cross-checks, duality,
-the dual certificate, and pivot-for-pivot agreement with the dense tableau."""
+the dual certificate, pivot-for-pivot agreement with the dense tableau and
+with the per-entry reference pivot, and the per-row exactness check."""
 
 from __future__ import annotations
 
@@ -8,8 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_lp, covering_matrix, solve_max_le, tableau_covering
-from hopadmit import conflict_graph, cycle_graph
+from oracles import (
+    brute_lp,
+    covering_matrix,
+    pivot_trace,
+    reference_pivot,
+    solve_max_le,
+    tableau_covering,
+)
+from hopadmit import conflict_graph, cycle_graph, simplex
 from hopadmit.search import maximal_independent_sets
 from hopadmit.simplex import LPInfeasibleError, LPUnboundedError, solve_min_ge
 
@@ -220,3 +228,65 @@ def test_ring_covering_lp_matches_tableau(n):
     assert sol == tableau_covering(sets, w)
     _assert_feasible(sets, w, sol)
     _assert_dual_certificate(sets, w, sol)
+
+
+def test_pivot_sequence_matches_reference_pivot(seed=41, trials=800):
+    """The per-row exactness check changes no pivot: the solver makes the
+    same (leaving row, pivot element) sequence and returns the same
+    LPSolution, or raises the same error, as with the per-entry pivot."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(trials):
+        sets, b = _random_covering_lp(rng)
+        trace, got = pivot_trace(sets, b)
+        assert (trace, got) == pivot_trace(sets, b, reference_pivot)
+        seen.add(got if isinstance(got, type) else "optimal")
+    assert seen == {"optimal", LPInfeasibleError}
+
+
+@pytest.mark.parametrize("n", range(16, 23))
+def test_ring_pivot_sequence_matches_reference_pivot(n):
+    gc = conflict_graph(cycle_graph(n), 2)
+    sets = maximal_independent_sets(len(gc.links), gc.adj)
+    w = [Fraction(1, 5)] * len(gc.links)
+    trace, sol = pivot_trace(sets, w)
+    assert trace
+    assert (trace, sol) == pivot_trace(sets, w, reference_pivot)
+
+
+def _copy(block):
+    return [row[:] for row in block]
+
+
+@pytest.mark.parametrize("piv", (2, 4))
+def test_pivot_equals_reference_on_exact_block(piv):
+    # Rows 1 and 3 have no entry in the pivot column: rescaled by piv / den
+    # when piv = 4, left as they are when piv = den = 2.
+    block = [[2, 4, 6], [0, 2, 2], [4, 2, 0], [2, 2, 2]]
+    col = [2, 0, piv, 0]
+    got, want = _copy(block), _copy(block)
+    assert simplex._pivot(got, 2, col, 2) == reference_pivot(want, 2, col, 2) == piv
+    assert got == want
+
+
+def test_pivot_rejects_an_inexact_row_update():
+    # Row 0 has f = 1 != 0: (2*3 - 1*2) / 2 is exact, (1*3 - 1*4) / 2 is not.
+    with pytest.raises(ArithmeticError):
+        simplex._pivot([[2, 1], [2, 4]], 2, [1, 3], 1)
+    with pytest.raises(ArithmeticError):
+        reference_pivot([[2, 1], [2, 4]], 2, [1, 3], 1)
+
+
+def test_pivot_rejects_an_inexact_rescale():
+    # Row 0 has f = 0 and piv = 3 != den = 2: 2*3 / 2 is exact, 1*3 / 2 is not.
+    with pytest.raises(ArithmeticError):
+        simplex._pivot([[2, 1], [2, 4]], 2, [0, 3], 1)
+    with pytest.raises(ArithmeticError):
+        reference_pivot([[2, 1], [2, 4]], 2, [0, 3], 1)
+
+
+def test_surplus_column_rejects_an_inexact_entry():
+    # Minus block column 0 over scale 2: -4 / 2 is exact, -3 / 2 is not.
+    with pytest.raises(ArithmeticError):
+        simplex._column([[4, 0], [3, 1]], [], [2], 0)
+    assert simplex._column([[4, 0], [-2, 1]], [], [2], 0) == [-2, 1]

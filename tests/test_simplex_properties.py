@@ -1,4 +1,5 @@
-"""Property test: the revised simplex follows the dense tableau exactly.
+"""Property tests: the revised simplex follows the dense tableau exactly,
+and pivots as it would with the per-entry reference pivot.
 
 On small random covering LPs, minimize sum(x) subject to every row i being
 covered at least b[i] by the sets holding it, x >= 0, with rational and
@@ -17,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import tableau_covering  # noqa: E402
+from oracles import pivot_trace, reference_pivot, tableau_covering  # noqa: E402
 from hopadmit.simplex import LPInfeasibleError, solve_min_ge  # noqa: E402
 
 demands = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
@@ -56,3 +57,10 @@ def test_revised_equals_tableau(lp):
     for s in sets:
         assert sum((got.y[i] for i in s), Fraction(0)) <= 1
     assert sum((bi * yi for bi, yi in zip(b, got.y)), Fraction(0)) == got.value
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(covering_lps())
+def test_pivot_sequence_equals_reference_pivot(lp):
+    sets, b = lp
+    assert pivot_trace(sets, b) == pivot_trace(sets, b, reference_pivot)
