@@ -161,10 +161,13 @@ def link_distance(g: NetworkGraph, e: Link, f: Link) -> int | float:
 
 
 def one_hop_subgraph(g: NetworkGraph, v: str) -> NetworkGraph:
-    """Subgraph induced by v and its neighbors."""
+    """Subgraph induced by v and its neighbors; g itself when that is every
+    vertex, so such a view shares g's conflict graphs."""
     if not g.has_vertex(v):
         raise GraphError(f"unknown vertex {v!r}")
     keep = {v, *g.neighbors(v)}
+    if len(keep) == len(g.vertices):
+        return g
     links = [e for e in g.links if e[0] in keep and e[1] in keep]
     return NetworkGraph(tuple(sorted(keep)), tuple(links))
 

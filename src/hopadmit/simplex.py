@@ -1,10 +1,22 @@
-"""Exact covering LP via a revised two-phase primal simplex.
+"""Exact covering LP via a revised dual simplex.
 
 Solves: minimize sum(x) subject to sum(x[j] for every j with i in
 sets[j]) >= b[i] for every row i, x >= 0. Column j is the 0/1 indicator of
 the row-index tuple sets[j] and costs 1; b holds nonnegative Fractions.
 This is the weighted fractional chromatic number LP over independent link
 sets.
+
+Every set costs 1 and b >= 0, so the basis of all surplus variables is
+dual feasible: its duals are 0 and every reduced cost is 1 or 0. It is
+only primal infeasible, each surplus being -b[i]. The dual simplex starts
+there and needs no phase 1 and no artificial variables. Each iteration
+takes the negative-rhs row whose basic variable has the smallest index,
+and enters the column with the smallest ratio of reduced cost to minus
+its (negative) entry in that row, ties to the smallest index, sets before
+surplus columns; this is Bland's rule on the dual, which rules out
+cycling. A negative-rhs row with no negative entry proves the LP
+infeasible. The objective is bounded below by 0, so it is never
+unbounded.
 
 Row i is scaled by b[i].denominator, so every entry is an integer. Every
 row operation of a tableau simplex applies one linear map to all columns,
@@ -14,8 +26,8 @@ row, the tableau column of that row's unscaled unit vector, plus the rhs,
 all as arbitrary-precision integers over one positive common denominator
 (fraction-free Gauss-Jordan pivoting). A set's tableau column is the sum
 of its rows' block columns, and a row's surplus column is minus its block
-column over the row's scale. Bland's rule picks entering and leaving
-variables, as on the full tableau, which rules out cycling.
+column over the row's scale. The leaving row is negated before the pivot,
+so that the pivot element is positive.
 
 Each row's exact divisions are checked at once, raising ArithmeticError
 otherwise: floor division by a positive divisor leaves remainders in
@@ -38,10 +50,6 @@ Reader = Callable[[list[int]], Sequence[int]]
 
 
 class LPInfeasibleError(RuntimeError):
-    pass
-
-
-class LPUnboundedError(RuntimeError):
     pass
 
 
@@ -104,85 +112,52 @@ def _pivot(block: list[list[int]], den: int, col: list[int], r: int) -> int:
     return piv
 
 
-def _pivot_until_optimal(
-    block: list[list[int]], den: int, basis: list[int], readers: Sequence[Reader],
-    scale: list[int], priced: bool,
-) -> int:
-    """Run Bland-rule pivots until no column improves the objective. Block
-    row 0 holds den times the reduced costs (plus den per set when priced);
-    basis[i] names the basic variable of block row i + 1."""
-    while True:
-        y = block[0]
-        cost = den if priced else 0
-        for enter, read in enumerate(readers):
-            if sum(read(y)) + cost < 0:
-                break
-        else:
-            # A surplus column's reduced cost is -y[i] / scale[i].
-            enter = next((len(readers) + i for i, v in enumerate(y[:-1]) if v > 0), -1)
-            if enter < 0:
-                return den
-            cost = 0
-        col = _column(block, readers, scale, enter)
-        col[0] += cost
-        leave = -1
-        for i in range(1, len(block)):
-            a = col[i]
-            if a <= 0:
-                continue
-            if leave < 0:
-                leave = i
-                continue
-            lhs = block[i][-1] * col[leave]
-            rhs = block[leave][-1] * a
-            if lhs < rhs or (lhs == rhs and basis[i - 1] < basis[leave - 1]):
-                leave = i
-        if leave < 0:
-            raise LPUnboundedError("objective is unbounded")
-        den = _pivot(block, den, col, leave)
-        basis[leave - 1] = enter
-
-
 def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolution:
     """Minimize sum(x) subject to, for every row i, the sets holding i
     having total x >= b[i], x >= 0."""
     n, m = len(sets), len(b)
-    # Variables: n sets, one surplus per row, then one artificial per row,
-    # which starts basic. block[i + 1] is row i + 1 of the tableau over the
-    # rows' unit columns and the rhs.
+    # Variables: n sets, then one surplus per row, which starts basic.
+    # block[i + 1] is row i negated, so that its surplus has coefficient 1,
+    # over the rows' unit columns and the rhs; row 0 holds den times the
+    # reduced costs of the unit columns, which cost 0.
     scale = [rhs.denominator for rhs in b]
-    block = [[-d for d in scale] + [-sum(rhs.numerator for rhs in b)]]
-    block += [[d if k == i else 0 for k in range(m)] + [rhs.numerator]
+    block = [[0] * (m + 1)]
+    block += [[-d if k == i else 0 for k in range(m)] + [-rhs.numerator]
               for i, (d, rhs) in enumerate(zip(scale, b))]
-    basis = [n + m + i for i in range(m)]
+    basis = [n + i for i in range(m)]
     readers = [_reader(s) for s in sets]
-
-    # Phase 1: minimize the sum of artificials. Row 0 starts as minus the
-    # sum of the rows, so a column's reduced cost is its negated entry sum.
-    # Artificial columns never enter, so they need no column of their own.
-    den = _pivot_until_optimal(block, 1, basis, readers, scale, False)
-
-    if any(block[r + 1][m] != 0 for r in range(m) if basis[r] >= n + m):
-        raise LPInfeasibleError("constraints have no nonnegative solution")
-
-    # Drive leftover zero-level artificials out of the basis, entering the
-    # first column with a nonzero entry in the row. If artificial n + m + s
-    # is basic in a row, the surplus column n + s holds -den there, so the
-    # search always succeeds and no row is redundant.
-    for r in [r for r in range(m) if basis[r] >= n + m]:
-        rows_r = [block[r + 1]]
-        enter = next(j for j in range(n + m) if _column(rows_r, readers, scale, j)[0])
+    den = 1
+    while True:
+        # Leaving row: a negative rhs, the smallest basic variable.
+        _, r = min(((basis[i], i + 1) for i in range(m) if block[i + 1][-1] < 0),
+                   default=(0, 0))
+        if not r:
+            break
+        # Entering column: among those negative in row r, the smallest
+        # ratio num / dnm of reduced cost to minus that entry, ties to the
+        # smallest index. Both are den times their value, so den cancels;
+        # in the surplus column of row k both are also over scale[k], which
+        # cancels too, leaving -top[k] / row[k].
+        row, top = block[r], block[0]
+        enter, num, dnm = -1, 0, 1
+        for j, read in enumerate(readers):
+            a = sum(read(row))
+            if a < 0:
+                cost = sum(read(top)) + den
+                if enter < 0 or cost * dnm < num * -a:
+                    enter, num, dnm = j, cost, -a
+        for k, a in enumerate(row[:-1]):
+            if a > 0 and (enter < 0 or -top[k] * dnm < num * a):
+                enter, num, dnm = n + k, -top[k], a
+        if enter < 0:
+            raise LPInfeasibleError("constraints have no nonnegative solution")
+        # Negate row r so that the pivot element is positive.
+        block[r] = [-v for v in row]
         col = _column(block, readers, scale, enter)
-        if col[r + 1] < 0:
-            block[r + 1] = [-v for v in block[r + 1]]
-            col[r + 1] = -col[r + 1]
-        den = _pivot(block, den, col, r + 1)
-        basis[r] = enter
-
-    # Phase 2: every set costs 1.
-    costed = [block[i + 1] for i in range(m) if basis[i] < n]
-    block[0] = [-sum([row[r] for row in costed]) for r in range(m + 1)]
-    den = _pivot_until_optimal(block, den, basis, readers, scale, True)
+        if enter < n:
+            col[0] += den
+        den = _pivot(block, den, col, r)
+        basis[r - 1] = enter
 
     x = [Fraction(0)] * n
     total = 0

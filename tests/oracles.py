@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations.
 
 Everything here recomputes results from first principles (subset scans,
-Gaussian elimination, memoized search, a dense tableau simplex) without
-touching the package's solvers, so agreement is meaningful evidence of
-correctness. The one exception, pivot_trace, records the package
-simplex's pivots so tests can compare them with reference_pivot's.
+Gaussian elimination, memoized search, dense primal and dual tableau
+simplex solvers) without touching the package's solvers, so agreement is
+meaningful evidence of correctness. The one exception, pivot_trace,
+records the package simplex's pivots so tests can compare them with
+reference_pivot's.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ from hopadmit.graphs import conflict_graph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP
-from hopadmit.simplex import LPInfeasibleError, LPSolution, LPUnboundedError
+from hopadmit.simplex import LPInfeasibleError, LPSolution
 from hopadmit.simulate import _classify, run_admission, sample_demands
+
+
+class LPUnboundedError(RuntimeError):
+    """Raised by the dense tableau solvers below when the objective is
+    unbounded; the package's covering LP is bounded below by 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +340,13 @@ def brute_lp(n_vars, constraints, objective, maximize):
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase tableau simplex: the full-tableau form of the package's
-# revised solver, pivot for pivot (Bland's rule, fraction-free integer
-# rows over one common denominator). On the covering LP, tableau_covering
-# must return the same LPSolution, or raise the same error, as
-# hopadmit.simplex.solve_min_ge; solve_max_le is the packing form the
+# Dense tableau simplex solvers. dual_tableau_covering is the full-tableau
+# form of the package's revised dual simplex, pivot for pivot, in Fraction
+# rows: on the covering LP it must return the same LPSolution, or raise the
+# same error, as hopadmit.simplex.solve_min_ge. tableau_min_ge is a
+# two-phase primal simplex under Bland's rule (fraction-free integer rows
+# over one common denominator), a second solver that reaches the same
+# optimal value by another path; solve_max_le is the packing form the
 # duality tests use.
 
 
@@ -383,7 +391,7 @@ def pivot_trace(sets, b, pivot=None):
     with mock.patch.object(simplex, "_pivot", recording):
         try:
             return trace, simplex.solve_min_ge(sets, b)
-        except (LPInfeasibleError, LPUnboundedError) as exc:
+        except LPInfeasibleError as exc:
             return trace, type(exc)
 
 
@@ -501,9 +509,55 @@ def covering_matrix(sets, m):
     return [[1 if i in s else 0 for s in sets] for i in range(m)]
 
 
+def dual_tableau_covering(sets, b):
+    """solve_min_ge(sets, b) on a dense Fraction tableau: the dual simplex
+    from the basis of all surplus variables, under the same rule. The
+    leaving row has a negative rhs and the smallest basic variable; the
+    entering column has a negative entry there and the smallest ratio of
+    reduced cost to minus that entry, ties to the smallest index, sets
+    (0..n-1) before surplus columns (n..n+m-1)."""
+    n, m = len(sets), len(b)
+    matrix = covering_matrix(sets, m)
+    # Row i, negated: s_i - sum over sets j of a_ij x_j = -b_i.
+    rows = [
+        [Fraction(-v) for v in matrix[i]]
+        + [Fraction(int(k == i)) for k in range(m)]
+        + [-Fraction(b[i])]
+        for i in range(m)
+    ]
+    cost = [Fraction(1)] * n + [Fraction(0)] * m
+    basis = list(range(n, n + m))
+    while True:
+        infeasible = [i for i in range(m) if rows[i][-1] < 0]
+        if not infeasible:
+            break
+        r = min(infeasible, key=lambda i: basis[i])
+        negative = [j for j in range(n + m) if rows[r][j] < 0]
+        if not negative:
+            raise LPInfeasibleError("constraints have no nonnegative solution")
+        enter = min(negative, key=lambda j: (cost[j] / -rows[r][j], j))
+        piv = rows[r][enter]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(m):
+            f = rows[i][enter]
+            if i != r and f:
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        f = cost[enter]
+        cost = [v - f * w for v, w in zip(cost, rows[r])]
+        basis[r] = enter
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rows[i][-1]
+    # With the rows negated, a surplus column's reduced cost is its row's
+    # dual for the covering constraint.
+    return LPSolution(sum(x, Fraction(0)), tuple(x), tuple(cost[n:]))
+
+
 def tableau_covering(sets, b):
     """tableau_min_ge on the covering LP that solve_min_ge(sets, b) solves:
-    every set costs 1."""
+    every set costs 1. It pivots by the primal Bland rule, so its optimum
+    has the same value but may be another basis."""
     return tableau_min_ge([1] * len(sets), covering_matrix(sets, len(b)), b)
 
 

@@ -104,6 +104,38 @@ def test_one_hop_subgraph_keeps_induced_links():
     sub = one_hop_subgraph(g, "v1")
     assert sub.vertices == g.vertices
     assert sub.links == g.links
+    assert sub is g
+
+
+def test_whole_graph_view_shares_the_conflict_graph(capsys, monkeypatch):
+    """On a star the hub's view is the whole graph: beta builds its radius-2
+    conflict graph once, for the graph and the view together, and prints
+    what it prints when every view is a graph of its own."""
+    import hopadmit.graphs as graphs
+    from hopadmit.cli import main
+
+    builds = []
+    build = graphs._build_conflict_graph
+
+    def counting(g, k):
+        builds.append((len(g.vertices), k))
+        return build(g, k)
+
+    monkeypatch.setattr(graphs, "_build_conflict_graph", counting)
+    assert main(["beta", "star:12"]) == 0
+    shared = capsys.readouterr().out
+    assert builds.count((13, 2)) == 1
+
+    def fresh(g, v):
+        keep = {v, *g.neighbors(v)}
+        links = [e for e in g.links if e[0] in keep and e[1] in keep]
+        return graphs.NetworkGraph(tuple(sorted(keep)), tuple(links))
+
+    builds.clear()
+    monkeypatch.setattr(graphs, "one_hop_subgraph", fresh)
+    assert main(["beta", "star:12"]) == 0
+    assert capsys.readouterr().out == shared
+    assert builds.count((13, 2)) == 2
 
 
 def test_one_hop_subgraph_of_isolated_vertex():

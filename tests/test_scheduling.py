@@ -13,6 +13,7 @@ from oracles import (
     brute_chif,
     brute_maximal_independent_sets,
     brute_multicolor,
+    dual_tableau_covering,
     solve_max_le,
     tableau_covering,
 )
@@ -273,13 +274,18 @@ def _schedule_instances():
 
 
 def test_min_schedule_same_under_tableau_solver(monkeypatch):
+    """The dense dual tableau gives the same schedule; the two-phase primal
+    tableau may pick another optimal basis, but not another duration."""
     import hopadmit.scheduling as scheduling
 
     instances = list(_schedule_instances())
     revised = [min_schedule(gc, tau) for _, gc, tau in instances]
-    monkeypatch.setattr(scheduling, "solve_min_ge", tableau_covering)
+    monkeypatch.setattr(scheduling, "solve_min_ge", dual_tableau_covering)
     for (name, gc, tau), want in zip(instances, revised):
         assert min_schedule(gc, tau) == want, name
+    monkeypatch.setattr(scheduling, "solve_min_ge", tableau_covering)
+    for (name, gc, tau), want in zip(instances, revised):
+        assert min_schedule(gc, tau).duration == want.duration, name
 
 
 def test_schedule_duration_is_chif():

@@ -1,6 +1,8 @@
 """Exact covering LP solver: known optima, brute cross-checks, duality,
-the dual certificate, pivot-for-pivot agreement with the dense tableau and
-with the per-entry reference pivot, and the per-row exactness check."""
+the dual certificate, pivot-for-pivot agreement with the dense dual
+tableau and with the per-entry reference pivot, the optimal value of the
+two-phase primal tableau, the pivot count, and the per-row exactness
+check."""
 
 from __future__ import annotations
 
@@ -10,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    LPUnboundedError,
     brute_lp,
     covering_matrix,
+    dual_tableau_covering,
     pivot_trace,
     reference_pivot,
     solve_max_le,
@@ -19,7 +23,7 @@ from oracles import (
 )
 from hopadmit import conflict_graph, cycle_graph, simplex
 from hopadmit.search import maximal_independent_sets
-from hopadmit.simplex import LPInfeasibleError, LPUnboundedError, solve_min_ge
+from hopadmit.simplex import LPInfeasibleError, solve_min_ge
 
 
 def _dot(a, b):
@@ -32,6 +36,8 @@ def _assert_feasible(sets, b, sol):
     for i, need in enumerate(b):
         assert sum((x for s, x in zip(sets, sol.x) if i in s), Fraction(0)) >= need
     assert sum(sol.x, Fraction(0)) == sol.value
+    # A basic solution: at most one positive set per row.
+    assert sum(1 for v in sol.x if v > 0) <= len(b)
 
 
 def _assert_dual_certificate(sets, b, sol):
@@ -172,6 +178,20 @@ def _outcome(solver, sets, b):
         return type(exc)
 
 
+def _assert_matches_oracles(sets, b, got):
+    """The same LPSolution, or the same error, as the dense dual tableau;
+    the same value, or the same error, as the two-phase primal tableau;
+    and every optimum a feasible basic x with a dual certificate y."""
+    assert got == _outcome(dual_tableau_covering, sets, b)
+    primal = _outcome(tableau_covering, sets, b)
+    if isinstance(got, type):
+        assert primal == got
+        return
+    assert primal.value == got.value
+    _assert_feasible(sets, b, got)
+    _assert_dual_certificate(sets, b, got)
+
+
 def _random_covering_lp(rng):
     """Small covering LPs with rational and zero demands, empty and
     duplicated sets, duplicated rows, degenerate ties, and infeasible
@@ -198,13 +218,8 @@ def test_revised_simplex_matches_tableau(seed=37, trials=1500):
     for _ in range(trials):
         sets, b = _random_covering_lp(rng)
         got = _outcome(solve_min_ge, sets, b)
-        assert got == _outcome(tableau_covering, sets, b)
-        if isinstance(got, type):
-            seen.add(got)
-            continue
-        seen.add("optimal")
-        _assert_feasible(sets, b, got)
-        _assert_dual_certificate(sets, b, got)
+        _assert_matches_oracles(sets, b, got)
+        seen.add(got if isinstance(got, type) else "optimal")
     assert seen == {"optimal", LPInfeasibleError}
 
 
@@ -213,9 +228,8 @@ def test_dual_of_redundant_rows():
     sets = [(0, 1, 2), (2, 3), (0, 1, 2, 3)]
     b = [Fraction(2), Fraction(2), Fraction(1), Fraction(1, 2)]
     sol = solve_min_ge(sets, b)
-    assert sol == tableau_covering(sets, b)
+    _assert_matches_oracles(sets, b, sol)
     assert sol.value == 2
-    _assert_dual_certificate(sets, b, sol)
 
 
 @pytest.mark.parametrize("n", range(16, 23))
@@ -224,10 +238,43 @@ def test_ring_covering_lp_matches_tableau(n):
     sets = maximal_independent_sets(len(gc.links), gc.adj)
     rng = random.Random(n)
     w = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in gc.links]
-    sol = solve_min_ge(sets, w)
-    assert sol == tableau_covering(sets, w)
-    _assert_feasible(sets, w, sol)
-    _assert_dual_certificate(sets, w, sol)
+    _assert_matches_oracles(sets, w, solve_min_ge(sets, w))
+
+
+def test_ring_pivot_count():
+    """The dual simplex starts dual feasible from the surplus basis: 251
+    pivots on the uniform ring LPs of 16 to 22 links, where the two-phase
+    primal simplex made 1,047."""
+    total = 0
+    for n in range(16, 23):
+        gc = conflict_graph(cycle_graph(n), 2)
+        sets = maximal_independent_sets(len(gc.links), gc.adj)
+        trace, sol = pivot_trace(sets, [Fraction(1, 5)] * len(gc.links))
+        assert sol.value == Fraction(n, 5 * (n // 3))
+        total += len(trace)
+    assert total <= 300
+
+
+def test_dual_degenerate_lps_terminate(seed=43, trials=300):
+    """Many duplicated sets, zero and equal demands and duplicated rows
+    make long runs of equal ratios; the dual Bland rule still ends at the
+    primal tableau's optimum, or at the same infeasibility."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(trials):
+        m = rng.randint(2, 6)
+        base = _random_sets(rng, rng.randint(2, 6), m, rng.choice((0.4, 0.6)))
+        sets = [base[rng.randrange(len(base))] for _ in range(rng.randint(len(base), 12))]
+        level = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        b = [rng.choice((Fraction(0), level, level)) for _ in range(m)]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(b))
+            sets = [s + (len(b),) if i in s else s for s in sets]
+            b.append(b[i])
+        got = _outcome(solve_min_ge, sets, b)
+        _assert_matches_oracles(sets, b, got)
+        seen.add(got if isinstance(got, type) else "optimal")
+    assert seen == {"optimal", LPInfeasibleError}
 
 
 def test_pivot_sequence_matches_reference_pivot(seed=41, trials=800):

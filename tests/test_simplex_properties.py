@@ -1,12 +1,15 @@
-"""Property tests: the revised simplex follows the dense tableau exactly,
-and pivots as it would with the per-entry reference pivot.
+"""Property tests: the revised simplex follows the dense dual tableau
+exactly, reaches the two-phase primal tableau's optimal value, and pivots
+as it would with the per-entry reference pivot.
 
 On small random covering LPs, minimize sum(x) subject to every row i being
 covered at least b[i] by the sets holding it, x >= 0, with rational and
 zero demands, duplicated sets and duplicated rows, solve_min_ge returns
-the same LPSolution as the dense tableau or raises the same error, and
-every optimum carries a dual certificate: y >= 0, no set's rows sum to
-more than 1 under y, and b.y = value.
+the same LPSolution as the dense dual tableau or raises the same error,
+the primal tableau finds the same value or the same error, and every
+optimum is a feasible x with at most one positive set per row and carries
+a dual certificate: y >= 0, no set's rows sum to more than 1 under y, and
+b.y = value.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import pivot_trace, reference_pivot, tableau_covering  # noqa: E402
+from oracles import (  # noqa: E402
+    dual_tableau_covering,
+    pivot_trace,
+    reference_pivot,
+    tableau_covering,
+)
 from hopadmit.simplex import LPInfeasibleError, solve_min_ge  # noqa: E402
 
 demands = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
@@ -50,9 +58,17 @@ def _outcome(solver, sets, b):
 def test_revised_equals_tableau(lp):
     sets, b = lp
     got = _outcome(solve_min_ge, sets, b)
-    assert got == _outcome(tableau_covering, sets, b)
+    assert got == _outcome(dual_tableau_covering, sets, b)
+    primal = _outcome(tableau_covering, sets, b)
     if isinstance(got, type):
+        assert primal == got
         return
+    assert primal.value == got.value
+    assert all(v >= 0 for v in got.x)
+    assert sum(got.x, Fraction(0)) == got.value
+    assert sum(1 for v in got.x if v > 0) <= len(b)
+    for i, need in enumerate(b):
+        assert sum((v for s, v in zip(sets, got.x) if i in s), Fraction(0)) >= need
     assert all(v >= 0 for v in got.y)
     for s in sets:
         assert sum((got.y[i] for i in s), Fraction(0)) <= 1
