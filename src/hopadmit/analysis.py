@@ -7,6 +7,14 @@ the two over all demand vectors is what admission control must absorb.
 This module certifies lower bounds on that ratio by replaying explicit
 witness demands, and upper bounds via the imperfection ratio of the
 conflict graph times the neighborhood cover number.
+
+`local_views` prices each view on its own conflict graph. The largest
+view value has one path, `_view_max`: the heaviest clique of the graph's
+table of maximal view cliques (`NetworkGraph.view_clique_table`), summed
+in integers over the demands' common denominator, and the covering LP on
+each view whose conflict graph is not chordal. `local_estimate` and
+`local_and_exact` scale the demands to integers once for it, the latter
+also for a chordal global duration.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from typing import Iterator, Mapping
 from .errors import BoundUnavailableError, GraphError, ResourceLimitError
 from .graphs import (
     INFINITE,
+    ConflictGraph,
     Link,
     NetworkGraph,
     conflict_graph,
@@ -54,37 +63,34 @@ def check_sample_count(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
-def scaled_view_values(
-    g: NetworkGraph, t: dict[Link, Fraction], cap: int = DEFAULT_SET_CAP
-) -> tuple[list[int], int, list]:
-    """Every 1-hop view's exact duration, in integers where it can be.
-
-    t holds demands already normalized against conflict_graph(g, 2). They
-    are scaled once to integers over their common denominator den. Returns
-    (scaled, den, values): scaled holds the demands by link index of that
-    conflict graph, and values[i] is the duration of the view of vertex i
-    times den. A view whose conflict graph is chordal is worth its
-    heaviest clique sum over its row of g.view_cliques, an integer; any
-    other view solves the covering LP on its own links, and its value is
-    that Fraction times den. This is the only place a 1-hop value is
-    computed.
-    """
-    gc = conflict_graph(g, 2)
-    scaled, den = integer_weights(
+def _scaled(gc: ConflictGraph, t: dict[Link, Fraction]) -> tuple[list[int], int]:
+    """Normalized demands as integers over their common denominator, by
+    link index of gc."""
+    return integer_weights(
         len(gc.links), {gc.index(link): value for link, value in t.items()}
     )
-    values: list = []
-    for sub, cliques in zip(g.views, g.view_cliques):
-        if cliques is not None:
-            values.append(heaviest_clique_sum(cliques, scaled))
-            continue
+
+
+def _view_max(
+    g: NetworkGraph,
+    t: dict[Link, Fraction],
+    scaled: list[int],
+    den: int,
+    cap: int,
+) -> Fraction:
+    """Largest 1-hop view value of the demands t, given as scaled over den.
+
+    Every chordal view is priced at once, by the heaviest clique of
+    g.view_clique_table in integers; a view whose conflict graph is not
+    chordal solves the covering LP on its own links.
+    """
+    table = g.view_clique_table
+    best = Fraction(max((sum(read(scaled)) for read in table.readers), default=0), den)
+    for sub in table.non_chordal:
         local = {link: t[link] for link in sub.links if link in t}
-        values.append(
-            fractional_chromatic(conflict_graph(sub, 2), local, cap) * den
-            if local
-            else 0
-        )
-    return scaled, den, values
+        if local:
+            best = max(best, fractional_chromatic(conflict_graph(sub, 2), local, cap))
+    return best
 
 
 def local_views(
@@ -94,20 +100,46 @@ def local_views(
 
     A view is the subgraph induced by the vertex's closed neighborhood; its
     value is the exact minimum schedule duration for the demands of the
-    links inside it. The demands are normalized once and every view is
-    priced by `scaled_view_values`, from the clique table that
-    `NetworkGraph.view_cliques` builds once per graph.
+    links inside it, from `fractional_chromatic` on the view's own
+    conflict graph.
     """
     t = normalize_demands(conflict_graph(g, 2), tau)
-    _, den, values = scaled_view_values(g, t, cap)
-    return [(sub, Fraction(value, den)) for sub, value in zip(g.views, values)]
+    return [
+        (
+            sub,
+            fractional_chromatic(
+                conflict_graph(sub, 2),
+                {link: t[link] for link in sub.links if link in t},
+                cap,
+            ),
+        )
+        for sub in g.views
+    ]
 
 
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
     """Largest minimum schedule duration over all 1-hop views."""
-    t = normalize_demands(conflict_graph(g, 2), tau)
-    _, den, values = scaled_view_values(g, t, cap)
-    return Fraction(max(values, default=0), den)
+    gc = conflict_graph(g, 2)
+    t = normalize_demands(gc, tau)
+    scaled, den = _scaled(gc, t)
+    return _view_max(g, t, scaled, den, cap)
+
+
+def local_and_exact(
+    g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
+) -> tuple[Fraction, Fraction]:
+    """`local_estimate` and the exact network-wide duration, from one
+    scaling of the demands to integers: on a chordal conflict graph the
+    duration is the heaviest clique of the same integer vector, on any
+    other it is `fractional_chromatic`."""
+    gc = conflict_graph(g, 2)
+    t = normalize_demands(gc, tau)
+    scaled, den = _scaled(gc, t)
+    if gc.elimination is not None:
+        exact = Fraction(heaviest_clique_sum(gc.elimination, scaled), den)
+    else:
+        exact = fractional_chromatic(gc, t, cap)
+    return _view_max(g, t, scaled, den, cap), exact
 
 
 def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
@@ -115,9 +147,8 @@ def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) ->
     t = normalize_demands(conflict_graph(g, 2), tau)
     if not t:
         raise GraphError("duration ratio needs a nonzero demand vector")
-    return fractional_chromatic(conflict_graph(g, 2), t, cap) / local_estimate(
-        g, t, cap
-    )
+    local, exact = local_and_exact(g, t, cap)
+    return exact / local
 
 
 def uncovered_cycle_order(

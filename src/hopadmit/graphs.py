@@ -14,10 +14,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .chordal import elimination
 from .errors import GraphError, ResourceLimitError
+from .simplex import _reader
 
 Link = tuple[str, str]
 
@@ -56,31 +57,37 @@ class NetworkGraph:
         return tuple(one_hop_subgraph(self, v) for v in self.vertices)
 
     @cached_property
-    def view_cliques(
-        self,
-    ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...] | None, ...]:
-        """Each 1-hop view's elimination cliques, in vertex order.
+    def view_clique_table(self) -> ViewCliqueTable:
+        """The maximal cliques of every chordal 1-hop view, in one table.
 
-        A view's entry is the elimination of its radius-2 conflict graph,
-        (link, later neighbors) pairs, relabelled to link indices of
-        conflict_graph(self, 2), or None when that conflict graph is not
-        chordal. The relabelling is sound because at radius 2 a view's
-        conflict graph is the global one restricted to the view's links:
-        two links conflict when they share an endpoint or one edge joins
-        their endpoints, and that edge lies inside the closed neighborhood.
+        A view whose radius-2 conflict graph is chordal is worth its
+        heaviest clique, and every maximal clique of that graph is some
+        vertex plus its later neighbors along the graph's elimination.
+        The table keeps those cliques, relabelled to link indices of
+        conflict_graph(self, 2), and drops each one contained in another
+        (of the same view or of any other): weights are nonnegative, so
+        the heaviest clique over all chordal views is among the rest. The
+        relabelling is sound because at radius 2 a view's conflict graph
+        is the global one restricted to the view's links: two links
+        conflict when they share an endpoint or one edge joins their
+        endpoints, and that edge lies inside the closed neighborhood.
+        Views whose conflict graph is not chordal are kept as they are.
         """
         gc = conflict_graph(self, 2)
-        table = []
-        for sub in self.views:
+        found: set[tuple[int, ...]] = set()
+        non_chordal = []
+        for sub in dict.fromkeys(self.views):
             elim = conflict_graph(sub, 2).elimination
             if elim is None:
-                table.append(None)
+                non_chordal.append(sub)
                 continue
             glob = [gc.index(link) for link in sub.links]
-            table.append(
-                tuple((glob[v], tuple(glob[u] for u in later)) for v, later in elim)
-            )
-        return tuple(table)
+            for clique in _elimination_maximal_cliques(elim):
+                found.add(tuple(sorted(glob[u] for u in clique)))
+        cliques = _inclusion_maximal(found)
+        return ViewCliqueTable(
+            cliques, tuple(_reader(c) for c in cliques), tuple(non_chordal)
+        )
 
     @cached_property
     def _conflict_graphs(self) -> dict[int, ConflictGraph]:
@@ -101,6 +108,63 @@ class NetworkGraph:
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
+
+
+@dataclass(frozen=True)
+class ViewCliqueTable:
+    """What the 1-hop views of a graph are worth, read from one table.
+
+    cliques are sorted link-index tuples of the graph's radius-2 conflict
+    graph, none contained in another, and readers[i] returns the entries
+    of cliques[i] from a list indexed like those links in one call. The
+    largest 1-hop value is the heaviest of these cliques or the value of a
+    view in non_chordal, whichever is larger.
+    """
+
+    cliques: tuple[tuple[int, ...], ...]
+    readers: tuple[Callable, ...]
+    non_chordal: tuple[NetworkGraph, ...]
+
+
+def _elimination_maximal_cliques(
+    elim: Sequence[tuple[int, frozenset[int]]]
+) -> list[tuple[int, ...]]:
+    """The maximal cliques of a chordal graph from its elimination.
+
+    Each is a vertex plus its later neighbors. The clique of v lies inside
+    another exactly when some u has v as its earliest later neighbor and
+    one later neighbor more than v: later(u) minus v lies in later(v),
+    because later(u) is a clique, so then later(u) is v plus later(v).
+    """
+    pos = [0] * len(elim)
+    for i, (v, _) in enumerate(elim):
+        pos[v] = i
+    covered = set()
+    for _, later in elim:
+        if later:
+            v, later_v = elim[min(map(pos.__getitem__, later))]
+            if len(later) == len(later_v) + 1:
+                covered.add(v)
+    return [(v, *later) for v, later in elim if v not in covered]
+
+
+def _inclusion_maximal(cliques: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The distinct cliques contained in no other one, sorted.
+
+    Larger cliques go first, so each is tested only against the kept
+    cliques through its vertex that lies in the fewest of them.
+    """
+    kept = []
+    through: dict[int, list[frozenset[int]]] = {}
+    for clique in sorted(cliques, key=lambda c: (-len(c), c)):
+        members = frozenset(clique)
+        rarest = min(clique, key=lambda v: len(through.get(v, ())))
+        if any(members <= other for other in through.get(rarest, ())):
+            continue
+        kept.append(clique)
+        for v in clique:
+            through.setdefault(v, []).append(members)
+    return tuple(sorted(kept))
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> NetworkGraph:
@@ -193,13 +257,23 @@ class ConflictGraph:
         """
         return elimination(len(self.links), self.adj)
 
-    @cached_property
+    @property
     def components(self) -> tuple[ConflictGraph, ...]:
         """The subgraph induced by each connected component, in the order
-        of conflict_components. Built once per instance, so whatever is
-        derived from a component, and kept in its memo, is derived once
-        per graph."""
-        return tuple(induced_conflict(self, comp) for comp in conflict_components(self))
+        of conflict_components; (self,) when the graph is connected. Built
+        once per instance, so whatever is derived from a component, and
+        kept in its memo, is derived once per graph."""
+        comps = self._split
+        return (self,) if comps is None else comps
+
+    @cached_property
+    def _split(self) -> tuple[ConflictGraph, ...] | None:
+        # None when connected: caching (self,) would be a reference cycle,
+        # which keeps every conflict graph alive until a cyclic collection.
+        comps = conflict_components(self)
+        if len(comps) == 1:
+            return None
+        return tuple(induced_conflict(self, comp) for comp in comps)
 
     @cached_property
     def memo(self) -> dict:

@@ -3,22 +3,20 @@
 Round 0: every node knows its incident links and their demands. Round 1:
 every node sends that knowledge to each neighbor. A node then reconstructs
 exactly the subgraph induced by its closed neighborhood, takes the exact
-duration of that view from ``analysis.scaled_view_values``, and admits
-when it stays within the threshold. The protocol is defined at
-interference radius 2 only. The run is compared against a centralized
-feasibility oracle and classified; everything is deterministic for fixed
-inputs.
+duration of that view from ``analysis.local_views``, and admits when it
+stays within the threshold. The protocol is defined at interference
+radius 2 only. The run is compared against a centralized feasibility
+oracle and classified; everything is deterministic for fixed inputs.
 
-``_decide`` is the one place that combines the view values, the oracle
-and the classification. It normalizes each demand vector once, scales it
-once to integers over its common denominator, and prices every chordal
-view (from the graph's clique table, ``NetworkGraph.view_cliques``) and a
-chordal oracle from that one integer vector; only the row's ``local_max``
-and the oracle value become ``Fraction`` objects. ``run_admission`` wraps
-it in the full protocol trace (messages, reconstructed views, the check
-that each view matches its 1-hop subgraph), which ``admit --mode
-distributed`` prints. ``evaluate_policy`` calls ``_decide`` directly for
-every sample and builds no trace.
+``_decide`` is the one place that turns the largest view value and the
+oracle's value into a decision and its classification. ``run_admission``
+wraps it in the full protocol trace (messages, reconstructed views, the
+check that each view matches its 1-hop subgraph), which ``admit --mode
+distributed`` prints. ``evaluate_policy`` builds no trace and prices each
+sample once: ``_draw_demands`` draws a raw vector and the local value it
+is to be rescaled to, ``analysis.local_and_exact`` prices the raw vector
+in one integer pass, and the rescaled row follows exactly, because every
+value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``).
 """
 
 from __future__ import annotations
@@ -31,12 +29,13 @@ from typing import Mapping
 from .analysis import (
     admission_threshold,
     check_sample_count,
+    local_and_exact,
     local_estimate,
-    scaled_view_values,
+    local_views,
 )
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
-from .scheduling import fractional_chromatic, heaviest_clique_sum, normalize_demands
+from .scheduling import fractional_chromatic, normalize_demands
 from .search import DEFAULT_SET_CAP
 
 
@@ -77,33 +76,15 @@ def _classify(admit: bool, feasible: bool) -> str:
 
 
 def _decide(
-    g: NetworkGraph, tau: Mapping, threshold: Fraction | None, cap: int
-) -> tuple[list, int, Fraction, bool, str]:
-    """The admission decision for one demand vector.
-
-    The demands are normalized once and scaled once to integers over their
-    common denominator den. Returns every vertex's 1-hop view value times
-    den from ``analysis.scaled_view_values``, den, the oracle's exact
-    duration, the decision and its classification. The network admits iff
-    every view's value is within the threshold, compared in integers; a
-    threshold of None admits exactly the feasible vectors. On a chordal
-    conflict graph the oracle is the heaviest clique of the same integer
-    vector; on any other it is the covering LP.
-    """
-    gc = conflict_graph(g, 2)
-    t = normalize_demands(gc, tau)
-    scaled, den, values = scaled_view_values(g, t, cap)
-    if gc.elimination is not None:
-        oracle_value = Fraction(heaviest_clique_sum(gc.elimination, scaled), den)
-    else:
-        oracle_value = fractional_chromatic(gc, t, cap)
+    local_max: Fraction, oracle_value: Fraction, threshold: Fraction | None
+) -> tuple[bool, str]:
+    """The admission decision and its classification for one demand
+    vector, from its largest 1-hop view value and its exact duration. The
+    network admits iff every view's value is within the threshold; a
+    threshold of None admits exactly the feasible vectors."""
     feasible = oracle_value <= 1
-    if threshold is None:
-        admit = feasible
-    else:
-        top = max(values, default=0)
-        admit = top * threshold.denominator <= threshold.numerator * den
-    return values, den, oracle_value, admit, _classify(admit, feasible)
+    admit = feasible if threshold is None else local_max <= threshold
+    return admit, _classify(admit, feasible)
 
 
 def run_admission(
@@ -118,8 +99,10 @@ def run_admission(
     thr = Fraction(threshold)
     if thr <= 0:
         raise GraphError("threshold must be positive")
-    values, den, oracle_value, all_admit, classification = _decide(
-        g, demands, thr, cap
+    views = local_views(g, demands, cap)
+    oracle_value = fractional_chromatic(gc, demands, cap)
+    all_admit, classification = _decide(
+        max((value for _, value in views), default=Fraction(0)), oracle_value, thr
     )
 
     incident: dict[str, list[tuple[Link, Fraction]]] = {v: [] for v in g.vertices}
@@ -136,9 +119,8 @@ def run_admission(
             messages.append(Message(1, sender, receiver, len(payload)))
             inbox[receiver].append(payload)
 
-    views = []
-    for v, subgraph, scaled_value in zip(g.vertices, g.views, values):
-        value = Fraction(scaled_value, den)
+    nodes = []
+    for v, (subgraph, value) in zip(g.vertices, views):
         reach = {v, *g.neighbors(v)}
         known: dict[Link, Fraction] = dict(incident[v])
         for payload in inbox[v]:
@@ -149,7 +131,7 @@ def run_admission(
             raise AssertionError(
                 f"node {v!r} reconstructed a link set other than its 1-hop view"
             )
-        views.append(
+        nodes.append(
             NodeView(
                 center=v,
                 subgraph=subgraph,
@@ -162,12 +144,41 @@ def run_admission(
     return SimTrace(
         threshold=thr,
         messages=tuple(messages),
-        views=tuple(views),
+        views=tuple(nodes),
         all_admit=all_admit,
         oracle_value=oracle_value,
         oracle_feasible=oracle_value <= 1,
         classification=classification,
     )
+
+
+_RESCALE_FACTORS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3))
+
+
+def _draw_demands(
+    g: NetworkGraph,
+    rng: random.Random,
+    denom_max: int = 4,
+    target: Fraction | None = None,
+) -> tuple[dict[Link, Fraction], Fraction | None]:
+    """The random part of `sample_demands`: a raw vector, and the largest
+    1-hop value it is to be rescaled to (None to keep it as drawn).
+
+    The raw vector is nonzero, so its largest 1-hop value is positive and
+    the rescale is always defined.
+    """
+    tau: dict[Link, Fraction] = {}
+    for link in g.links:
+        if rng.random() < 0.6:
+            den = rng.randint(1, denom_max)
+            tau[link] = Fraction(rng.randint(1, den), den)
+    if not tau:
+        link = g.links[rng.randrange(len(g.links))]
+        tau = {link: Fraction(1, denom_max)}
+    goal = None
+    if target is not None and rng.random() < 0.6:
+        goal = rng.choice(_RESCALE_FACTORS) * Fraction(target)
+    return tau, goal
 
 
 def sample_demands(
@@ -184,23 +195,11 @@ def sample_demands(
     near the target, which makes both admissions and near-miss rejections
     common.
     """
-    tau: dict[Link, Fraction] = {}
-    for link in g.links:
-        if rng.random() < 0.6:
-            den = rng.randint(1, denom_max)
-            tau[link] = Fraction(rng.randint(1, den), den)
-    if not tau:
-        link = g.links[rng.randrange(len(g.links))]
-        tau = {link: Fraction(1, denom_max)}
-    if target is not None and rng.random() < 0.6:
-        estimate = local_estimate(g, tau, cap)
-        if estimate > 0:
-            rho = rng.choice(
-                [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)]
-            )
-            scale = rho * Fraction(target) / estimate
-            tau = {link: value * scale for link, value in tau.items()}
-    return tau
+    tau, goal = _draw_demands(g, rng, denom_max, target)
+    if goal is None:
+        return tau
+    scale = goal / local_estimate(g, tau, cap)
+    return {link: value * scale for link, value in tau.items()}
 
 
 def evaluate_policy(
@@ -241,17 +240,22 @@ def evaluate_policy(
         "true-reject": 0,
         "false-reject": 0,
     }
+    target = threshold or Fraction(1)
     for sample_id in range(samples):
-        tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
-        values, den, oracle_value, admit, classification = _decide(
-            g, tau, threshold, cap
-        )
+        tau, goal = _draw_demands(g, rng, target=target)
+        local_max, oracle_value = local_and_exact(g, tau, cap)
+        # Every value is homogeneous in the demands, so rescaling the raw
+        # vector by goal / local_max rescales both values exactly.
+        if goal is not None:
+            oracle_value *= goal / local_max
+            local_max = goal
+        admit, classification = _decide(local_max, oracle_value, threshold)
         tally[classification] += 1
         rows.append(
             {
                 "sample_id": sample_id,
                 "seed": seed,
-                "local_max": Fraction(max(values), den),
+                "local_max": local_max,
                 "oracle_chif": oracle_value,
                 "decision": "admit" if admit else "reject",
                 "classification": classification,

@@ -4,8 +4,11 @@ On random graphs of at most 8 vertices, half of them built chordal by
 attaching each new vertex to a clique of earlier ones, with random
 rational demands: elimination is None exactly when find_hole finds a
 hole, and on a chordal graph fractional_chromatic equals the dense
-tableau LP over every maximal independent set, and weighted_clique_number
-the brute-force heaviest clique.
+tableau LP over every maximal independent set, weighted_clique_number
+the brute-force heaviest clique, and the cliques the elimination keeps as
+maximal are the brute-force maximal cliques. On random families of small
+index tuples, the inclusion-maximal filter behind the clique table keeps
+exactly the tuples contained in no other one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ from oracles import (  # noqa: E402
 )
 from hopadmit import fractional_chromatic, weighted_clique_number  # noqa: E402
 from hopadmit.chordal import find_hole  # noqa: E402
-from hopadmit.graphs import ConflictGraph  # noqa: E402
+from hopadmit.graphs import (  # noqa: E402
+    ConflictGraph,
+    _elimination_maximal_cliques,
+    _inclusion_maximal,
+)
 
 
 @st.composite
@@ -81,3 +88,24 @@ def test_elimination_prices_chordal_graphs(instance):
         default=Fraction(0),
     )
     assert weighted_clique_number(gc, tau) == heaviest
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(1, 8).flatmap(chordal_graphs))
+def test_elimination_keeps_exactly_the_maximal_cliques(adj):
+    n = len(adj)
+    gc = ConflictGraph(tuple((f"a{i}", f"b{i}") for i in range(n)), tuple(map(frozenset, adj)), 2)
+    kept = _elimination_maximal_cliques(gc.elimination)
+    assert sorted(map(sorted, kept)) == sorted(map(sorted, brute_maximal_cliques(n, gc.adj)))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True), max_size=12)
+)
+def test_inclusion_maximal_drops_exactly_the_contained(families):
+    cliques = [tuple(sorted(c)) for c in families]
+    expected = sorted(
+        {c for c in cliques if not any(set(c) < set(d) for d in cliques)}
+    )
+    assert list(_inclusion_maximal(cliques)) == expected

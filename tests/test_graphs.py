@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
+import weakref
 
 import pytest
 
@@ -136,6 +137,54 @@ def test_whole_graph_view_shares_the_conflict_graph(capsys, monkeypatch):
     assert main(["beta", "star:12"]) == 0
     assert capsys.readouterr().out == shared
     assert builds.count((13, 2)) == 2
+
+
+def test_connected_conflict_graph_is_its_own_component(capsys, monkeypatch):
+    """A connected conflict graph is its only component, not an induced
+    copy that would compute its elimination again; beta star:999 prints
+    what it prints when every component is a copy."""
+    import hopadmit.graphs as graphs
+    from hopadmit.cli import main
+
+    for spec in ("cycle:10", "star:5", "complete:5", "clique_pendant:3"):
+        gc = conflict_graph(generate(spec), 2)
+        assert len(gc.components) == 1
+        assert gc.components[0] is gc
+    two = conflict_graph(
+        build_graph("abcdef", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]),
+        2,
+    )
+    assert [comp.links for comp in two.components] == [two.links[:3], two.links[3:]]
+    # Being its own component makes no reference cycle: the graph is freed
+    # as soon as it is dropped, without a cyclic collection.
+    cycle = conflict_graph(cycle_graph(6), 2)
+    alone = graphs.ConflictGraph(cycle.links, cycle.adj, 2)
+    assert alone.components[0] is alone
+    freed = weakref.ref(alone)
+    del alone
+    assert freed() is None
+
+    assert main(["beta", "star:999"]) == 0
+    shared = capsys.readouterr().out
+
+    def copies(gc):
+        return tuple(
+            graphs.induced_conflict(gc, comp) for comp in graphs.conflict_components(gc)
+        )
+
+    monkeypatch.setattr(graphs.ConflictGraph, "components", property(copies))
+    assert main(["beta", "star:999"]) == 0
+    assert capsys.readouterr().out == shared
+
+
+def test_hub_views_collapse_to_one_clique():
+    """On star:999 and complete:45 every link conflicts with every other,
+    and the clique table keeps that one clique of all links."""
+    for spec in ("star:999", "complete:45"):
+        g = generate(spec)
+        table = g.view_clique_table
+        assert table.cliques == (tuple(range(len(g.links))),)
+        assert table.non_chordal == ()
 
 
 def test_one_hop_subgraph_of_isolated_vertex():

@@ -154,10 +154,10 @@ def test_oracle_policy_never_misclassifies():
 def test_false_rejects_happen(monkeypatch):
     """A feasible demand above the local threshold is turned away."""
 
-    def heavy_single_link(g, rng, target=None, cap=None):
-        return {g.links[0]: Fraction(1, 2)}
+    def heavy_single_link(g, rng, target=None):
+        return {g.links[0]: Fraction(1, 2)}, None
 
-    monkeypatch.setattr(simulate, "sample_demands", heavy_single_link)
+    monkeypatch.setattr(simulate, "_draw_demands", heavy_single_link)
     result = evaluate_policy(cycle_graph(10), 10, seed=0)
     summary = result["summary"]
     assert summary["false_reject"] == 10
@@ -174,11 +174,11 @@ def test_pendant_ray_is_exactly_tight(monkeypatch):
     g = clique_pendant_graph(4)
     pendants = [make_link(f"x{i}", f"y{i}") for i in range(1, 5)]
 
-    def pendant_ray(graph, rng, target=None, cap=None):
+    def pendant_ray(graph, rng, target=None):
         c = Fraction(rng.randint(1, 8), 8)
-        return {link: c for link in pendants}
+        return {link: c for link in pendants}, None
 
-    monkeypatch.setattr(simulate, "sample_demands", pendant_ray)
+    monkeypatch.setattr(simulate, "_draw_demands", pendant_ray)
     result = evaluate_policy(g, 40, seed=6)
     summary = result["summary"]
     assert summary["threshold"] == Fraction(1, 4)
@@ -193,15 +193,44 @@ def test_clique_link_demands_show_conservatism(monkeypatch):
     g = clique_pendant_graph(4)
     clique_link = make_link("x1", "x2")
 
-    def single_clique_link(graph, rng, target=None, cap=None):
-        return {clique_link: Fraction(rng.randint(3, 8), 8)}
+    def single_clique_link(graph, rng, target=None):
+        return {clique_link: Fraction(rng.randint(3, 8), 8)}, None
 
-    monkeypatch.setattr(simulate, "sample_demands", single_clique_link)
+    monkeypatch.setattr(simulate, "_draw_demands", single_clique_link)
     result = evaluate_policy(g, 30, seed=8)
     summary = result["summary"]
     assert summary["false_admit"] == 0
     assert summary["false_reject"] == 30
     assert summary["false_reject_rate"] == 1
+
+
+def test_sweep_scales_each_sample_once(monkeypatch):
+    """The sweep scales each sample to integers once, for the largest view
+    value and the oracle together, and on a chordal conflict graph (so
+    every view's is chordal too) it solves no covering LP."""
+    from hopadmit import analysis, scheduling
+
+    g = clique_pendant_graph(4)
+    assert conflict_graph(g, 2).elimination is not None
+    policies = ("theorem3", "oracle-exact")
+    expected = {policy: evaluate_policy(g, 60, seed=21, policy=policy) for policy in policies}
+    calls = []
+    scale = scheduling.integer_weights
+
+    def counting(n, weights):
+        calls.append(n)
+        return scale(n, weights)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a covering LP was solved")
+
+    for module in (analysis, scheduling):
+        monkeypatch.setattr(module, "integer_weights", counting)
+    monkeypatch.setattr(scheduling, "solve_min_ge", no_lp)
+    for policy in policies:
+        calls.clear()
+        assert evaluate_policy(g, 60, seed=21, policy=policy) == expected[policy]
+        assert len(calls) == 60, policy
 
 
 def test_row_fields_are_consistent(seed=13):

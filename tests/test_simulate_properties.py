@@ -3,9 +3,12 @@
 On random connected graphs of at most 7 vertices with random rational
 demands, no node's 1-hop value exceeds the network-wide duration (local
 is at most global), scaling every demand by c scales every local value
-and the oracle's value by c (homogeneity), and every view's value and the
-admission oracle equal the covering LP over brute-force maximal
-independent sets, whether they were read from a clique table or not.
+and the oracle's value by c (homogeneity), and every view's value, the
+largest of them and the admission oracle equal the covering LP over
+brute-force maximal independent sets, whether they were read from the
+graph's clique table or not. The clique table itself holds cliques of
+the views' links, none inside another, that cover every clique of every
+chordal view.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from oracles import tableau_chif  # noqa: E402
-from hopadmit import build_graph, conflict_graph  # noqa: E402
-from hopadmit.analysis import local_views  # noqa: E402
-from hopadmit.search import DEFAULT_SET_CAP  # noqa: E402
+from hopadmit import build_graph, conflict_graph, one_hop_subgraph  # noqa: E402
+from hopadmit.analysis import local_and_exact, local_estimate, local_views  # noqa: E402
 from hopadmit.simulate import _decide, run_admission  # noqa: E402
 
 THRESHOLD = Fraction(1, 2)
@@ -77,9 +79,38 @@ def _lp_value(gc, tau):
 
 
 def test_non_chordal_view_has_no_clique_table():
-    assert [cliques is None for cliques in NON_CHORDAL_VIEW.view_cliques] == [
-        v == "v3" for v in NON_CHORDAL_VIEW.vertices
-    ]
+    assert NON_CHORDAL_VIEW.view_clique_table.non_chordal == (
+        one_hop_subgraph(NON_CHORDAL_VIEW, "v3"),
+    )
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(instances())
+@hypothesis.example((NON_CHORDAL_VIEW, {}))
+def test_clique_table_is_maximal_and_covers_the_views(instance):
+    g, _ = instance
+    gc = conflict_graph(g, 2)
+    table = g.view_clique_table
+    members = [frozenset(clique) for clique in table.cliques]
+    assert len(set(members)) == len(members)
+    for a in members:
+        assert not any(a < b for b in members)
+    view_links = [frozenset(gc.index(link) for link in sub.links) for sub in g.views]
+    for clique in table.cliques:
+        assert list(clique) == sorted(clique)
+        assert any(set(clique) <= links for links in view_links)
+        assert all(u in gc.adj[v] for v in clique for u in clique if u != v)
+    scaled = list(range(1, len(gc.links) + 1))
+    for clique, read in zip(table.cliques, table.readers):
+        assert sum(read(scaled)) == sum(scaled[i] for i in clique)
+    for sub in g.views:
+        elim = conflict_graph(sub, 2).elimination
+        if elim is None:
+            assert sub in table.non_chordal
+            continue
+        for v, later in elim:
+            clique = {gc.index(sub.links[u]) for u in (v, *later)}
+            assert any(clique <= b for b in members)
 
 
 @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -95,7 +126,12 @@ def test_view_values_and_oracle_equal_the_lp(instance):
     views = local_views(g, tau)
     for sub, value in views:
         assert value == _lp_value(conflict_graph(sub, 2), tau)
-    values, den, oracle_value, admit, _ = _decide(g, tau, None, DEFAULT_SET_CAP)
-    assert [Fraction(x, den) for x in values] == [value for _, value in views]
+    local_max, oracle_value = local_and_exact(g, tau)
+    assert local_max == local_estimate(g, tau)
+    assert local_max == max(
+        _lp_value(conflict_graph(sub, 2), tau) for sub in g.views
+    )
+    assert local_max == max(value for _, value in views)
     assert oracle_value == _lp_value(conflict_graph(g, 2), tau)
+    admit, _ = _decide(local_max, oracle_value, None)
     assert admit == (oracle_value <= 1)
