@@ -195,9 +195,11 @@ def _enumerate_polytope(
     best = Fraction(1)
     witness: dict[Link, Fraction] = {}
     for vertex in qstab_vertices(m, maximal_cliques(m, comp.adj, cap)):
-        tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
-        if not tau:
+        # An integral vertex is a stable set's indicator, of chi_f at most
+        # 1, so it cannot beat the starting best.
+        if all(x.denominator == 1 for x in vertex):
             continue
+        tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
         value = fractional_chromatic(comp, tau, cap)
         if value > best:
             best = value

@@ -205,40 +205,55 @@ def iter_induced_cycles(
 
     Cycles are vertex tuples starting at their smallest vertex, oriented so
     the second entry is smaller than the last. Only induced paths are ever
-    extended, so dense regions prune immediately. The cap bounds the number
-    of path extensions.
+    extended, so dense regions prune immediately: a vertex adjacent to an
+    interior path vertex, counted per vertex as the path grows and shrinks,
+    is never added, and neither is a neighbour of the start before the
+    closing step. The search runs on an explicit stack, one frame per path
+    vertex, so a long cycle costs no Python recursion depth. The cap bounds
+    the number of path extensions, each admissible vertex appended to a
+    path counting once, the closing vertex of a full-length path included.
     """
     if length < 3 or n < length:
         return
-    budget = [cap]
-
-    def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        if len(path) == length:
-            if path[0] in adj[last] and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        closing_next = len(path) + 1 == length
-        for w in sorted(adj[last]):
-            if w <= path[0] or w in used:
-                continue
-            if any(w in adj[p] for p in path[1:-1]):
-                continue
-            if len(path) >= 2 and not closing_next and path[0] in adj[w]:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ResourceLimitError(
-                    f"cycle search exceeded cap of {cap} extensions"
-                )
-            path.append(w)
-            used.add(w)
-            yield from extend(path, used)
-            path.pop()
-            used.remove(w)
-
+    budget = cap
+    ordered = [sorted(a) for a in adj]
+    on_path = [False] * n
+    # interior[w]: how many path vertices other than the first and the
+    # last are adjacent to w.
+    interior = [0] * n
     for start in range(n):
-        yield from extend([start], {start})
+        path = [start]
+        on_path[start] = True
+        stack = [iter(ordered[start])]
+        while stack:
+            for w in stack[-1]:
+                if w <= start or on_path[w] or interior[w]:
+                    continue
+                k = len(path)
+                if k + 1 < length and k >= 2 and start in adj[w]:
+                    continue
+                budget -= 1
+                if budget < 0:
+                    raise ResourceLimitError(
+                        f"cycle search exceeded cap of {cap} extensions"
+                    )
+                if k + 1 == length:
+                    if start in adj[w] and path[1] < w:
+                        yield (*path, w)
+                    continue
+                if k >= 2:
+                    for u in adj[path[-1]]:
+                        interior[u] += 1
+                path.append(w)
+                on_path[w] = True
+                stack.append(iter(ordered[w]))
+                break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+                if len(path) >= 2:
+                    for u in adj[path[-1]]:
+                        interior[u] -= 1
 
 
 def is_bipartite(n: int, adj: Sequence[frozenset[int]]) -> bool:

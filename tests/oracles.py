@@ -14,16 +14,16 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
-from hopadmit import simplex
+from hopadmit import qstab, simplex
 from hopadmit.analysis import admission_threshold, check_sample_count, local_estimate
 from hopadmit.errors import GraphError, ResourceLimitError
 from hopadmit.graphs import conflict_graph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
-from hopadmit.search import DEFAULT_SET_CAP
+from hopadmit.search import DEFAULT_SET_CAP, maximal_cliques
 from hopadmit.simplex import LPInfeasibleError, LPSolution
 from hopadmit.simulate import _classify, run_admission, sample_demands
 
@@ -650,6 +650,154 @@ def brute_multicolor(n, adj, demand):
         return best
 
     return solve(tuple(int(d) for d in demand))
+
+
+# ---------------------------------------------------------------------------
+# The straightforward forms of the polytope enumeration and the hole
+# search: a double description step that recomputes every tight set by
+# dense dot products and tests adjacency by scanning the other rays, and a
+# cycle search on nested generators. The package's forms must give the
+# same outputs in the same order and hit their caps at the same point.
+# priced_polytope_witness prices every vertex of the reference enumeration
+# with the package's fractional_chromatic.
+
+
+def reference_qstab_vertices(n, cliques):
+    """qstab.qstab_vertices with dense tight sets and a scan adjacency test."""
+    covered = set()
+    for q in cliques:
+        covered.update(q)
+    if covered != set(range(n)):
+        raise ValueError("cliques must cover every coordinate")
+
+    constraints = [tuple([1] + [0] * n)]
+    for i in range(n):
+        row = [0] * (n + 1)
+        row[i + 1] = 1
+        constraints.append(tuple(row))
+    for q in sorted(tuple(sorted(set(c))) for c in cliques):
+        row = [1] + [0] * n
+        for i in q:
+            row[i + 1] = -1
+        constraints.append(tuple(row))
+
+    rays = []
+    for i in range(n + 1):
+        unit = [0] * (n + 1)
+        unit[i] = 1
+        rays.append(tuple(unit))
+
+    def dot(a, r):
+        return sum(x * y for x, y in zip(a, r))
+
+    def tight_mask(r, upto):
+        mask = 0
+        for idx in range(upto):
+            if dot(constraints[idx], r) == 0:
+                mask |= 1 << idx
+        return mask
+
+    def reduce(vec):
+        g = 0
+        for v in vec:
+            g = gcd(g, v)
+        return vec if g in (0, 1) else tuple(v // g for v in vec)
+
+    for step in range(n + 1, len(constraints)):
+        a = constraints[step]
+        vals = [dot(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            continue
+        masks = [tight_mask(r, step) for r in rays]
+        keep = [r for r, v in zip(rays, vals) if v >= 0]
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        fresh = []
+        for ip in plus:
+            for im in minus:
+                common = masks[ip] & masks[im]
+                if any(
+                    masks[io] & common == common
+                    for io in range(len(rays))
+                    if io not in (ip, im)
+                ):
+                    continue
+                fresh.append(reduce(tuple(
+                    vals[ip] * rm - vals[im] * rp
+                    for rp, rm in zip(rays[ip], rays[im])
+                )))
+        rays = keep + fresh
+        if len(rays) > qstab.DEFAULT_RAY_CAP:
+            raise ResourceLimitError(
+                f"double description ray count exceeded cap of {qstab.DEFAULT_RAY_CAP}"
+            )
+
+    vertices = set()
+    for r in rays:
+        t = r[0]
+        if t <= 0:
+            if any(v != 0 for v in r):
+                raise RuntimeError("unbounded direction in a bounded polytope")
+            continue
+        vertices.add(tuple(Fraction(v, t) for v in r[1:]))
+    return sorted(vertices)
+
+
+def generator_induced_cycles(n, adj, length, cap=DEFAULT_SET_CAP):
+    """search.iter_induced_cycles on nested generators, one per path
+    vertex, scanning the path for chords at each extension."""
+    if length < 3 or n < length:
+        return
+    budget = [cap]
+
+    def extend(path, used):
+        last = path[-1]
+        if len(path) == length:
+            if path[0] in adj[last] and path[1] < path[-1]:
+                yield tuple(path)
+            return
+        closing_next = len(path) + 1 == length
+        for w in sorted(adj[last]):
+            if w <= path[0] or w in used:
+                continue
+            if any(w in adj[p] for p in path[1:-1]):
+                continue
+            if len(path) >= 2 and not closing_next and path[0] in adj[w]:
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise ResourceLimitError(f"cycle search exceeded cap of {cap} extensions")
+            path.append(w)
+            used.add(w)
+            yield from extend(path, used)
+            path.pop()
+            used.remove(w)
+
+    for start in range(n):
+        yield from extend([start], {start})
+
+
+def priced_polytope_witness(comp, cap=DEFAULT_SET_CAP):
+    """invariants._enumerate_polytope pricing every nonzero vertex of the
+    reference enumeration, integral ones included."""
+    m = len(comp.links)
+    best = Fraction(1)
+    witness = {}
+    for vertex in reference_qstab_vertices(m, maximal_cliques(m, comp.adj, cap)):
+        tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
+        if not tau:
+            continue
+        value = fractional_chromatic(comp, tau, cap)
+        if value > best:
+            best = value
+            witness = tau
+    if witness:
+        scale = Fraction(
+            lcm(*(x.denominator for x in witness.values())),
+            gcd(*(x.numerator for x in witness.values())),
+        )
+        witness = {link: x * scale for link, x in witness.items()}
+    return best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from oracles import (
     brute_link_distance,
     full_mask_imperfection_lower_bound,
     max_local_interfering_matching,
+    priced_polytope_witness,
     verify_hole,
     verify_peo,
     without_links,
@@ -22,6 +23,7 @@ from oracles import (
 from hopadmit import (
     ResourceLimitError,
     build_graph,
+    circulant_graph,
     clique_pendant_graph,
     complete_graph,
     conflict_graph,
@@ -248,6 +250,56 @@ def test_report_enumerates_each_polytope_once(monkeypatch):
     assert report.imp_lower == report.imp_upper == Fraction(7, 6)
     assert report.imp_lower_witness == expected.imp_lower_witness
     assert report == expected
+
+
+def _small_enumerated_components():
+    """Conflict components of at most POLYTOPE_VERTEX_LIMIT links that are
+    neither chordal nor bipartite, so whose polytope is enumerated: those
+    of the certify families and 4k+2 rings at radius 2, of the test
+    families at radius 1 and 2, and of 150 seeded random graphs of at most
+    12 links."""
+    from hopadmit import invariants
+
+    graphs = [
+        conflict_graph(g, 2)
+        for g in (
+            cycle_graph(5), cycle_graph(7), cycle_graph(9), cycle_graph(10),
+            cycle_graph(14), complete_graph(4), complete_graph(5),
+            clique_pendant_graph(3), clique_pendant_graph(4), star_graph(5),
+            star_graph(8), circulant_graph(9, (1, 3)), circulant_graph(8, (1, 2)),
+        )
+    ]
+    graphs += [conflict_graph(g, k) for _, g in family_graphs() for k in (1, 2)]
+    rng = random.Random(109)
+    graphs += [
+        conflict_graph(random_connected_graph(rng, 9, 12), k)
+        for _ in range(150)
+        for k in (1, 2)
+    ]
+    return [
+        comp
+        for gc in graphs
+        for comp in gc.components
+        if len(comp.links) <= invariants.POLYTOPE_VERTEX_LIMIT
+        and not invariants._is_perfect(comp)
+    ]
+
+
+def test_polytope_witness_skips_only_unbeatable_vertices():
+    """Skipping the integral vertices gives the (ratio, witness) of pricing
+    every vertex of the reference enumeration."""
+    from hopadmit import invariants
+
+    comps = _small_enumerated_components()
+    assert {5, 7, 12} <= {len(comp.links) for comp in comps}
+    beaten = 0
+    for comp in comps:
+        got = invariants._enumerate_polytope(comp, invariants.DEFAULT_SET_CAP)
+        assert got == priced_polytope_witness(comp)
+        beaten += got[0] > 1
+    # Most of these components have a fractional vertex beating 1; the
+    # others are perfect without being chordal or bipartite.
+    assert beaten > len(comps) // 2
 
 
 def test_imp_lower_perfect_graphs():

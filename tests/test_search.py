@@ -1,16 +1,20 @@
 """Bron-Kerbosch pivot selection: the early-stopping scan picks the same
 pivot as a full scan, so maximal_cliques keeps its output and cap error,
-and a large clique costs a linear number of adjacency lookups."""
+and a large clique costs a linear number of adjacency lookups. The
+chordless cycle search on its explicit stack yields what the nested
+generator search yields, in the same order, and runs out of budget at the
+same extension; a long ring costs no recursion depth."""
 
 from __future__ import annotations
 
 import random
+import sys
 from unittest import mock
 
 import pytest
 
 from corpus import random_adjacency, random_corpus
-from oracles import scan_clique_pivot, scan_maximal_cliques
+from oracles import generator_induced_cycles, scan_clique_pivot, scan_maximal_cliques
 from hopadmit import conflict_graph, search
 from hopadmit.errors import ResourceLimitError
 
@@ -90,3 +94,47 @@ def test_large_clique_costs_linear_lookups():
     adj = _CountingAdj([everything - {i} for i in range(n)])
     assert search.maximal_cliques(n, adj) == [tuple(range(n))]
     assert adj.lookups <= 10 * n
+
+
+def _cycles_until_cap(search_fn, n, adj, length, cap):
+    """Every cycle yielded, then the error message if the cap ran out."""
+    out = []
+    try:
+        for cycle in search_fn(n, adj, length, cap):
+            out.append(cycle)
+    except ResourceLimitError as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_induced_cycles_equal_the_generator_search(seed=73, trials=400):
+    rng = random.Random(seed)
+    found = raised = cut_short = 0
+    for _ in range(trials):
+        n = rng.randint(3, 14)
+        adj = random_adjacency(rng, n, rng.choice((0.2, 0.3, 0.5, 0.8)))
+        for length in range(2, n + 2):
+            for cap in (1, 5, 20, 100, search.DEFAULT_SET_CAP):
+                got = _cycles_until_cap(search.iter_induced_cycles, n, adj, length, cap)
+                assert got == _cycles_until_cap(generator_induced_cycles, n, adj, length, cap)
+                stopped = bool(got) and isinstance(got[-1], str)
+                found += len(got) - stopped
+                raised += stopped
+                cut_short += stopped and len(got) > 1
+    # Cycles are found, caps are hit, and some caps are hit only after
+    # cycles have been yielded.
+    assert found and raised and cut_short
+
+
+def test_long_ring_search_needs_no_recursion():
+    """A 300-ring's one chordless 300-cycle is found under a recursion
+    limit far below the path length: the search keeps its own stack."""
+    n = 300
+    adj = [frozenset({(i - 1) % n, (i + 1) % n}) for i in range(n)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        cycles = list(search.iter_induced_cycles(n, adj, n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cycles == [tuple(range(n))]
