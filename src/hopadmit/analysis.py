@@ -8,13 +8,16 @@ This module certifies lower bounds on that ratio by replaying explicit
 witness demands, and upper bounds via the imperfection ratio of the
 conflict graph times the neighborhood cover number.
 
-`local_views` prices each view on its own conflict graph. The largest
-view value has one path, `_view_max`: the heaviest clique of the graph's
-table of maximal view cliques (`NetworkGraph.view_clique_table`), summed
-in integers over the demands' common denominator, and the covering LP on
-each view whose conflict graph is not chordal. `local_estimate` and
-`local_and_exact` scale the demands to integers once for it, the latter
-also for a chordal global duration.
+`local_views` prices each view on its own conflict graph. Every other
+price of a demand vector goes through one integer path, `price_scaled`,
+on demands given as integers over one denominator. Its largest view
+value (`_view_max`) is the heaviest clique of the graph's table of
+maximal view cliques (`NetworkGraph.view_clique_table`), and its global
+duration the heaviest clique along a chordal conflict graph's
+elimination; `Fraction`s are built only for the covering LP of a view or
+a global conflict graph that is not chordal. `local_estimate` and
+`local_and_exact` scale their demands to integers (`_scaled`) and call
+it; the policy sweep draws integers and calls it directly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Iterator, Mapping
 from .errors import BoundUnavailableError, GraphError, ResourceLimitError
 from .graphs import (
     INFINITE,
-    ConflictGraph,
     Link,
     NetworkGraph,
     conflict_graph,
@@ -63,34 +65,63 @@ def check_sample_count(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
-def _scaled(gc: ConflictGraph, t: dict[Link, Fraction]) -> tuple[list[int], int]:
-    """Normalized demands as integers over their common denominator, by
-    link index of gc."""
+def _scaled(g: NetworkGraph, tau: Mapping) -> tuple[list[int], int]:
+    """The demands, checked and normalized, as integers over their common
+    denominator, indexed like g.links: the scaling step of
+    `local_estimate` and `local_and_exact`."""
+    gc = conflict_graph(g, 2)
+    t = normalize_demands(gc, tau)
     return integer_weights(
         len(gc.links), {gc.index(link): value for link, value in t.items()}
     )
 
 
-def _view_max(
-    g: NetworkGraph,
-    t: dict[Link, Fraction],
-    scaled: list[int],
-    den: int,
-    cap: int,
-) -> Fraction:
-    """Largest 1-hop view value of the demands t, given as scaled over den.
+def _fractions(
+    links: tuple[Link, ...], index, scaled: list[int], den: int
+) -> dict[Link, Fraction]:
+    """The positive demands of the given links, as Fractions of scaled
+    over den; index maps a link to its position in scaled."""
+    return {
+        link: Fraction(scaled[i], den) for link in links if scaled[i := index(link)]
+    }
+
+
+def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | Fraction:
+    """Largest 1-hop view value of the demands scaled / den, times den.
 
     Every chordal view is priced at once, by the heaviest clique of
-    g.view_clique_table in integers; a view whose conflict graph is not
+    g.view_clique_table, an integer; a view whose conflict graph is not
     chordal solves the covering LP on its own links.
     """
     table = g.view_clique_table
-    best = Fraction(max((sum(read(scaled)) for read in table.readers), default=0), den)
-    for sub in table.non_chordal:
-        local = {link: t[link] for link in sub.links if link in t}
-        if local:
-            best = max(best, fractional_chromatic(conflict_graph(sub, 2), local, cap))
+    best = max((sum(read(scaled)) for read in table.readers), default=0)
+    if table.non_chordal:
+        index = conflict_graph(g, 2).index
+        for sub_gc in table.non_chordal:
+            local = _fractions(sub_gc.links, index, scaled, den)
+            if local:
+                best = max(best, fractional_chromatic(sub_gc, local, cap) * den)
     return best
+
+
+def price_scaled(
+    g: NetworkGraph, scaled: list[int], den: int, cap: int = DEFAULT_SET_CAP
+) -> tuple[int | Fraction, int | Fraction]:
+    """The largest 1-hop view value and the exact network-wide duration of
+    the demands scaled / den, both times den.
+
+    scaled is indexed like g.links, which are the links of
+    conflict_graph(g, 2), and holds nonnegative integers. On a chordal
+    conflict graph the duration is its heaviest clique, summed in the
+    same integers; both values are ints unless a view or the whole
+    conflict graph is not chordal, where the covering LP gives a Fraction.
+    """
+    gc = conflict_graph(g, 2)
+    if gc.elimination is not None:
+        exact = heaviest_clique_sum(gc.elimination, scaled)
+    else:
+        exact = fractional_chromatic(gc, _fractions(gc.links, gc.index, scaled, den), cap) * den
+    return _view_max(g, scaled, den, cap), exact
 
 
 def local_views(
@@ -119,27 +150,18 @@ def local_views(
 
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
     """Largest minimum schedule duration over all 1-hop views."""
-    gc = conflict_graph(g, 2)
-    t = normalize_demands(gc, tau)
-    scaled, den = _scaled(gc, t)
-    return _view_max(g, t, scaled, den, cap)
+    scaled, den = _scaled(g, tau)
+    return Fraction(_view_max(g, scaled, den, cap), den)
 
 
 def local_and_exact(
     g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
 ) -> tuple[Fraction, Fraction]:
     """`local_estimate` and the exact network-wide duration, from one
-    scaling of the demands to integers: on a chordal conflict graph the
-    duration is the heaviest clique of the same integer vector, on any
-    other it is `fractional_chromatic`."""
-    gc = conflict_graph(g, 2)
-    t = normalize_demands(gc, tau)
-    scaled, den = _scaled(gc, t)
-    if gc.elimination is not None:
-        exact = Fraction(heaviest_clique_sum(gc.elimination, scaled), den)
-    else:
-        exact = fractional_chromatic(gc, t, cap)
-    return _view_max(g, t, scaled, den, cap), exact
+    scaling of the demands to integers priced by `price_scaled`."""
+    scaled, den = _scaled(g, tau)
+    local, exact = price_scaled(g, scaled, den, cap)
+    return Fraction(local, den), Fraction(exact, den)
 
 
 def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:

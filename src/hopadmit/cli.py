@@ -20,7 +20,6 @@ from .errors import BoundUnavailableError, GraphError, ResourceLimitError
 from .graphs import GENERATOR_FAMILIES, NetworkGraph, conflict_graph, generate
 from .invariants import invariant_report
 from .jsonio import (
-    canonical_json,
     conflict_to_obj,
     demands_from_obj,
     demands_to_obj,
@@ -36,6 +35,7 @@ from .jsonio import (
     read_json_file,
     schedule_to_obj,
     trace_to_obj,
+    write_json,
 )
 from .scheduling import fractional_chromatic, min_schedule
 from .search import DEFAULT_SET_CAP
@@ -69,13 +69,21 @@ def _resolve_demands(arg: str, g: NetworkGraph):
 
 
 def _emit(report: dict | str, out: str | None) -> None:
-    text = report if isinstance(report, str) else canonical_json(report)
+    """Write a CSV text as it is, or an envelope as canonical JSON streamed
+    in chunks, to stdout or to the file out."""
+
+    def send(write) -> None:
+        if isinstance(report, str):
+            write(report)
+        else:
+            write_json(report, write)
+
     if not out:
-        sys.stdout.write(text)
+        send(sys.stdout.write)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            send(fh.write)
     except OSError as exc:
         raise GraphError(f"cannot write {out!r}: {exc}") from exc
 

@@ -51,10 +51,28 @@ class NetworkGraph:
             adj[v].add(u)
         return {v: tuple(sorted(nb)) for v, nb in adj.items()}
 
-    @cached_property
+    @property
     def views(self) -> tuple[NetworkGraph, ...]:
-        """Each vertex's 1-hop subgraph, in vertex order."""
-        return tuple(one_hop_subgraph(self, v) for v in self.vertices)
+        """Each vertex's 1-hop subgraph, in vertex order.
+
+        A view that covers every vertex is the graph itself, so it shares
+        the graph's conflict graphs. The same tuple is returned each time
+        unless some view is the graph.
+        """
+        views = self._views
+        if None not in views:
+            return views
+        return tuple(self if sub is None else sub for sub in views)
+
+    @cached_property
+    def _views(self) -> tuple[NetworkGraph | None, ...]:
+        # None stands for the graph itself: caching self would be a
+        # reference cycle, which keeps the graph and everything cached on
+        # it alive until a cyclic collection.
+        return tuple(
+            None if sub is self else sub
+            for sub in (one_hop_subgraph(self, v) for v in self.vertices)
+        )
 
     @cached_property
     def view_clique_table(self) -> ViewCliqueTable:
@@ -71,15 +89,17 @@ class NetworkGraph:
         is the global one restricted to the view's links: two links
         conflict when they share an endpoint or one edge joins their
         endpoints, and that edge lies inside the closed neighborhood.
-        Views whose conflict graph is not chordal are kept as they are.
+        Views whose conflict graph is not chordal keep that conflict graph,
+        which refers to no network graph.
         """
         gc = conflict_graph(self, 2)
         found: set[tuple[int, ...]] = set()
         non_chordal = []
         for sub in dict.fromkeys(self.views):
-            elim = conflict_graph(sub, 2).elimination
+            sub_gc = conflict_graph(sub, 2)
+            elim = sub_gc.elimination
             if elim is None:
-                non_chordal.append(sub)
+                non_chordal.append(sub_gc)
                 continue
             glob = [gc.index(link) for link in sub.links]
             for clique in _elimination_maximal_cliques(elim):
@@ -118,12 +138,13 @@ class ViewCliqueTable:
     graph, none contained in another, and readers[i] returns the entries
     of cliques[i] from a list indexed like those links in one call. The
     largest 1-hop value is the heaviest of these cliques or the value of a
-    view in non_chordal, whichever is larger.
+    view whose radius-2 conflict graph is in non_chordal, whichever is
+    larger.
     """
 
     cliques: tuple[tuple[int, ...], ...]
     readers: tuple[Callable, ...]
-    non_chordal: tuple[NetworkGraph, ...]
+    non_chordal: tuple[ConflictGraph, ...]
 
 
 def _elimination_maximal_cliques(
@@ -229,10 +250,13 @@ def one_hop_subgraph(g: NetworkGraph, v: str) -> NetworkGraph:
     vertex, so such a view shares g's conflict graphs."""
     if not g.has_vertex(v):
         raise GraphError(f"unknown vertex {v!r}")
-    keep = {v, *g.neighbors(v)}
+    adj = g.adjacency
+    keep = {v, *adj[v]}
     if len(keep) == len(g.vertices):
         return g
-    links = [e for e in g.links if e[0] in keep and e[1] in keep]
+    # Each member's links inside keep, read from its own neighbors rather
+    # than from every link of g.
+    links = sorted((u, w) for u in keep for w in adj[u] if u < w and w in keep)
     return NetworkGraph(tuple(sorted(keep)), tuple(links))
 
 
@@ -292,10 +316,12 @@ def induced_conflict(gc: ConflictGraph, keep: Sequence[int]) -> ConflictGraph:
     """Conflict subgraph induced by a list of vertex indices."""
     order = sorted(set(keep))
     pos = {old: new for new, old in enumerate(order)}
-    adj = tuple(
-        frozenset(pos[j] for j in gc.adj[old] if j in pos) for old in order
-    )
-    return ConflictGraph(tuple(gc.links[old] for old in order), adj, gc.k)
+    # Tuples are built from lists: tuple() over a generator is grown by
+    # resizing, and each resized tuple is kept on CPython's free list for
+    # its length until a full collection, so per-call tuples of more than
+    # ten entries would pile up there.
+    adj = tuple([frozenset(pos[j] for j in gc.adj[old] if j in pos) for old in order])
+    return ConflictGraph(tuple([gc.links[old] for old in order]), adj, gc.k)
 
 
 def conflict_graph(g: NetworkGraph, k: int = 2) -> ConflictGraph:

@@ -4,6 +4,11 @@ Rationals travel as strings in lowest terms ("3/4", integers as "3"),
 never as floats. Links travel as "u-v" ids, which is why vertex ids may
 not contain "-". All JSON emitted here uses sorted keys so byte-identical
 reruns stay byte-identical.
+
+`write_json` is the one JSON writer: a recursive encoder whose text is
+exactly json.dumps(obj, sort_keys=True, indent=2) plus a newline, handed
+to a write function in chunks at element boundaries, so a large result is
+never held as one string. `canonical_json` returns the same text whole.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .analysis import RatioBounds
@@ -39,7 +45,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 
 def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)
@@ -166,16 +173,11 @@ def schedule_to_obj(schedule: Schedule) -> list:
 
 
 def conflict_to_obj(gc: ConflictGraph) -> dict:
-    pairs = []
-    for i, nbrs in enumerate(gc.adj):
-        for j in nbrs:
-            if j > i:
-                pairs.append([link_id(gc.links[i]), link_id(gc.links[j])])
-    return {
-        "k": gc.k,
-        "links": [link_id(l) for l in gc.links],
-        "conflicts": sorted(pairs),
-    }
+    # Every pair shares the one id string of each link.
+    names = [link_id(l) for l in gc.links]
+    pairs = [[names[i], names[j]] for i, nbrs in enumerate(gc.adj) for j in nbrs if j > i]
+    pairs.sort()
+    return {"k": gc.k, "links": names, "conflicts": pairs}
 
 
 def ratio_bounds_to_obj(bounds: RatioBounds) -> dict:
@@ -268,8 +270,101 @@ def metrics_to_csv(rows) -> str:
     return buf.getvalue()
 
 
+# The JSON text of a scalar, by its exact type.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, parts: list[str], newline: str, flush) -> None:
+    """Append the pieces of obj's canonical JSON to parts.
+
+    newline is a line break plus the indent of the line obj starts on.
+    flush is called after an element of a list or dict once parts holds
+    FLUSH_PIECES pieces, and is to empty parts. A scalar element goes out
+    in one piece with the separator before it.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        parts.append(scalar(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                parts.append(sep + _quote(key) + ": ")
+                _encode(value, parts, inner, flush)
+            else:
+                parts.append(sep + _quote(key) + ": " + scalar(value))
+            if len(parts) >= FLUSH_PIECES:
+                flush()
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                parts.append(sep)
+                _encode(value, parts, inner, flush)
+            else:
+                parts.append(sep + scalar(value))
+            if len(parts) >= FLUSH_PIECES:
+                flush()
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# Pieces _encode collects before write_json passes them on as one string.
+FLUSH_PIECES = 4096
+
+
+def write_json(obj, write) -> None:
+    """Write canonical_json(obj) through write(text), a chunk at a time.
+
+    The pieces are joined and written whenever FLUSH_PIECES of them have
+    gathered at the end of a list or dict element, so the whole text is
+    never held at once.
+    """
+    parts: list[str] = []
+
+    def flush() -> None:
+        write("".join(parts))
+        parts.clear()
+
+    _encode(obj, parts, "\n", flush)
+    parts.append("\n")
+    flush()
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as JSON with sorted keys and an indent of 2, plus a newline.
+
+    obj may nest dicts with str keys, lists, tuples, str, int, bool and
+    None; for those the text is exactly
+    json.dumps(obj, sort_keys=True, indent=2) + "\n". Anything else,
+    floats and subclasses of str or int other than bool included, and
+    keys other than str raise TypeError.
+    """
+    parts: list[str] = []
+    write_json(obj, parts.append)
+    return "".join(parts)
 
 
 def input_digest(obj) -> str:

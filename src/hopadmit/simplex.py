@@ -166,5 +166,6 @@ def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolu
             x[var] = Fraction(block[row][m], den)
             total += block[row][m]
     # Row 0's entry for a row's unit column is den times minus its dual.
-    y = tuple(Fraction(-v, den) for v in block[0][:m])
+    # From a list, so the tuple is not resized (see graphs.induced_conflict).
+    y = tuple([Fraction(-v, den) for v in block[0][:m]])
     return LPSolution(Fraction(total, den), tuple(x), y)

@@ -12,11 +12,14 @@ oracle and classified; everything is deterministic for fixed inputs.
 oracle's value into a decision and its classification. ``run_admission``
 wraps it in the full protocol trace (messages, reconstructed views, the
 check that each view matches its 1-hop subgraph), which ``admit --mode
-distributed`` prints. ``evaluate_policy`` builds no trace and prices each
-sample once: ``_draw_demands`` draws a raw vector and the local value it
-is to be rescaled to, ``analysis.local_and_exact`` prices the raw vector
-in one integer pass, and the rescaled row follows exactly, because every
-value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``).
+distributed`` prints. ``evaluate_policy`` builds no trace and stays in
+integers from the draw to the decision: ``_draw_demands`` draws a raw
+vector as integer numerators over one denominator, with the local value
+it is to be rescaled to, ``analysis.price_scaled`` prices those integers
+in one pass, and the rescaled row follows with one ``Fraction`` per
+value, because every value is homogeneous
+(``chi_f(c * tau) == c * chi_f(tau)``). ``sample_demands`` turns the same
+draw into a ``Fraction`` vector for callers that want one.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .analysis import (
     admission_threshold,
     check_sample_count,
-    local_and_exact,
     local_estimate,
     local_views,
+    price_scaled,
 )
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
@@ -160,25 +164,28 @@ def _draw_demands(
     rng: random.Random,
     denom_max: int = 4,
     target: Fraction | None = None,
-) -> tuple[dict[Link, Fraction], Fraction | None]:
-    """The random part of `sample_demands`: a raw vector, and the largest
-    1-hop value it is to be rescaled to (None to keep it as drawn).
+) -> tuple[list[int], int, Fraction | None]:
+    """The random part of `sample_demands`: a raw vector as integer
+    numerators indexed like g.links over den = lcm(1, ..., denom_max),
+    and the largest 1-hop value it is to be rescaled to (None to keep it
+    as drawn). Returns (scaled, den, goal).
 
-    The raw vector is nonzero, so its largest 1-hop value is positive and
-    the rescale is always defined.
+    A drawn link gets k / d with 1 <= k <= d <= denom_max, which is
+    k * (den // d) over den. The raw vector is nonzero, so its largest
+    1-hop value is positive and the rescale is always defined.
     """
-    tau: dict[Link, Fraction] = {}
-    for link in g.links:
+    den = lcm(*range(1, denom_max + 1))
+    scaled = [0] * len(g.links)
+    for i in range(len(scaled)):
         if rng.random() < 0.6:
-            den = rng.randint(1, denom_max)
-            tau[link] = Fraction(rng.randint(1, den), den)
-    if not tau:
-        link = g.links[rng.randrange(len(g.links))]
-        tau = {link: Fraction(1, denom_max)}
+            d = rng.randint(1, denom_max)
+            scaled[i] = rng.randint(1, d) * (den // d)
+    if not any(scaled):
+        scaled[rng.randrange(len(scaled))] = den // denom_max
     goal = None
     if target is not None and rng.random() < 0.6:
         goal = rng.choice(_RESCALE_FACTORS) * Fraction(target)
-    return tau, goal
+    return scaled, den, goal
 
 
 def sample_demands(
@@ -195,7 +202,8 @@ def sample_demands(
     near the target, which makes both admissions and near-miss rejections
     common.
     """
-    tau, goal = _draw_demands(g, rng, denom_max, target)
+    scaled, den, goal = _draw_demands(g, rng, denom_max, target)
+    tau = {link: Fraction(k, den) for link, k in zip(g.links, scaled) if k}
     if goal is None:
         return tau
     scale = goal / local_estimate(g, tau, cap)
@@ -242,13 +250,16 @@ def evaluate_policy(
     }
     target = threshold or Fraction(1)
     for sample_id in range(samples):
-        tau, goal = _draw_demands(g, rng, target=target)
-        local_max, oracle_value = local_and_exact(g, tau, cap)
-        # Every value is homogeneous in the demands, so rescaling the raw
-        # vector by goal / local_max rescales both values exactly.
-        if goal is not None:
-            oracle_value *= goal / local_max
+        scaled, den, goal = _draw_demands(g, rng, target=target)
+        local, exact = price_scaled(g, scaled, den, cap)
+        if goal is None:
+            local_max, oracle_value = Fraction(local, den), Fraction(exact, den)
+        else:
+            # Every value is homogeneous in the demands, so rescaling the
+            # raw vector to a largest view value of goal scales the
+            # duration by goal / local, and den cancels.
             local_max = goal
+            oracle_value = Fraction(exact * goal.numerator, local * goal.denominator)
         admit, classification = _decide(local_max, oracle_value, threshold)
         tally[classification] += 1
         rows.append(

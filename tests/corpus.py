@@ -46,6 +46,18 @@ def random_connected_graph(
     return build_graph(verts, edges)
 
 
+# The 1-hop view of v3 is the whole graph, and its radius-2 conflict graph
+# is not chordal, so that view is priced by the LP, not the clique table.
+NON_CHORDAL_VIEW = build_graph(
+    ["v0", "v1", "v3", "v4", "v5", "v6", "v7"],
+    [
+        ("v0", "v3"), ("v0", "v6"), ("v0", "v7"), ("v1", "v3"), ("v1", "v4"),
+        ("v1", "v6"), ("v3", "v4"), ("v3", "v5"), ("v3", "v6"), ("v3", "v7"),
+        ("v4", "v5"), ("v5", "v7"),
+    ],
+)
+
+
 def family_graphs() -> list[tuple[str, NetworkGraph]]:
     """Small named instances from every generator family."""
     return [

@@ -18,9 +18,14 @@ from math import gcd, lcm
 from unittest import mock
 
 from hopadmit import qstab, simplex
-from hopadmit.analysis import admission_threshold, check_sample_count, local_estimate
+from hopadmit.analysis import (
+    admission_threshold,
+    check_sample_count,
+    local_estimate,
+    local_views,
+)
 from hopadmit.errors import GraphError, ResourceLimitError
-from hopadmit.graphs import conflict_graph
+from hopadmit.graphs import NetworkGraph, conflict_graph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP, maximal_cliques
@@ -847,13 +852,13 @@ def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
 
 
 # ---------------------------------------------------------------------------
-# The policy sweep as it ran before it decided samples without a trace: the
-# full 2-round protocol per sample for a threshold, local_estimate plus the
-# oracle for "oracle-exact". It calls the package's solvers.
+# The policy sweep in two earlier forms. Both call the package's solvers.
 
 
-def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None, cap=DEFAULT_SET_CAP):
-    """evaluate_policy through run_admission, rows and summary."""
+def _policy_sweep(g, samples, seed, policy, user_bound, cap, price):
+    """evaluate_policy's threshold, tally and summary around price(rng,
+    threshold), which draws one sample and returns (local_max,
+    oracle_value, admit, classification)."""
     check_sample_count(samples, "sample count")
     if not g.links:
         raise GraphError("policy evaluation needs at least one link")
@@ -872,20 +877,8 @@ def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None,
     rng = random.Random(seed)
     rows = []
     tally = dict.fromkeys(("true-admit", "false-admit", "true-reject", "false-reject"), 0)
-    gc = conflict_graph(g, 2)
     for sample_id in range(samples):
-        tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
-        if threshold is None:
-            oracle_value = fractional_chromatic(gc, tau, cap)
-            admit = oracle_value <= 1
-            local_max = local_estimate(g, tau, cap)
-            classification = _classify(admit, admit)
-        else:
-            trace = run_admission(g, tau, threshold, cap)
-            oracle_value = trace.oracle_value
-            admit = trace.all_admit
-            local_max = max(view.local_value for view in trace.views)
-            classification = trace.classification
+        local_max, oracle_value, admit, classification = price(rng, threshold)
         tally[classification] += 1
         rows.append(
             {
@@ -914,3 +907,76 @@ def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None,
     }
     summary.update({f"threshold_{k}": v for k, v in meta.items()})
     return {"summary": summary, "rows": rows}
+
+
+def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None, cap=DEFAULT_SET_CAP):
+    """evaluate_policy through run_admission: the full 2-round protocol
+    per sample for a threshold, local_estimate plus the oracle for
+    "oracle-exact"."""
+    gc = conflict_graph(g, 2)
+
+    def price(rng, threshold):
+        tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
+        if threshold is None:
+            oracle_value = fractional_chromatic(gc, tau, cap)
+            admit = oracle_value <= 1
+            return local_estimate(g, tau, cap), oracle_value, admit, _classify(admit, admit)
+        trace = run_admission(g, tau, threshold, cap)
+        local_max = max(view.local_value for view in trace.views)
+        return local_max, trace.oracle_value, trace.all_admit, trace.classification
+
+    return _policy_sweep(g, samples, seed, policy, user_bound, cap, price)
+
+
+RESCALE_FACTORS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3))
+
+
+def fraction_draw(g, rng, denom_max=4, target=None):
+    """The raw demand vector as a dict of Fractions, and the largest 1-hop
+    value it is to be rescaled to: the draw as it was before it returned
+    integers, with the same calls on rng in the same order."""
+    tau = {}
+    for link in g.links:
+        if rng.random() < 0.6:
+            den = rng.randint(1, denom_max)
+            tau[link] = Fraction(rng.randint(1, den), den)
+    if not tau:
+        link = g.links[rng.randrange(len(g.links))]
+        tau = {link: Fraction(1, denom_max)}
+    goal = None
+    if target is not None and rng.random() < 0.6:
+        goal = rng.choice(RESCALE_FACTORS) * Fraction(target)
+    return tau, goal
+
+
+def reference_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None, cap=DEFAULT_SET_CAP):
+    """evaluate_policy in Fractions: each sample drawn by fraction_draw,
+    priced as the largest local_views value and fractional_chromatic on
+    the whole conflict graph, and rescaled by multiplying both values by
+    goal / local_max."""
+    gc = conflict_graph(g, 2)
+
+    def price(rng, threshold):
+        tau, goal = fraction_draw(g, rng, target=threshold or Fraction(1))
+        local_max = max(value for _, value in local_views(g, tau, cap))
+        oracle_value = fractional_chromatic(gc, tau, cap)
+        if goal is not None:
+            oracle_value *= goal / local_max
+            local_max = goal
+        feasible = oracle_value <= 1
+        admit = feasible if threshold is None else local_max <= threshold
+        return local_max, oracle_value, admit, _classify(admit, feasible)
+
+    return _policy_sweep(g, samples, seed, policy, user_bound, cap, price)
+
+
+def filter_one_hop_subgraph(g, v):
+    """The subgraph induced by v's closed neighborhood, by filtering every
+    link of g; g itself when that is every vertex."""
+    if not g.has_vertex(v):
+        raise GraphError(f"unknown vertex {v!r}")
+    keep = {v, *g.neighbors(v)}
+    if len(keep) == len(g.vertices):
+        return g
+    links = [e for e in g.links if e[0] in keep and e[1] in keep]
+    return NetworkGraph(tuple(sorted(keep)), tuple(links))

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hopadmit import GraphError, build_graph, conflict_graph, cycle_graph, make_link
+from hopadmit.cli import main
 from hopadmit.jsonio import (
     METRIC_COLUMNS,
     canonical_json,
@@ -25,6 +26,7 @@ from hopadmit.jsonio import (
     parse_fraction,
     schedule_to_obj,
     trace_to_obj,
+    write_json,
 )
 from hopadmit.scheduling import min_schedule
 from hopadmit.simulate import run_admission
@@ -184,3 +186,71 @@ def test_digest_depends_on_content_not_order():
     digest = input_digest(graph_to_obj(cycle_graph(6)))
     assert len(digest) == 64
     assert set(digest) <= set("0123456789abcdef")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_default_streaming_writes_large_output_in_chunks():
+    obj = {"pairs": [[f"v{i}", f"v{i + 1}"] for i in range(20000)]}
+    chunks = []
+    write_json(obj, chunks.append)
+    assert "".join(chunks) == _dumps(obj)
+    assert len(chunks) > 1
+    assert max(map(len, chunks)) < len(_dumps(obj)) // 4
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Fraction(1, 2),
+        {"a": [1, Fraction(1, 3)]},
+        {("a", "b"): 1},
+        [{"ok": 1}, {(1,): 2}],
+    ],
+)
+def test_writer_raises_type_error_where_json_dumps_does(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+    with pytest.raises(TypeError):
+        write_json(obj, lambda text: None)
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj", [{1: "a"}, {None: "a"}, {"a": 0.5}, [float("nan")], [_Name("a")]]
+)
+def test_writer_refuses_int_keys_and_floats(obj):
+    """Stricter than json.dumps: keys are str only, no float is ever
+    written, since rationals travel as strings, and scalars are of the
+    exact types str, int, bool and None."""
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+CLI_COMMANDS = [
+    ["conflict", "cycle:7"],
+    ["conflict", "star:4", "--k", "1"],
+    ["chif", "cycle:9", "--schedule", "--demands", '{"v1-v2": "1/2", "v2-v3": "1/3", "v5-v6": "2/3"}'],
+    ["admit", "cycle:10", "--demands", '{"v1-v2": "1/3", "v3-v4": "1/2"}'],
+    ["admit", "cycle:10", "--mode", "distributed", "--demands", '{"v1-v2": "1/3", "v3-v4": "1/2"}'],
+    ["admit", "clique_pendant:3", "--mode", "distributed", "--threshold", "1/3", "--demands", '{"x1-y1": "1/4"}'],
+    ["invariants", "clique_pendant:3"],
+    ["beta", "cycle:10", "--empirical", "5"],
+    ["threshold", "star:5"],
+    ["simulate", "cycle:8", "--seed", "3", "--samples", "12"],
+    ["simulate", "complete:4", "--seed", "1", "--samples", "5", "--policy", "oracle-exact"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_cli_output_is_a_json_dumps_fixed_point(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == _dumps(json.loads(out))

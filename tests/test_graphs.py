@@ -9,8 +9,8 @@ import weakref
 
 import pytest
 
-from corpus import family_graphs, random_connected_graph
-from oracles import brute_conflict_pairs, brute_link_distance
+from corpus import NON_CHORDAL_VIEW, family_graphs, random_connected_graph
+from oracles import brute_conflict_pairs, brute_link_distance, filter_one_hop_subgraph
 import hopadmit
 from hopadmit import (
     INFINITE,
@@ -106,6 +106,48 @@ def test_one_hop_subgraph_keeps_induced_links():
     assert sub.vertices == g.vertices
     assert sub.links == g.links
     assert sub is g
+
+
+def test_one_hop_subgraph_equals_the_link_filter(seed=23, trials=40):
+    """Views read from adjacency are the views a filter over every link
+    gives, the graph itself included."""
+    rng = random.Random(seed)
+    graphs = [g for _, g in family_graphs()]
+    graphs += [generate(spec) for spec in ("star:40", "circulant:12:1,3", "clique_pendant:6")]
+    graphs += [random_connected_graph(rng, 9, 16) for _ in range(trials)]
+    graphs.append(build_graph("abcdef", [("a", "b"), ("b", "c"), ("d", "e")]))
+    for g in graphs:
+        for v in g.vertices:
+            sub = one_hop_subgraph(g, v)
+            expected = filter_one_hop_subgraph(g, v)
+            assert sub == expected
+            assert (sub is g) == (expected is g)
+
+
+def test_views_make_no_reference_cycle():
+    """Reading the views and the clique table of a graph whose view is the
+    whole graph leaves nothing that refers back to it, so it is freed as
+    soon as it is dropped, with the cyclic collector off."""
+    import gc as collector
+
+    specs = [(NON_CHORDAL_VIEW.vertices, NON_CHORDAL_VIEW.links)]
+    specs += [(g.vertices, g.links) for g in (star_graph(5), complete_graph(4))]
+    enabled = collector.isenabled()
+    collector.disable()
+    try:
+        for vertices, links in specs:
+            g = build_graph(vertices, links)
+            views = g.views
+            assert g in views
+            assert views == tuple(one_hop_subgraph(g, v) for v in g.vertices)
+            g.view_clique_table
+            del views
+            freed = weakref.ref(g)
+            del g
+            assert freed() is None, vertices
+    finally:
+        if enabled:
+            collector.enable()
 
 
 def test_whole_graph_view_shares_the_conflict_graph(capsys, monkeypatch):

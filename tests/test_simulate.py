@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import family_graphs, random_connected_graph, random_corpus
-from oracles import traced_evaluate_policy
+from corpus import NON_CHORDAL_VIEW, family_graphs, random_connected_graph, random_corpus
+from oracles import reference_evaluate_policy, traced_evaluate_policy
 from hopadmit import (
     BoundUnavailableError,
     GraphError,
@@ -155,7 +155,7 @@ def test_false_rejects_happen(monkeypatch):
     """A feasible demand above the local threshold is turned away."""
 
     def heavy_single_link(g, rng, target=None):
-        return {g.links[0]: Fraction(1, 2)}, None
+        return [1] + [0] * (len(g.links) - 1), 2, None
 
     monkeypatch.setattr(simulate, "_draw_demands", heavy_single_link)
     result = evaluate_policy(cycle_graph(10), 10, seed=0)
@@ -175,8 +175,8 @@ def test_pendant_ray_is_exactly_tight(monkeypatch):
     pendants = [make_link(f"x{i}", f"y{i}") for i in range(1, 5)]
 
     def pendant_ray(graph, rng, target=None):
-        c = Fraction(rng.randint(1, 8), 8)
-        return {link: c for link in pendants}, None
+        c = rng.randint(1, 8)
+        return [c if link in pendants else 0 for link in graph.links], 8, None
 
     monkeypatch.setattr(simulate, "_draw_demands", pendant_ray)
     result = evaluate_policy(g, 40, seed=6)
@@ -194,7 +194,8 @@ def test_clique_link_demands_show_conservatism(monkeypatch):
     clique_link = make_link("x1", "x2")
 
     def single_clique_link(graph, rng, target=None):
-        return {clique_link: Fraction(rng.randint(3, 8), 8)}, None
+        c = rng.randint(3, 8)
+        return [c if link == clique_link else 0 for link in graph.links], 8, None
 
     monkeypatch.setattr(simulate, "_draw_demands", single_clique_link)
     result = evaluate_policy(g, 30, seed=8)
@@ -205,9 +206,10 @@ def test_clique_link_demands_show_conservatism(monkeypatch):
 
 
 def test_sweep_scales_each_sample_once(monkeypatch):
-    """The sweep scales each sample to integers once, for the largest view
-    value and the oracle together, and on a chordal conflict graph (so
-    every view's is chordal too) it solves no covering LP."""
+    """The sweep draws each sample as integers and prices it in them once:
+    one price_scaled call per sample, never a normalization or rescale of
+    demands, and on a chordal conflict graph (so every view's is chordal
+    too) no covering LP."""
     from hopadmit import analysis, scheduling
 
     g = clique_pendant_graph(4)
@@ -215,22 +217,28 @@ def test_sweep_scales_each_sample_once(monkeypatch):
     policies = ("theorem3", "oracle-exact")
     expected = {policy: evaluate_policy(g, 60, seed=21, policy=policy) for policy in policies}
     calls = []
-    scale = scheduling.integer_weights
 
-    def counting(n, weights):
-        calls.append(n)
-        return scale(n, weights)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
 
     def no_lp(*args, **kwargs):
         raise AssertionError("a covering LP was solved")
 
-    for module in (analysis, scheduling):
-        monkeypatch.setattr(module, "integer_weights", counting)
+    for name in ("integer_weights", "normalize_demands"):
+        real = getattr(scheduling, name)
+        for module in (analysis, scheduling, simulate):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(scheduling, "solve_min_ge", no_lp)
+    monkeypatch.setattr(simulate, "price_scaled", counting("price_scaled", simulate.price_scaled))
     for policy in policies:
         calls.clear()
         assert evaluate_policy(g, 60, seed=21, policy=policy) == expected[policy]
-        assert len(calls) == 60, policy
+        assert calls == ["price_scaled"] * 60, policy
 
 
 def test_row_fields_are_consistent(seed=13):
@@ -249,6 +257,26 @@ def test_row_fields_are_consistent(seed=13):
         assert row["classification"] == expected
         assert row["seed"] == seed
     assert [row["sample_id"] for row in result["rows"]] == list(range(40))
+
+
+def test_draw_keeps_the_fraction_draw(seed=19):
+    """The integer draw makes the same calls on the generator as the draw
+    in Fractions and spells the same vector and goal."""
+    from oracles import fraction_draw
+
+    rng = random.Random(seed)
+    graphs = [g for _, g in family_graphs()] + random_corpus(seed, 10)
+    for g in graphs:
+        for target in (None, Fraction(2, 5)):
+            state = rng.getstate()
+            scaled, den, goal = simulate._draw_demands(g, rng, target=target)
+            after = rng.getstate()
+            rng.setstate(state)
+            tau, expected_goal = fraction_draw(g, rng, target=target)
+            assert rng.getstate() == after
+            assert den == 12
+            assert {l: Fraction(k, den) for l, k in zip(g.links, scaled) if k} == tau
+            assert goal == expected_goal
 
 
 def test_sampler_output_shape(seed=17):
@@ -300,6 +328,21 @@ def test_policy_sweep_equals_traced_reference():
     for index, g in enumerate(graphs):
         for policy, user_bound in POLICIES:
             expected = _outcome(traced_evaluate_policy, g, policy, user_bound, index)
+            got = _outcome(evaluate_policy, g, policy, user_bound, index)
+            assert got == expected, (index, policy)
+            assert repr(got) == repr(expected), (index, policy)
+
+
+def test_policy_sweep_equals_fraction_reference():
+    """Drawing and pricing each sample in integers gives the rows and
+    summary of the sweep in Fractions, for every policy, also where a
+    view's or the whole conflict graph is not chordal."""
+    graphs = [NON_CHORDAL_VIEW] + [g for _, g in family_graphs()] + random_corpus(31, 30, 8, 12)
+    chordal = {conflict_graph(g, 2).elimination is not None for g in graphs}
+    assert chordal == {True, False}
+    for index, g in enumerate(graphs):
+        for policy, user_bound in POLICIES:
+            expected = _outcome(reference_evaluate_policy, g, policy, user_bound, index)
             got = _outcome(evaluate_policy, g, policy, user_bound, index)
             assert got == expected, (index, policy)
             assert repr(got) == repr(expected), (index, policy)

@@ -20,23 +20,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from corpus import NON_CHORDAL_VIEW  # noqa: E402
 from oracles import tableau_chif  # noqa: E402
 from hopadmit import build_graph, conflict_graph, one_hop_subgraph  # noqa: E402
 from hopadmit.analysis import local_and_exact, local_estimate, local_views  # noqa: E402
 from hopadmit.simulate import _decide, run_admission  # noqa: E402
 
 THRESHOLD = Fraction(1, 2)
-
-# The 1-hop view of v3 is the whole graph, and its radius-2 conflict graph
-# is not chordal, so that view is priced by the LP, not the clique table.
-NON_CHORDAL_VIEW = build_graph(
-    ["v0", "v1", "v3", "v4", "v5", "v6", "v7"],
-    [
-        ("v0", "v3"), ("v0", "v6"), ("v0", "v7"), ("v1", "v3"), ("v1", "v4"),
-        ("v1", "v6"), ("v3", "v4"), ("v3", "v5"), ("v3", "v6"), ("v3", "v7"),
-        ("v4", "v5"), ("v5", "v7"),
-    ],
-)
 
 
 @st.composite
@@ -80,7 +70,7 @@ def _lp_value(gc, tau):
 
 def test_non_chordal_view_has_no_clique_table():
     assert NON_CHORDAL_VIEW.view_clique_table.non_chordal == (
-        one_hop_subgraph(NON_CHORDAL_VIEW, "v3"),
+        conflict_graph(one_hop_subgraph(NON_CHORDAL_VIEW, "v3"), 2),
     )
 
 
@@ -106,7 +96,7 @@ def test_clique_table_is_maximal_and_covers_the_views(instance):
     for sub in g.views:
         elim = conflict_graph(sub, 2).elimination
         if elim is None:
-            assert sub in table.non_chordal
+            assert conflict_graph(sub, 2) in table.non_chordal
             continue
         for v, later in elim:
             clique = {gc.index(sub.links[u]) for u in (v, *later)}
