@@ -8,16 +8,14 @@ This module certifies lower bounds on that ratio by replaying explicit
 witness demands, and upper bounds via the imperfection ratio of the
 conflict graph times the neighborhood cover number.
 
-`local_views` prices each view on its own conflict graph. Every other
-price of a demand vector goes through one integer path, `price_scaled`,
-on demands given as integers over one denominator. Its largest view
-value (`_view_max`) is the heaviest clique of the graph's table of
-maximal view cliques (`NetworkGraph.view_clique_table`), and its global
-duration the heaviest clique along a chordal conflict graph's
-elimination; `Fraction`s are built only for the covering LP of a view or
-a global conflict graph that is not chordal. `local_estimate` and
-`local_and_exact` scale their demands to integers (`_scaled`) and call
-it; the policy sweep draws integers and calls it directly.
+Demands are checked and scaled to integers over one denominator once per
+call (`scheduling.scale_demands`), and every price then comes from
+`scheduling.scaled_duration` in those integers. `price_scaled` gives the
+largest view value (`_view_max`), the heaviest clique of the graph's
+table of maximal view cliques (`NetworkGraph.view_clique_table`) or the
+value of a non-chordal view, and the network-wide duration. `view_values`
+prices each view on its own conflict graph, for `local_views` and the
+protocol trace.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from typing import Iterator, Mapping
 from .errors import BoundUnavailableError, GraphError, ResourceLimitError
 from .graphs import (
     INFINITE,
+    ConflictGraph,
     Link,
     NetworkGraph,
     conflict_graph,
@@ -42,12 +41,7 @@ from .invariants import (
     max_interfering_matching,
     neighborhood_cover_number,
 )
-from .scheduling import (
-    fractional_chromatic,
-    heaviest_clique_sum,
-    integer_weights,
-    normalize_demands,
-)
+from .scheduling import scale_demands, scaled_duration
 from .search import DEFAULT_SET_CAP, iter_induced_cycles
 
 # Random demand samples per run, for beta --empirical and simulate
@@ -65,25 +59,10 @@ def check_sample_count(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
-def _scaled(g: NetworkGraph, tau: Mapping) -> tuple[list[int], int]:
-    """The demands, checked and normalized, as integers over their common
-    denominator, indexed like g.links: the scaling step of
-    `local_estimate` and `local_and_exact`."""
-    gc = conflict_graph(g, 2)
-    t = normalize_demands(gc, tau)
-    return integer_weights(
-        len(gc.links), {gc.index(link): value for link, value in t.items()}
-    )
-
-
-def _fractions(
-    links: tuple[Link, ...], index, scaled: list[int], den: int
-) -> dict[Link, Fraction]:
-    """The positive demands of the given links, as Fractions of scaled
-    over den; index maps a link to its position in scaled."""
-    return {
-        link: Fraction(scaled[i], den) for link in links if scaled[i := index(link)]
-    }
+def _view_scaled(sub_gc: ConflictGraph, index, scaled: list[int]) -> list[int]:
+    """The entries of scaled for the links of a view's conflict graph;
+    index maps a link to its position in scaled."""
+    return [scaled[index(link)] for link in sub_gc.links]
 
 
 def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | Fraction:
@@ -91,16 +70,16 @@ def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | F
 
     Every chordal view is priced at once, by the heaviest clique of
     g.view_clique_table, an integer; a view whose conflict graph is not
-    chordal solves the covering LP on its own links.
+    chordal is priced by `scaled_duration` on its own links.
     """
     table = g.view_clique_table
     best = max((sum(read(scaled)) for read in table.readers), default=0)
     if table.non_chordal:
         index = conflict_graph(g, 2).index
         for sub_gc in table.non_chordal:
-            local = _fractions(sub_gc.links, index, scaled, den)
-            if local:
-                best = max(best, fractional_chromatic(sub_gc, local, cap) * den)
+            value = scaled_duration(sub_gc, _view_scaled(sub_gc, index, scaled), den, cap)
+            if value > best:
+                best = value
     return best
 
 
@@ -111,17 +90,26 @@ def price_scaled(
     the demands scaled / den, both times den.
 
     scaled is indexed like g.links, which are the links of
-    conflict_graph(g, 2), and holds nonnegative integers. On a chordal
-    conflict graph the duration is its heaviest clique, summed in the
-    same integers; both values are ints unless a view or the whole
-    conflict graph is not chordal, where the covering LP gives a Fraction.
+    conflict_graph(g, 2), and holds nonnegative integers, as from
+    `scale_demands`. Both values are ints unless the covering LP prices a
+    support component of a view or of the whole conflict graph.
     """
-    gc = conflict_graph(g, 2)
-    if gc.elimination is not None:
-        exact = heaviest_clique_sum(gc.elimination, scaled)
-    else:
-        exact = fractional_chromatic(gc, _fractions(gc.links, gc.index, scaled, den), cap) * den
+    exact = scaled_duration(conflict_graph(g, 2), scaled, den, cap)
     return _view_max(g, scaled, den, cap), exact
+
+
+def view_values(
+    g: NetworkGraph, scaled: list[int], den: int, cap: int
+) -> list[tuple[NetworkGraph, Fraction]]:
+    """Each 1-hop view of g and the duration of the demands scaled / den
+    on its own conflict graph, in vertex order."""
+    index = conflict_graph(g, 2).index
+    out = []
+    for sub in g.views:
+        sub_gc = conflict_graph(sub, 2)
+        value = scaled_duration(sub_gc, _view_scaled(sub_gc, index, scaled), den, cap)
+        out.append((sub, Fraction(value, den)))
+    return out
 
 
 def local_views(
@@ -131,46 +119,25 @@ def local_views(
 
     A view is the subgraph induced by the vertex's closed neighborhood; its
     value is the exact minimum schedule duration for the demands of the
-    links inside it, from `fractional_chromatic` on the view's own
-    conflict graph.
+    links inside it, priced on the view's own conflict graph.
     """
-    t = normalize_demands(conflict_graph(g, 2), tau)
-    return [
-        (
-            sub,
-            fractional_chromatic(
-                conflict_graph(sub, 2),
-                {link: t[link] for link in sub.links if link in t},
-                cap,
-            ),
-        )
-        for sub in g.views
-    ]
+    scaled, den = scale_demands(conflict_graph(g, 2), tau)
+    return view_values(g, scaled, den, cap)
 
 
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
     """Largest minimum schedule duration over all 1-hop views."""
-    scaled, den = _scaled(g, tau)
+    scaled, den = scale_demands(conflict_graph(g, 2), tau)
     return Fraction(_view_max(g, scaled, den, cap), den)
-
-
-def local_and_exact(
-    g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
-) -> tuple[Fraction, Fraction]:
-    """`local_estimate` and the exact network-wide duration, from one
-    scaling of the demands to integers priced by `price_scaled`."""
-    scaled, den = _scaled(g, tau)
-    local, exact = price_scaled(g, scaled, den, cap)
-    return Fraction(local, den), Fraction(exact, den)
 
 
 def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
     """Exact network-wide duration divided by the best local estimate."""
-    t = normalize_demands(conflict_graph(g, 2), tau)
-    if not t:
+    scaled, den = scale_demands(conflict_graph(g, 2), tau)
+    if not any(scaled):
         raise GraphError("duration ratio needs a nonzero demand vector")
-    local, exact = local_and_exact(g, t, cap)
-    return exact / local
+    local, exact = price_scaled(g, scaled, den, cap)
+    return Fraction(exact, local)
 
 
 def uncovered_cycle_order(

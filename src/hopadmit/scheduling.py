@@ -6,11 +6,17 @@ shortest schedule meeting a demand vector has total duration equal to the
 weighted fractional chromatic number of the conflict graph, computed here
 as an exact covering LP over maximal independent sets. A chordal graph is
 perfect (Lovasz), so its duration is its heaviest clique, read off the
-conflict graph's cached elimination ordering in integers over the
-demands' common denominator, without the LP. Chordality is hereditary, so
-on a chordal conflict graph this holds for every demand vector at once;
-on any other graph each connected support component is priced this way
-when it is chordal and by the LP when it is not.
+conflict graph's cached elimination ordering, without the LP.
+Chordality is hereditary, so on a chordal conflict graph this holds for
+every demand vector at once; on any other graph each connected support
+component is priced this way when it is chordal and by the LP when it is
+not.
+
+This module is the one place that prices demands. `scale_demands`
+checks a demand vector once and writes it as integers over one common
+denominator; `scaled_duration` returns the duration times that
+denominator, an int unless a component needs the LP. Every other entry
+point, here and in `analysis` and `simulate`, scales once and calls it.
 """
 
 from __future__ import annotations
@@ -83,6 +89,15 @@ def integer_weights(
     return scaled, den
 
 
+def scale_demands(gc: ConflictGraph, tau: Mapping) -> tuple[list[int], int]:
+    """The demands, checked by `normalize_demands`, as integers over their
+    common denominator, indexed like gc.links. Returns (scaled, den)."""
+    t = normalize_demands(gc, tau)
+    return integer_weights(
+        len(gc.links), {gc.index(link): value for link, value in t.items()}
+    )
+
+
 def heaviest_clique_sum(
     elimination: Iterable[tuple[int, Iterable[int]]], scaled: Sequence[int]
 ) -> int:
@@ -103,60 +118,51 @@ def heaviest_clique_sum(
     )
 
 
-def _heaviest_clique(
-    elimination: Sequence[tuple[int, frozenset[int]]],
-    weights: Mapping[int, Fraction],
-) -> Fraction:
-    """Heaviest clique of a chordal graph, summed in integers over the
-    weights' common denominator. Vertices missing from weights weigh 0."""
-    scaled, den = integer_weights(len(elimination), weights)
-    return Fraction(heaviest_clique_sum(elimination, scaled), den)
-
-
-def _component_duration(
-    comp: ConflictGraph, weights: Sequence[Fraction], cap: int
-) -> Fraction:
-    """Exact duration of one connected support component: its heaviest
-    clique when it is chordal, the covering LP otherwise."""
-    if comp.elimination is None:
-        value, _ = _component_lp(comp, weights, cap)
-        return value
-    return _heaviest_clique(comp.elimination, dict(enumerate(weights)))
-
-
-def _indexed(gc: ConflictGraph, t: dict[Link, Fraction]) -> dict[int, Fraction]:
-    return {gc.index(link): value for link, value in t.items()}
-
-
 def _support_components(
-    gc: ConflictGraph, tau: dict[Link, Fraction]
-) -> list[tuple[ConflictGraph, list[Fraction]]]:
-    support = [i for i, link in enumerate(gc.links) if tau.get(link, 0) > 0]
-    out = []
-    for comp in conflict_components(gc, support):
-        comp_gc = induced_conflict(gc, comp)
-        out.append((comp_gc, [tau[link] for link in comp_gc.links]))
-    return out
+    gc: ConflictGraph, scaled: Sequence[int]
+) -> list[tuple[ConflictGraph, list[int]]]:
+    """Each connected component of the demands' support, as its induced
+    conflict graph and its entries of scaled."""
+    support = [i for i, w in enumerate(scaled) if w]
+    return [
+        (induced_conflict(gc, comp), [scaled[i] for i in comp])
+        for comp in conflict_components(gc, support)
+    ]
+
+
+def scaled_duration(
+    gc: ConflictGraph, scaled: Sequence[int], den: int, cap: int = DEFAULT_SET_CAP
+) -> int | Fraction:
+    """Minimum schedule duration of the demands scaled / den, times den.
+
+    scaled is indexed like gc.links and holds nonnegative integers. On a
+    chordal gc the value is its heaviest clique along gc.elimination. Any
+    other gc is priced per connected support component, the largest
+    value winning: a chordal component by its heaviest clique, any other
+    by the covering LP on the demands as Fractions. The value is an int
+    unless some component needs the LP.
+    """
+    if gc.elimination is not None:
+        return heaviest_clique_sum(gc.elimination, scaled)
+    best: int | Fraction = 0
+    for comp, weights in _support_components(gc, scaled):
+        if comp.elimination is not None:
+            value = heaviest_clique_sum(comp.elimination, weights)
+        else:
+            lp, _ = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
+            value = lp * den
+        if value > best:
+            best = value
+    return best
 
 
 def fractional_chromatic(
     gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
 ) -> Fraction:
-    """Minimum total schedule duration meeting the demand vector, exactly.
-
-    Demands restricted to zero give duration 0. On a chordal conflict graph
-    the value is the heaviest clique; otherwise it decomposes as the max
-    over connected components of the demand's support.
-    """
-    t = normalize_demands(gc, tau)
-    if gc.elimination is not None:
-        return _heaviest_clique(gc.elimination, _indexed(gc, t))
-    best = Fraction(0)
-    for comp, weights in _support_components(gc, t):
-        value = _component_duration(comp, weights, cap)
-        if value > best:
-            best = value
-    return best
+    """Minimum total schedule duration meeting the demand vector, exactly,
+    from `scaled_duration`. Demands restricted to zero give duration 0."""
+    scaled, den = scale_demands(gc, tau)
+    return Fraction(scaled_duration(gc, scaled, den, cap), den)
 
 
 @dataclass(frozen=True)
@@ -198,10 +204,10 @@ def min_schedule(
     its optimum, so the merged duration is the largest optimum, which is
     fractional_chromatic(gc, tau).
     """
-    t = normalize_demands(gc, tau)
+    scaled, den = scale_demands(gc, tau)
     parts = []
-    for comp, weights in _support_components(gc, t):
-        _, entries = _component_lp(comp, weights, cap)
+    for comp, weights in _support_components(gc, scaled):
+        _, entries = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
         timeline = []
         clock = Fraction(0)
         for idx_set, dur in entries:
@@ -232,20 +238,26 @@ def min_schedule(
 def weighted_clique_number(
     gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
 ) -> Fraction:
-    """Largest total demand on a set of pairwise conflicting links."""
-    t = normalize_demands(gc, tau)
+    """Largest total demand on a set of pairwise conflicting links.
+
+    On a chordal gc this is the duration, from `scaled_duration`;
+    otherwise the heaviest maximal clique of the demands' support.
+    """
+    scaled, den = scale_demands(gc, tau)
     if gc.elimination is not None:
-        return _heaviest_clique(gc.elimination, _indexed(gc, t))
-    support = [i for i, link in enumerate(gc.links) if t.get(link, 0) > 0]
+        return Fraction(scaled_duration(gc, scaled, den, cap), den)
+    support = [i for i, w in enumerate(scaled) if w]
     if not support:
         return Fraction(0)
     sub = induced_conflict(gc, support)
-    best = Fraction(0)
-    for clique in _maximal_cliques_idx(len(sub.links), sub.adj, cap):
-        weight = sum((t[sub.links[i]] for i in clique), Fraction(0))
-        if weight > best:
-            best = weight
-    return best
+    best = max(
+        (
+            sum([scaled[support[i]] for i in clique])
+            for clique in _maximal_cliques_idx(len(sub.links), sub.adj, cap)
+        ),
+        default=0,
+    )
+    return Fraction(best, den)
 
 
 def is_feasible(gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> bool:

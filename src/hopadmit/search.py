@@ -141,8 +141,11 @@ def max_clique(
 def exact_set_cover(universe: int, sets: Sequence[frozenset[int]]) -> tuple[int, ...]:
     """Indices of a minimum subfamily covering range(universe).
 
-    Requires the union of the sets to cover the universe. Branches on the
-    element with the fewest remaining candidate sets.
+    Requires the union of the sets to cover the universe. Starts from the
+    greedy cover and branches on the element with the fewest remaining
+    candidate sets, in ascending set order, keeping a cover only when it
+    is strictly smaller. The search runs on an explicit stack of partial
+    covers, so a large cover costs no Python recursion depth.
     """
     if universe == 0:
         return ()
@@ -162,36 +165,32 @@ def exact_set_cover(universe: int, sets: Sequence[frozenset[int]]) -> tuple[int,
     covers: dict[int, list[int]] = {
         e: [i for i in live if e in sets[i]] for e in range(universe)
     }
-    best: list[int] | None = None
 
-    def greedy_bound(uncovered: frozenset[int]) -> list[int]:
-        chosen = []
-        left = set(uncovered)
-        while left:
-            pick = max(live, key=lambda i: (len(sets[i] & left), -i))
-            chosen.append(pick)
-            left -= sets[pick]
-        return chosen
+    best: tuple[int, ...] = ()
+    left = set(full)
+    while left:
+        pick = max(live, key=lambda i: (len(sets[i] & left), -i))
+        best += (pick,)
+        left -= sets[pick]
 
-    best = greedy_bound(full)
-
-    def expand(chosen: list[int], uncovered: frozenset[int]) -> None:
-        nonlocal best
+    # (chosen sets, elements they leave uncovered); the branches of a
+    # partial cover are pushed in reverse, so they are taken in ascending
+    # order, each after the whole search below the one before it.
+    stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((), full)]
+    while stack:
+        chosen, uncovered = stack.pop()
         if not uncovered:
-            if best is None or len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if best is not None:
-            biggest = max(len(sets[i] & uncovered) for i in live)
-            lower = -(-len(uncovered) // biggest)
-            if len(chosen) + lower >= len(best):
-                return
+            if len(chosen) < len(best):
+                best = chosen
+            continue
+        biggest = max(len(sets[i] & uncovered) for i in live)
+        lower = -(-len(uncovered) // biggest)
+        if len(chosen) + lower >= len(best):
+            continue
         target = min(uncovered, key=lambda e: (len(covers[e]), e))
-        for i in covers[target]:
-            expand(chosen + [i], uncovered - sets[i])
-
-    expand([], full)
-    assert best is not None
+        stack.extend(
+            (chosen + (i,), uncovered - sets[i]) for i in reversed(covers[target])
+        )
     return tuple(sorted(best))
 
 

@@ -3,23 +3,25 @@
 Round 0: every node knows its incident links and their demands. Round 1:
 every node sends that knowledge to each neighbor. A node then reconstructs
 exactly the subgraph induced by its closed neighborhood, takes the exact
-duration of that view from ``analysis.local_views``, and admits when it
+duration of that view from ``analysis.view_values``, and admits when it
 stays within the threshold. The protocol is defined at interference
 radius 2 only. The run is compared against a centralized feasibility
 oracle and classified; everything is deterministic for fixed inputs.
 
 ``_decide`` is the one place that turns the largest view value and the
 oracle's value into a decision and its classification. ``run_admission``
-wraps it in the full protocol trace (messages, reconstructed views, the
-check that each view matches its 1-hop subgraph), which ``admit --mode
-distributed`` prints. ``evaluate_policy`` builds no trace and stays in
-integers from the draw to the decision: ``_draw_demands`` draws a raw
-vector as integer numerators over one denominator, with the local value
-it is to be rescaled to, ``analysis.price_scaled`` prices those integers
-in one pass, and the rescaled row follows with one ``Fraction`` per
-value, because every value is homogeneous
-(``chi_f(c * tau) == c * chi_f(tau)``). ``sample_demands`` turns the same
-draw into a ``Fraction`` vector for callers that want one.
+scales the demands to integers once (``scheduling.scale_demands``),
+prices every view and the oracle from them, and wraps the decision in the
+full protocol trace (messages, reconstructed views, the check that each
+view matches its 1-hop subgraph), which ``admit --mode distributed``
+prints. ``evaluate_policy`` builds no trace and stays in integers from
+the draw to the decision: ``_draw_demands`` draws a raw vector as integer
+numerators over one denominator, with the local value it is to be
+rescaled to, ``analysis.price_scaled`` prices those integers in one
+pass, and the rescaled row follows with one ``Fraction`` per value,
+because every value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``).
+``sample_demands`` turns the same draw into a ``Fraction`` vector for
+callers that want one.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from .analysis import (
     admission_threshold,
     check_sample_count,
     local_estimate,
-    local_views,
     price_scaled,
+    view_values,
 )
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
-from .scheduling import fractional_chromatic, normalize_demands
+from .scheduling import scale_demands, scaled_duration
 from .search import DEFAULT_SET_CAP
 
 
@@ -99,19 +101,19 @@ def run_admission(
 ) -> SimTrace:
     """Execute the 2-round protocol and check it against the oracle."""
     gc = conflict_graph(g, 2)
-    demands = normalize_demands(gc, tau)
+    scaled, den = scale_demands(gc, tau)
     thr = Fraction(threshold)
     if thr <= 0:
         raise GraphError("threshold must be positive")
-    views = local_views(g, demands, cap)
-    oracle_value = fractional_chromatic(gc, demands, cap)
+    views = view_values(g, scaled, den, cap)
+    oracle_value = Fraction(scaled_duration(gc, scaled, den, cap), den)
     all_admit, classification = _decide(
         max((value for _, value in views), default=Fraction(0)), oracle_value, thr
     )
 
     incident: dict[str, list[tuple[Link, Fraction]]] = {v: [] for v in g.vertices}
-    for link in g.links:
-        value = demands.get(link, Fraction(0))
+    for link, k in zip(g.links, scaled):
+        value = Fraction(k, den)
         incident[link[0]].append((link, value))
         incident[link[1]].append((link, value))
 

@@ -247,6 +247,17 @@ def brute_interfering_matching(g):
     return best
 
 
+def brute_set_cover_size(universe, sets):
+    """Size of a smallest subfamily of sets covering range(universe), by
+    trying every subfamily in order of size."""
+    full = set(range(universe))
+    for size in range(len(sets) + 1):
+        for combo in itertools.combinations(sets, size):
+            if full <= set().union(*combo):
+                return size
+    raise ValueError("sets do not cover the universe")
+
+
 def brute_cover_number(g):
     """Independent recomputation of the neighborhood cover number."""
     links = g.links

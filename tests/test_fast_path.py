@@ -28,12 +28,11 @@ from hopadmit import (
     conflict_graph,
     cycle_graph,
     fractional_chromatic,
-    normalize_demands,
     sample_demands,
     star_graph,
 )
 from hopadmit.chordal import elimination
-from hopadmit.scheduling import _component_lp, _support_components
+from hopadmit.scheduling import _component_lp, _support_components, scale_demands
 from hopadmit.search import DEFAULT_SET_CAP
 
 SAMPLES = 100
@@ -66,8 +65,11 @@ def _demands(g, seed):
 
 
 def _components(gc, tau):
-    t = normalize_demands(gc, {link: v for link, v in tau.items() if gc.has_link(link)})
-    return _support_components(gc, t)
+    scaled, den = scale_demands(gc, {link: v for link, v in tau.items() if gc.has_link(link)})
+    return [
+        (comp, [Fraction(w, den) for w in weights])
+        for comp, weights in _support_components(gc, scaled)
+    ]
 
 
 def _kind(adj):

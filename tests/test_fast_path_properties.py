@@ -3,7 +3,8 @@
 On random graphs of at most 7 vertices with random rational demands, at
 radius 1 and 2, fractional_chromatic equals the LP value of its support
 components, and equals the heaviest clique whenever the support's
-conflict graph is chordal.
+conflict graph is chordal. Its integer core, scaled_duration, is
+homogeneous and returns an int when every support component is chordal.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from hopadmit import (  # noqa: E402
     normalize_demands,
     weighted_clique_number,
 )
-from hopadmit.scheduling import _component_lp, _support_components  # noqa: E402
+from hopadmit.scheduling import (  # noqa: E402
+    _component_lp,
+    _support_components,
+    scale_demands,
+    scaled_duration,
+)
 from hopadmit.search import DEFAULT_SET_CAP  # noqa: E402
 
 
@@ -48,11 +54,24 @@ def test_fast_path_equals_lp(instance):
     gc = conflict_graph(g, k)
     t = normalize_demands(gc, tau)
     value = fractional_chromatic(gc, tau)
+    scaled, den = scale_demands(gc, tau)
+    components = _support_components(gc, scaled)
     lp_value = max(
-        (_component_lp(comp, w, DEFAULT_SET_CAP)[0] for comp, w in _support_components(gc, t)),
+        (
+            _component_lp(comp, [Fraction(w, den) for w in weights], DEFAULT_SET_CAP)[0]
+            for comp, weights in components
+        ),
         default=Fraction(0),
     )
     assert value == lp_value
+    # The integer core: value times den, homogeneous in (scaled, den), and
+    # an int whenever no support component needs the covering LP.
+    duration = scaled_duration(gc, scaled, den)
+    assert duration == value * den
+    for c in (2, 3, 7):
+        assert scaled_duration(gc, [c * s for s in scaled], c * den) == c * duration
+    if all(comp.elimination is not None for comp, _ in components):
+        assert type(duration) is int
     support = induced_conflict(gc, [gc.index(link) for link in t])
     chordal, cert = is_chordal(support)
     if chordal:

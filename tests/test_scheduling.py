@@ -295,17 +295,17 @@ def test_schedule_duration_is_chif():
 
 def test_support_components_induced_from_gc(seed=71, trials=30):
     from hopadmit import conflict_components, induced_conflict
-    from hopadmit.scheduling import _support_components
+    from hopadmit.scheduling import _support_components, scale_demands
 
     rng = random.Random(seed)
     for _ in range(trials):
         gc = conflict_graph(random_connected_graph(rng), rng.choice((1, 2)))
-        t = normalize_demands(gc, {link: rng.randint(0, 2) for link in gc.links})
-        support = [i for i, link in enumerate(gc.links) if link in t]
+        scaled, _ = scale_demands(gc, {link: rng.randint(0, 2) for link in gc.links})
+        support = [i for i, w in enumerate(scaled) if w]
         want = []
         if support:
             sub = induced_conflict(gc, support)
             for comp in conflict_components(sub):
                 comp_gc = induced_conflict(sub, comp)
-                want.append((comp_gc, [t[link] for link in comp_gc.links]))
-        assert _support_components(gc, t) == want
+                want.append((comp_gc, [scaled[gc.index(link)] for link in comp_gc.links]))
+        assert _support_components(gc, scaled) == want

@@ -3,10 +3,13 @@ pivot as a full scan, so maximal_cliques keeps its output and cap error,
 and a large clique costs a linear number of adjacency lookups. The
 chordless cycle search on its explicit stack yields what the nested
 generator search yields, in the same order, and runs out of budget at the
-same extension; a long ring costs no recursion depth."""
+same extension; a long ring costs no recursion depth. The exact set
+cover is a minimum cover on seeded random families, and its search on an
+explicit stack leaves no cyclic garbage behind."""
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from unittest import mock
@@ -14,7 +17,12 @@ from unittest import mock
 import pytest
 
 from corpus import random_adjacency, random_corpus
-from oracles import generator_induced_cycles, scan_clique_pivot, scan_maximal_cliques
+from oracles import (
+    brute_set_cover_size,
+    generator_induced_cycles,
+    scan_clique_pivot,
+    scan_maximal_cliques,
+)
 from hopadmit import conflict_graph, search
 from hopadmit.errors import ResourceLimitError
 
@@ -138,3 +146,40 @@ def test_long_ring_search_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert cycles == [tuple(range(n))]
+
+
+def _random_family(rng):
+    """A seeded family of subsets of range(universe) whose union covers
+    it, singletons added for any element no drawn set holds."""
+    universe = rng.randint(1, 9)
+    sets = [
+        frozenset(e for e in range(universe) if rng.random() < 0.4)
+        for _ in range(rng.randint(1, 8))
+    ]
+    sets += [frozenset({e}) for e in range(universe) if not any(e in s for s in sets)]
+    return universe, sets
+
+
+def test_exact_set_cover_is_a_minimum_cover(seed=79, trials=300):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        universe, sets = _random_family(rng)
+        chosen = search.exact_set_cover(universe, sets)
+        assert list(chosen) == sorted(set(chosen))
+        assert frozenset().union(*(sets[i] for i in chosen)) == frozenset(range(universe))
+        assert len(chosen) == brute_set_cover_size(universe, sets), (universe, sets)
+
+
+def test_exact_set_cover_leaves_no_cyclic_garbage(seed=83, trials=50):
+    rng = random.Random(seed)
+    families = [_random_family(rng) for _ in range(trials)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for universe, sets in families:
+            search.exact_set_cover(universe, sets)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -18,7 +18,9 @@ from hopadmit import (
     clique_pendant_graph,
     conflict_graph,
     cycle_graph,
+    duration_ratio,
     fractional_chromatic,
+    local_views,
     make_link,
     one_hop_subgraph,
 )
@@ -239,6 +241,38 @@ def test_sweep_scales_each_sample_once(monkeypatch):
         calls.clear()
         assert evaluate_policy(g, 60, seed=21, policy=policy) == expected[policy]
         assert calls == ["price_scaled"] * 60, policy
+
+
+@pytest.mark.parametrize("g", [cycle_graph(10), NON_CHORDAL_VIEW], ids=["cycle:10", "non-chordal-view"])
+def test_each_entry_point_checks_its_demands_once(monkeypatch, g):
+    """run_admission, duration_ratio, local_views and fractional_chromatic
+    each check and scale their demands once, then price the views and the
+    oracle in the same integers."""
+    from hopadmit import analysis, scheduling
+
+    gc = conflict_graph(g, 2)
+    assert gc.elimination is None
+    tau = {link: Fraction(i % 3 + 1, i % 4 + 2) for i, link in enumerate(g.links)}
+    calls = []
+    real = scheduling.normalize_demands
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (analysis, scheduling, simulate):
+        if hasattr(module, "normalize_demands"):
+            monkeypatch.setattr(module, "normalize_demands", counting)
+    entry_points = {
+        "run_admission": lambda: run_admission(g, tau, Fraction(1, 2)),
+        "duration_ratio": lambda: duration_ratio(g, tau),
+        "local_views": lambda: local_views(g, tau),
+        "fractional_chromatic": lambda: fractional_chromatic(gc, tau),
+    }
+    for name, call in entry_points.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, name
 
 
 def test_row_fields_are_consistent(seed=13):

@@ -23,7 +23,8 @@ st = hypothesis.strategies
 from corpus import NON_CHORDAL_VIEW  # noqa: E402
 from oracles import tableau_chif  # noqa: E402
 from hopadmit import build_graph, conflict_graph, one_hop_subgraph  # noqa: E402
-from hopadmit.analysis import local_and_exact, local_estimate, local_views  # noqa: E402
+from hopadmit.analysis import local_estimate, local_views, price_scaled  # noqa: E402
+from hopadmit.scheduling import scale_demands  # noqa: E402
 from hopadmit.simulate import _decide, run_admission  # noqa: E402
 
 THRESHOLD = Fraction(1, 2)
@@ -116,7 +117,9 @@ def test_view_values_and_oracle_equal_the_lp(instance):
     views = local_views(g, tau)
     for sub, value in views:
         assert value == _lp_value(conflict_graph(sub, 2), tau)
-    local_max, oracle_value = local_and_exact(g, tau)
+    scaled, den = scale_demands(conflict_graph(g, 2), tau)
+    local, exact = price_scaled(g, scaled, den)
+    local_max, oracle_value = Fraction(local, den), Fraction(exact, den)
     assert local_max == local_estimate(g, tau)
     assert local_max == max(
         _lp_value(conflict_graph(sub, 2), tau) for sub in g.views
