@@ -68,9 +68,8 @@ def _component_lp(
     """
     sets = _mis_idx(len(comp.links), comp.adj, cap)
     sol = solve_min_ge(sets, weights)
-    entries = [
-        (sets[j], dur) for j, dur in enumerate(sol.x) if dur > 0
-    ]
+    # x >= 0, so its nonzero entries are the positive ones.
+    entries = [(sets[j], dur) for j, dur in enumerate(sol.x) if dur]
     return sol.value, entries
 
 
@@ -175,21 +174,21 @@ class Schedule:
     def duration(self) -> Fraction:
         return sum((dur for _, dur in self.entries), Fraction(0))
 
-    def coverage(self, link: Link) -> Fraction:
-        return sum(
-            (dur for links, dur in self.entries if link in links), Fraction(0)
-        )
-
     def satisfies(self, gc: ConflictGraph, tau: Mapping) -> bool:
         """Every entry independent in gc and every demand fully covered."""
         t = normalize_demands(gc, tau)
+        covered: dict[Link, Fraction] = {}
         for links, dur in self.entries:
             if dur < 0:
                 return False
             idx = [gc.index(l) for l in links]
             if any(b in gc.adj[a] for a in idx for b in idx):
                 return False
-        return all(self.coverage(link) >= need for link, need in t.items())
+            for link in links:
+                covered[link] = covered[link] + dur if link in covered else dur
+        return all(
+            link in covered and covered[link] >= need for link, need in t.items()
+        )
 
 
 def min_schedule(
@@ -208,27 +207,32 @@ def min_schedule(
     parts = []
     for comp, weights in _support_components(gc, scaled):
         _, entries = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
-        timeline = []
-        clock = Fraction(0)
-        for idx_set, dur in entries:
-            links = frozenset(comp.links[i] for i in idx_set)
-            timeline.append((clock, clock + dur, links))
-            clock += dur
-        parts.append(timeline)
-    if not parts:
-        return Schedule(())
-
-    cuts = sorted({Fraction(0)} | {seg[1] for timeline in parts for seg in timeline})
-    merged = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        active: frozenset[Link] = frozenset()
-        for timeline in parts:
-            for start, end, links in timeline:
-                if start <= lo and hi <= end:
-                    active = active | links
-                    break
-        if active:
-            merged.append((active, hi - lo))
+        parts.append([(frozenset(comp.links[i] for i in idx_set), dur)
+                      for idx_set, dur in entries])
+    if len(parts) == 1:
+        # A lone component runs in parallel with nothing: the cuts are its
+        # own entry boundaries, so its entries are the merged schedule.
+        merged = parts[0]
+    else:
+        timelines = []
+        for entries in parts:
+            timeline = []
+            clock = Fraction(0)
+            for links, dur in entries:
+                timeline.append((clock, clock + dur, links))
+                clock += dur
+            timelines.append(timeline)
+        cuts = sorted({Fraction(0)} | {seg[1] for timeline in timelines for seg in timeline})
+        merged = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            active: frozenset[Link] = frozenset()
+            for timeline in timelines:
+                for start, end, links in timeline:
+                    if start <= lo and hi <= end:
+                        active = active | links
+                        break
+            if active:
+                merged.append((active, hi - lo))
     schedule = Schedule(tuple(merged))
     if not schedule.satisfies(gc, tau):
         raise AssertionError("optimal schedule failed its own feasibility check")

@@ -9,14 +9,26 @@ sets.
 Every set costs 1 and b >= 0, so the basis of all surplus variables is
 dual feasible: its duals are 0 and every reduced cost is 1 or 0. It is
 only primal infeasible, each surplus being -b[i]. The dual simplex starts
-there and needs no phase 1 and no artificial variables. Each iteration
-takes the negative-rhs row whose basic variable has the smallest index,
-and enters the column with the smallest ratio of reduced cost to minus
-its (negative) entry in that row, ties to the smallest index, sets before
-surplus columns; this is Bland's rule on the dual, which rules out
-cycling. A negative-rhs row with no negative entry proves the LP
-infeasible. The objective is bounded below by 0, so it is never
-unbounded.
+there and needs no phase 1 and no artificial variables.
+
+Each iteration prices the leaving row by steepest edge (Forrest and
+Goldfarb, Math. Programming 1992): among the negative-rhs rows, the one
+with the largest rhs**2 over the squared norm of its row of the inverse
+basis, ties to the smallest basic variable. The entering column has a
+negative entry in that row and the smallest ratio of reduced cost to
+minus that entry, which keeps every reduced cost nonnegative; ties go to
+the largest |entry|, then to the smallest index, sets before surplus
+columns. A pivot whose entering reduced cost is 0 is degenerate: it
+leaves the objective where it is, and runs of them could cycle. After
+2 * m of them in a row, the dual Bland rule picks instead (the
+negative-rhs row whose basic variable has the smallest index, ratio ties
+to the smallest index) until a pivot raises the objective. Bland's rule
+cannot cycle from any basis, so such a run ends; every other pivot
+raises the objective strictly, and there are finitely many bases, so the
+solver terminates. A negative-rhs row with no negative entry proves the
+LP infeasible. The objective is bounded below by 0, so it is never
+unbounded. The dense Fraction tableau in the tests follows this rule
+pivot for pivot and returns the same solution.
 
 Row i is scaled by b[i].denominator, so every entry is an integer. Every
 row operation of a tableau simplex applies one linear map to all columns,
@@ -36,17 +48,26 @@ only if every remainder is zero. A row with no entry in the pivot column
 is only rescaled by piv / den, and skipped when piv == den.
 
 Row 0 of the kept block holds den times the reduced cost of each row's
-unit column, which at the optimum is minus that row's dual.
+unit column, which at the optimum is minus that row's dual. Up to sign,
+block row r holds row r of the inverse basis of the unscaled LP and its
+rhs, both times den and one factor of the row, which cancel in the
+steepest-edge ratio: rhs**2 over the sum of squares of the row's unit
+columns, compared by integer cross-multiplication and computed only when
+more than one row is negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 Reader = Callable[[list[int]], Sequence[int]]
+
+# Consecutive degenerate pivots, per row, after which the dual Bland rule
+# picks until the next nondegenerate pivot.
+_DEGENERATE_RUN = 2
 
 
 class LPInfeasibleError(RuntimeError):
@@ -127,28 +148,53 @@ def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolu
     basis = [n + i for i in range(m)]
     readers = [_reader(s) for s in sets]
     den = 1
+    run, limit = 0, _DEGENERATE_RUN * m  # degenerate pivots in a row
     while True:
-        # Leaving row: a negative rhs, the smallest basic variable.
-        _, r = min(((basis[i], i + 1) for i in range(m) if block[i + 1][-1] < 0),
-                   default=(0, 0))
-        if not r:
+        bland = run >= limit
+        negative = [i for i in range(1, m + 1) if block[i][-1] < 0]
+        if not negative:
             break
+        r = negative[0]
+        if bland:
+            # Leaving row: the smallest basic variable.
+            r = min(negative, key=lambda i: basis[i - 1])
+        elif len(negative) > 1:
+            # Leaving row: steepest edge, the largest rhs**2 over the
+            # squared norm of the row's unit columns, by cross-multiplying,
+            # ties to the smallest basic variable.
+            row = block[r]
+            rhs2 = row[-1] ** 2
+            norm = sum(map(mul, row, row)) - rhs2
+            for i in negative[1:]:
+                row = block[i]
+                t = row[-1] ** 2
+                q = sum(map(mul, row, row)) - t
+                d = t * norm - rhs2 * q
+                if d > 0 or (not d and basis[i - 1] < basis[r - 1]):
+                    r, rhs2, norm = i, t, q
         # Entering column: among those negative in row r, the smallest
-        # ratio num / dnm of reduced cost to minus that entry, ties to the
-        # smallest index. Both are den times their value, so den cancels;
-        # in the surplus column of row k both are also over scale[k], which
-        # cancels too, leaving -top[k] / row[k].
+        # ratio num / dnm of reduced cost to minus that entry. Both are den
+        # times their value, so den cancels; in the surplus column of row k
+        # both are also over scale[k], which cancels too, leaving
+        # -top[k] / row[k]. Ties go to the largest |entry|, which is dnm
+        # over one positive factor of row r for a set and for the surplus
+        # of an unscaled row alike, then to the smallest index; under the
+        # Bland rule, straight to the smallest index. Sets come before
+        # surplus columns. num / dnm starts at 1 / 0, above every ratio.
         row, top = block[r], block[0]
-        enter, num, dnm = -1, 0, 1
+        enter, num, dnm = -1, 1, 0
         for j, read in enumerate(readers):
             a = sum(read(row))
             if a < 0:
                 cost = sum(read(top)) + den
-                if enter < 0 or cost * dnm < num * -a:
+                d = cost * dnm + num * a
+                if d < 0 or (not d and not bland and a < -dnm):
                     enter, num, dnm = j, cost, -a
         for k, a in enumerate(row[:-1]):
-            if a > 0 and (enter < 0 or -top[k] * dnm < num * a):
-                enter, num, dnm = n + k, -top[k], a
+            if a > 0:
+                d = -top[k] * dnm - num * a
+                if d < 0 or (not d and not bland and a > dnm):
+                    enter, num, dnm = n + k, -top[k], a
         if enter < 0:
             raise LPInfeasibleError("constraints have no nonnegative solution")
         # Negate row r so that the pivot element is positive.
@@ -158,6 +204,7 @@ def solve_min_ge(sets: Sequence[Sequence[int]], b: Sequence[Fraction]) -> LPSolu
             col[0] += den
         den = _pivot(block, den, col, r)
         basis[r - 1] = enter
+        run = 0 if num else run + 1
 
     x = [Fraction(0)] * n
     total = 0

@@ -359,7 +359,8 @@ def brute_lp(n_vars, constraints, objective, maximize):
 # Dense tableau simplex solvers. dual_tableau_covering is the full-tableau
 # form of the package's revised dual simplex, pivot for pivot, in Fraction
 # rows: on the covering LP it must return the same LPSolution, or raise the
-# same error, as hopadmit.simplex.solve_min_ge. tableau_min_ge is a
+# same error, as hopadmit.simplex.solve_min_ge; bland_tableau_covering is
+# the same tableau under the dual Bland rule alone. tableau_min_ge is a
 # two-phase primal simplex under Bland's rule (fraction-free integer rows
 # over one common denominator), a second solver that reaches the same
 # optimal value by another path; solve_max_le is the packing form the
@@ -525,13 +526,18 @@ def covering_matrix(sets, m):
     return [[1 if i in s else 0 for s in sets] for i in range(m)]
 
 
-def dual_tableau_covering(sets, b):
+def dual_tableau_covering(sets, b, degenerate_run=2):
     """solve_min_ge(sets, b) on a dense Fraction tableau: the dual simplex
     from the basis of all surplus variables, under the same rule. The
-    leaving row has a negative rhs and the smallest basic variable; the
-    entering column has a negative entry there and the smallest ratio of
-    reduced cost to minus that entry, ties to the smallest index, sets
-    (0..n-1) before surplus columns (n..n+m-1)."""
+    leaving row has a negative rhs and the largest rhs**2 over the squared
+    norm of its row of the inverse basis, ties to the smallest basic
+    variable; the entering column has a negative entry there and the
+    smallest ratio of reduced cost to minus that entry, ties to the largest
+    |entry|, then to the smallest index, sets (0..n-1) before surplus
+    columns (n..n+m-1). From degenerate_run * m consecutive pivots that
+    enter a zero reduced cost until the next one that does not, the dual
+    Bland rule picks instead: the smallest basic variable, and ties of the
+    ratio to the smallest index."""
     n, m = len(sets), len(b)
     matrix = covering_matrix(sets, m)
     # Row i, negated: s_i - sum over sets j of a_ij x_j = -b_i.
@@ -543,15 +549,31 @@ def dual_tableau_covering(sets, b):
     ]
     cost = [Fraction(1)] * n + [Fraction(0)] * m
     basis = list(range(n, n + m))
+    run = 0
     while True:
         infeasible = [i for i in range(m) if rows[i][-1] < 0]
         if not infeasible:
             break
-        r = min(infeasible, key=lambda i: basis[i])
+        bland = run >= degenerate_run * m
+        if bland:
+            r = min(infeasible, key=lambda i: basis[i])
+        else:
+            # The surplus columns hold the inverse basis, row by row.
+            r = max(
+                infeasible,
+                key=lambda i: (
+                    rows[i][-1] ** 2 / sum(v * v for v in rows[i][n:n + m]),
+                    -basis[i],
+                ),
+            )
         negative = [j for j in range(n + m) if rows[r][j] < 0]
         if not negative:
             raise LPInfeasibleError("constraints have no nonnegative solution")
-        enter = min(negative, key=lambda j: (cost[j] / -rows[r][j], j))
+        if bland:
+            enter = min(negative, key=lambda j: (cost[j] / -rows[r][j], j))
+        else:
+            enter = min(negative, key=lambda j: (cost[j] / -rows[r][j], rows[r][j], j))
+        run = 0 if cost[enter] else run + 1
         piv = rows[r][enter]
         rows[r] = [v / piv for v in rows[r]]
         for i in range(m):
@@ -568,6 +590,14 @@ def dual_tableau_covering(sets, b):
     # With the rows negated, a surplus column's reduced cost is its row's
     # dual for the covering constraint.
     return LPSolution(sum(x, Fraction(0)), tuple(x), tuple(cost[n:]))
+
+
+def bland_tableau_covering(sets, b):
+    """dual_tableau_covering under the dual Bland rule alone: the leaving
+    row has the smallest basic variable, and ratio ties go to the smallest
+    index. solve_min_ge pivots this way when its degenerate-run limit is
+    0."""
+    return dual_tableau_covering(sets, b, degenerate_run=0)
 
 
 def tableau_covering(sets, b):

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import (
     LPUnboundedError,
+    bland_tableau_covering,
     brute_lp,
     covering_matrix,
     dual_tableau_covering,
@@ -241,24 +242,47 @@ def test_ring_covering_lp_matches_tableau(n):
     _assert_matches_oracles(sets, w, solve_min_ge(sets, w))
 
 
-def test_ring_pivot_count():
-    """The dual simplex starts dual feasible from the surplus basis: 251
-    pivots on the uniform ring LPs of 16 to 22 links, where the two-phase
-    primal simplex made 1,047."""
-    total = 0
+def _uniform_ring_lps():
     for n in range(16, 23):
         gc = conflict_graph(cycle_graph(n), 2)
         sets = maximal_independent_sets(len(gc.links), gc.adj)
-        trace, sol = pivot_trace(sets, [Fraction(1, 5)] * len(gc.links))
+        yield n, sets, [Fraction(1, 5)] * len(gc.links)
+
+
+def test_ring_pivot_count():
+    """The dual simplex starts dual feasible from the surplus basis and
+    leaves by steepest edge: 176 pivots on the uniform ring LPs of 16 to
+    22 links, where the dual Bland rule alone made 251 and the two-phase
+    primal simplex 1,047."""
+    total = 0
+    for n, sets, b in _uniform_ring_lps():
+        trace, sol = pivot_trace(sets, b)
         assert sol.value == Fraction(n, 5 * (n // 3))
         total += len(trace)
-    assert total <= 300
+    assert total <= 180
+
+
+def test_bland_fallback_alone_matches_bland_oracle(monkeypatch, seed=37, trials=600):
+    """With no degenerate pivot allowed before the fallback, every pivot
+    follows the dual Bland rule: the same LPSolution, or the same error,
+    as the dense Bland tableau, and the 251 ring pivots of that rule."""
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 0)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        sets, b = _random_covering_lp(rng)
+        assert _outcome(solve_min_ge, sets, b) == _outcome(bland_tableau_covering, sets, b)
+    total = 0
+    for _, sets, b in _uniform_ring_lps():
+        trace, sol = pivot_trace(sets, b)
+        assert sol == bland_tableau_covering(sets, b)
+        total += len(trace)
+    assert total == 251
 
 
 def test_dual_degenerate_lps_terminate(seed=43, trials=300):
     """Many duplicated sets, zero and equal demands and duplicated rows
-    make long runs of equal ratios; the dual Bland rule still ends at the
-    primal tableau's optimum, or at the same infeasibility."""
+    make long runs of equal ratios and degenerate pivots; the solver still
+    ends at the primal tableau's optimum, or at the same infeasibility."""
     rng = random.Random(seed)
     seen = set()
     for _ in range(trials):
