@@ -10,12 +10,13 @@ conflict graph times the neighborhood cover number.
 
 Demands are checked and scaled to integers over one denominator once per
 call (`scheduling.scale_demands`), and every price then comes from
-`scheduling.scaled_duration` in those integers. `price_scaled` gives the
-largest view value (`_view_max`), the heaviest clique of the graph's
-table of maximal view cliques (`NetworkGraph.view_clique_table`) or the
-value of a non-chordal view, and the network-wide duration. `view_values`
-prices each view on its own conflict graph, for `local_views` and the
-protocol trace.
+`scheduling.scaled_duration` in those integers. A view is its link
+indices (`NetworkGraph.view_links`), priced by `_view_value` on the whole
+radius-2 conflict graph. `price_scaled` gives the largest view value
+(`_view_max`), the heaviest clique of the graph's table of maximal view
+cliques (`NetworkGraph.view_clique_table`) or the value of a non-chordal
+view, and the network-wide duration. `view_values` prices every view,
+for `local_views` and the protocol trace.
 """
 
 from __future__ import annotations
@@ -59,10 +60,14 @@ def check_sample_count(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
-def _view_scaled(sub_gc: ConflictGraph, index, scaled: list[int]) -> list[int]:
-    """The entries of scaled for the links of a view's conflict graph;
-    index maps a link to its position in scaled."""
-    return [scaled[index(link)] for link in sub_gc.links]
+def _view_value(gc: ConflictGraph, idx, scaled: list[int], den: int, cap: int) -> int | Fraction:
+    """Duration of the demands scaled / den on the view of link indices
+    idx, times den. At radius 2 the view's conflict graph is gc restricted
+    to idx, so this is `scaled_duration` on gc with every other entry 0."""
+    view = [0] * len(scaled)
+    for i in idx:
+        view[i] = scaled[i]
+    return scaled_duration(gc, view, den, cap)
 
 
 def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | Fraction:
@@ -70,17 +75,13 @@ def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | F
 
     Every chordal view is priced at once, by the heaviest clique of
     g.view_clique_table, an integer; a view whose conflict graph is not
-    chordal is priced by `scaled_duration` on its own links.
+    chordal is priced by `_view_value`.
     """
     table = g.view_clique_table
-    best = max((sum(read(scaled)) for read in table.readers), default=0)
-    if table.non_chordal:
-        index = conflict_graph(g, 2).index
-        for sub_gc in table.non_chordal:
-            value = scaled_duration(sub_gc, _view_scaled(sub_gc, index, scaled), den, cap)
-            if value > best:
-                best = value
-    return best
+    gc = conflict_graph(g, 2)
+    values = [sum(read(scaled)) for read in table.readers]
+    values += [_view_value(gc, idx, scaled, den, cap) for idx in table.non_chordal]
+    return max(values, default=0)
 
 
 def price_scaled(
@@ -101,15 +102,13 @@ def price_scaled(
 def view_values(
     g: NetworkGraph, scaled: list[int], den: int, cap: int
 ) -> list[tuple[NetworkGraph, Fraction]]:
-    """Each 1-hop view of g and the duration of the demands scaled / den
-    on its own conflict graph, in vertex order."""
-    index = conflict_graph(g, 2).index
-    out = []
-    for sub in g.views:
-        sub_gc = conflict_graph(sub, 2)
-        value = scaled_duration(sub_gc, _view_scaled(sub_gc, index, scaled), den, cap)
-        out.append((sub, Fraction(value, den)))
-    return out
+    """Each 1-hop view of g, as its subgraph, and its `_view_value` of the
+    demands scaled / den, in vertex order."""
+    gc = conflict_graph(g, 2)
+    return [
+        (sub, Fraction(_view_value(gc, idx, scaled, den, cap), den))
+        for sub, idx in zip(g.views, g.view_links)
+    ]
 
 
 def local_views(
@@ -119,7 +118,7 @@ def local_views(
 
     A view is the subgraph induced by the vertex's closed neighborhood; its
     value is the exact minimum schedule duration for the demands of the
-    links inside it, priced on the view's own conflict graph.
+    links inside it, which conflict as they do in the whole graph.
     """
     scaled, den = scale_demands(conflict_graph(g, 2), tau)
     return view_values(g, scaled, den, cap)

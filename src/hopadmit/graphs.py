@@ -35,9 +35,9 @@ def make_link(u: str, v: str) -> Link:
 class NetworkGraph:
     """Immutable undirected graph with sorted vertex and link tuples.
 
-    Adjacency, the conflict graph of each radius, the 1-hop views and
-    their clique table are built once per instance, on first use, and live
-    only as long as the graph does.
+    Adjacency, the conflict graph of each radius, the 1-hop views as link
+    indices and their clique table are built once per instance, on first
+    use, and live only as long as the graph does.
     """
 
     vertices: tuple[str, ...]
@@ -53,57 +53,55 @@ class NetworkGraph:
 
     @property
     def views(self) -> tuple[NetworkGraph, ...]:
-        """Each vertex's 1-hop subgraph, in vertex order.
-
-        A view that covers every vertex is the graph itself, so it shares
-        the graph's conflict graphs. The same tuple is returned each time
-        unless some view is the graph.
-        """
-        views = self._views
-        if None not in views:
-            return views
-        return tuple(self if sub is None else sub for sub in views)
+        """Each vertex's 1-hop subgraph, in vertex order, built when read;
+        only `local_views` and the protocol trace need views as graphs."""
+        return tuple(one_hop_subgraph(self, v) for v in self.vertices)
 
     @cached_property
-    def _views(self) -> tuple[NetworkGraph | None, ...]:
-        # None stands for the graph itself: caching self would be a
-        # reference cycle, which keeps the graph and everything cached on
-        # it alive until a cyclic collection.
-        return tuple(
-            None if sub is self else sub
-            for sub in (one_hop_subgraph(self, v) for v in self.vertices)
-        )
+    def view_links(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's 1-hop view, in vertex order, as the sorted indices
+        into links of the links inside its closed neighborhood.
+
+        Link (a, b) lies in the views of a, of b and of each common
+        neighbor, one frozenset intersection that walks the smaller
+        neighbor set, so a hub costs nothing per leaf.
+        """
+        nbrs = {v: frozenset(nb) for v, nb in self.adjacency.items()}
+        views: dict[str, list[int]] = {v: [] for v in self.vertices}
+        # Links are visited in index order, so every list comes out sorted.
+        for i, (a, b) in enumerate(self.links):
+            views[a].append(i)
+            views[b].append(i)
+            for w in nbrs[a] & nbrs[b]:
+                views[w].append(i)
+        return tuple([tuple(views[v]) for v in self.vertices])
 
     @cached_property
     def view_clique_table(self) -> ViewCliqueTable:
         """The maximal cliques of every chordal 1-hop view, in one table.
 
-        A view whose radius-2 conflict graph is chordal is worth its
-        heaviest clique, and every maximal clique of that graph is some
-        vertex plus its later neighbors along the graph's elimination.
-        The table keeps those cliques, relabelled to link indices of
-        conflict_graph(self, 2), and drops each one contained in another
-        (of the same view or of any other): weights are nonnegative, so
-        the heaviest clique over all chordal views is among the rest. The
-        relabelling is sound because at radius 2 a view's conflict graph
-        is the global one restricted to the view's links: two links
-        conflict when they share an endpoint or one edge joins their
-        endpoints, and that edge lies inside the closed neighborhood.
-        Views whose conflict graph is not chordal keep that conflict graph,
-        which refers to no network graph.
+        At radius 2 a view's conflict graph is conflict_graph(self, 2)
+        restricted to its links (`view_links`): two links conflict when
+        they share an endpoint or one edge joins their endpoints, and that
+        edge lies inside the closed neighborhood. A chordal view is worth
+        its heaviest clique, and each of its maximal cliques is a vertex
+        plus its later neighbors along its elimination. The table keeps
+        those cliques, relabelled to link indices of the whole conflict
+        graph, and drops each one contained in another (of any view):
+        weights are nonnegative, so the heaviest clique over all chordal
+        views is among the rest. Non-chordal views keep their link indices.
         """
         gc = conflict_graph(self, 2)
         found: set[tuple[int, ...]] = set()
         non_chordal = []
-        for sub in dict.fromkeys(self.views):
-            sub_gc = conflict_graph(sub, 2)
-            elim = sub_gc.elimination
+        for idx in dict.fromkeys(self.view_links):
+            view = gc if len(idx) == len(gc.links) else induced_conflict(gc, idx)
+            elim = view.elimination
             if elim is None:
-                non_chordal.append(sub_gc)
+                non_chordal.append(idx)
                 continue
-            glob = [gc.index(link) for link in sub.links]
             for clique in _elimination_maximal_cliques(elim):
-                found.add(tuple(sorted(glob[u] for u in clique)))
+                found.add(tuple(sorted(idx[u] for u in clique)))
         cliques = _inclusion_maximal(found)
         return ViewCliqueTable(
             cliques, tuple(_reader(c) for c in cliques), tuple(non_chordal)
@@ -136,15 +134,16 @@ class ViewCliqueTable:
 
     cliques are sorted link-index tuples of the graph's radius-2 conflict
     graph, none contained in another, and readers[i] returns the entries
-    of cliques[i] from a list indexed like those links in one call. The
+    of cliques[i] from a list indexed like those links in one call.
+    non_chordal holds the distinct views, as sorted link-index tuples of
+    the same conflict graph, whose conflict graph is not chordal. The
     largest 1-hop value is the heaviest of these cliques or the value of a
-    view whose radius-2 conflict graph is in non_chordal, whichever is
-    larger.
+    view in non_chordal, whichever is larger.
     """
 
     cliques: tuple[tuple[int, ...], ...]
     readers: tuple[Callable, ...]
-    non_chordal: tuple[ConflictGraph, ...]
+    non_chordal: tuple[tuple[int, ...], ...]
 
 
 def _elimination_maximal_cliques(
@@ -313,14 +312,16 @@ class ConflictGraph:
 
 
 def induced_conflict(gc: ConflictGraph, keep: Sequence[int]) -> ConflictGraph:
-    """Conflict subgraph induced by a list of vertex indices."""
+    """Conflict subgraph induced by a list of vertex indices. Each neighbor
+    set is intersected with the kept set, walking the smaller of the two."""
     order = sorted(set(keep))
+    kept = frozenset(order)
     pos = {old: new for new, old in enumerate(order)}
     # Tuples are built from lists: tuple() over a generator is grown by
     # resizing, and each resized tuple is kept on CPython's free list for
     # its length until a full collection, so per-call tuples of more than
     # ten entries would pile up there.
-    adj = tuple([frozenset(pos[j] for j in gc.adj[old] if j in pos) for old in order])
+    adj = tuple([frozenset([pos[j] for j in gc.adj[old] & kept]) for old in order])
     return ConflictGraph(tuple([gc.links[old] for old in order]), adj, gc.k)
 
 

@@ -87,10 +87,6 @@ def neighborhood_cover_number(
     gc = conflict_graph(g, 2)
     if not gc.links:
         return 0, (), ()
-    neighborhood_links = {
-        v: frozenset(gc.index(link) for link in view.links)
-        for v, view in zip(g.vertices, g.views)
-    }
     best = 0
     best_links: tuple[Link, ...] = ()
     best_vertices: tuple[str, ...] = ()
@@ -99,10 +95,8 @@ def neighborhood_cover_number(
         owners: list[str] = []
         seen: dict[frozenset[int], str] = {}
         sets: list[frozenset[int]] = []
-        for v in g.vertices:
-            part = frozenset(
-                members[i] for i in neighborhood_links[v] if i in members
-            )
+        for v, view in zip(g.vertices, g.view_links):
+            part = frozenset(members[i] for i in view if i in members)
             if part and part not in seen:
                 seen[part] = v
                 sets.append(part)
@@ -216,8 +210,6 @@ def _enumerate_polytope(
 def _imperfection_candidates(
     gc: ConflictGraph, cap: int
 ) -> Iterator[dict[Link, Fraction]]:
-    for link in gc.links:
-        yield {link: Fraction(1)}
     yield from _odd_hole_candidates(gc, cap)
     for comp in gc.components:
         if len(comp.links) > POLYTOPE_VERTEX_LIMIT:
@@ -235,8 +227,9 @@ def imperfection_lower_bound(
 ) -> tuple[Fraction, dict[Link, Fraction]]:
     """Best LP-to-clique-bound gap over a candidate demand family.
 
-    Candidates tried, in order: one indicator per link, indicators of
-    chordless odd cycles, and for each conflict component of at most
+    The bound starts at 1, the ratio of every single link's indicator,
+    with the first link's as witness. Candidates tried, in order: indicators
+    of chordless odd cycles, and for each conflict component of at most
     POLYTOPE_VERTEX_LIMIT links that is neither chordal nor bipartite its
     clique polytope vertex of largest chi_f, scaled to integers. That
     vertex attains the component's imperfection ratio, so the result equals
@@ -248,12 +241,14 @@ def imperfection_lower_bound(
     stops once the best ratio reaches it: no later candidate can beat it,
     and a tie keeps the earlier witness, so the result is the one the full
     replay returns, and the searches behind the skipped candidates never
-    run. Without `upper` every candidate is replayed.
+    run (none when `upper` is 1). Without `upper` every candidate is replayed.
     """
     if not gc.links:
         raise GraphError("imperfection ratio needs at least one link")
-    best = Fraction(0)
-    witness: dict[Link, Fraction] = {}
+    best = Fraction(1)
+    witness: dict[Link, Fraction] = {gc.links[0]: Fraction(1)}
+    if upper is not None and best >= upper:
+        return best, witness
     for tau in _imperfection_candidates(gc, cap):
         clique = weighted_clique_number(gc, tau, cap)
         if clique == 0:

@@ -150,11 +150,15 @@ def demands_from_obj(obj, g: NetworkGraph) -> dict[Link, Fraction]:
         raise GraphError("demands JSON must be an object of link id to rational")
     by_id = {link_id(link): link for link in g.links}
     out: dict[Link, Fraction] = {}
+    keys: dict[Link, str] = {}
     for key, raw in obj.items():
         swapped = "-".join(reversed(key.split("-", 1))) if "-" in key else key
         link = by_id.get(key) or by_id.get(swapped)
         if link is None:
             raise GraphError(f"demand key {key!r} names no link of the graph")
+        if link in keys:
+            raise GraphError(f"demand keys {keys[link]!r} and {key!r} name the same link")
+        keys[link] = key
         value = parse_fraction(raw)
         if value < 0:
             raise GraphError(f"demand for {key!r} is negative")

@@ -25,7 +25,7 @@ from hopadmit.analysis import (
     local_views,
 )
 from hopadmit.errors import GraphError, ResourceLimitError
-from hopadmit.graphs import NetworkGraph, conflict_graph
+from hopadmit.graphs import NetworkGraph, conflict_graph, one_hop_subgraph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP, maximal_cliques
@@ -1021,3 +1021,15 @@ def filter_one_hop_subgraph(g, v):
         return g
     links = [e for e in g.links if e[0] in keep and e[1] in keep]
     return NetworkGraph(tuple(sorted(keep)), tuple(links))
+
+
+def subgraph_view_values(g, tau, cap=DEFAULT_SET_CAP):
+    """Each vertex's 1-hop subgraph and the duration of the demands of its
+    links, priced on the subgraph's own radius-2 conflict graph, in vertex
+    order: every view built and priced as a graph of its own."""
+    out = []
+    for v in g.vertices:
+        sub = one_hop_subgraph(g, v)
+        sub_tau = {link: d for link, d in tau.items() if sub.has_link(link)}
+        out.append((sub, fractional_chromatic(conflict_graph(sub, 2), sub_tau, cap)))
+    return out

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import family_graphs, random_connected_graph, random_corpus
+from corpus import NON_CHORDAL_VIEW, family_graphs, random_connected_graph, random_corpus
+from oracles import subgraph_view_values
 from hopadmit import (
     INFINITE,
     BoundUnavailableError,
@@ -32,7 +33,7 @@ from hopadmit import (
     uncovered_cycle_order,
 )
 from hopadmit.analysis import ring_ratio_exact
-from hopadmit.simulate import sample_demands
+from hopadmit.simulate import run_admission, sample_demands
 
 
 def _alternating_ring_demand(n):
@@ -89,6 +90,24 @@ def test_local_estimate_ignores_far_links(seed=37, trials=12):
             local_tau = {l: d for l, d in tau.items() if sub.has_link(l)}
             assert value == fractional_chromatic(conflict_graph(sub, 2), local_tau)
         assert local_estimate(g, tau) == max(value for _, value in views)
+
+
+def test_views_equal_subgraphs_priced_alone(seed=53, trials=30):
+    """Every view priced on the whole conflict graph, restricted to its
+    links, equals the view priced as a graph of its own, in local_views,
+    local_estimate and run_admission's per-node values, with sampled and
+    with all-ones demands."""
+    rng = random.Random(seed)
+    graphs = [g for _, g in family_graphs()] + [NON_CHORDAL_VIEW, star_graph(12)]
+    graphs.append(build_graph("abcde", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]))
+    graphs += [random_connected_graph(rng, 8, 12) for _ in range(trials)]
+    for g in graphs:
+        for tau in (sample_demands(g, rng), {link: Fraction(1) for link in g.links}):
+            expected = subgraph_view_values(g, tau)
+            assert local_views(g, tau) == expected
+            assert local_estimate(g, tau) == max(value for _, value in expected)
+            trace = run_admission(g, tau, Fraction(1, 2))
+            assert [(view.subgraph, view.local_value) for view in trace.views] == expected
 
 
 def test_durations_scale_with_demand(seed=47, count=12):

@@ -318,6 +318,51 @@ def test_unknown_demand_link_exits_2(capsys):
     assert "error:" in err
 
 
+def test_demand_naming_one_link_twice_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "chif", "cycle:5", "--demands", '{"v1-v2":"1/2","v2-v1":"9"}'
+    )
+    assert code == 2
+    assert out == ""
+    assert "'v1-v2' and 'v2-v1'" in err
+
+
+def test_commands_build_one_conflict_graph_and_no_view(capsys, monkeypatch, tmp_path):
+    """beta, invariants, threshold and simulate read each 1-hop view as
+    link indices of the graph's radius-2 conflict graph: each command
+    builds that conflict graph once and no view as a graph."""
+    import hopadmit.graphs as graphs
+    from corpus import NON_CHORDAL_VIEW
+
+    path = tmp_path / "non_chordal_view.json"
+    path.write_text(json.dumps(graph_to_obj(NON_CHORDAL_VIEW)))
+    builds, views = [], []
+    build, one_hop = graphs._build_conflict_graph, graphs.one_hop_subgraph
+
+    def counting_build(g, k):
+        builds.append(k)
+        return build(g, k)
+
+    def counting_view(g, v):
+        views.append(v)
+        return one_hop(g, v)
+
+    monkeypatch.setattr(graphs, "_build_conflict_graph", counting_build)
+    monkeypatch.setattr(graphs, "one_hop_subgraph", counting_view)
+    for spec in ("cycle:10", "star:12", "circulant:9:1,3", str(path)):
+        for argv in (
+            ["beta", spec],
+            ["invariants", spec],
+            ["threshold", spec],
+            ["simulate", spec, "--samples", "20", "--seed", "1"],
+        ):
+            builds.clear()
+            views.clear()
+            code, _, err = _run(capsys, *argv)
+            assert code in (0, 2), err
+            assert (builds, views) == ([2], []), argv
+
+
 def test_ray_cap_exits_3(capsys, monkeypatch):
     # cycle:7's conflict graph is one 7-cycle of links, so the invariants'
     # upper bound enumerates the vertices of its clique polytope.

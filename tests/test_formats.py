@@ -91,6 +91,12 @@ def test_demands_accept_reversed_ids():
     assert tau == {make_link("v1", "v2"): Fraction(1, 2)}
 
 
+def test_demands_reject_two_keys_for_one_link():
+    g = cycle_graph(4)
+    with pytest.raises(GraphError, match="'v1-v2' and 'v2-v1'"):
+        demands_from_obj({"v1-v2": "1/2", "v2-v1": "9"}, g)
+
+
 def test_demands_obj_validation():
     g = cycle_graph(4)
     with pytest.raises(GraphError):

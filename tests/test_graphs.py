@@ -23,6 +23,7 @@ from hopadmit import (
     conflict_graph,
     cycle_graph,
     generate,
+    induced_conflict,
     link_distance,
     make_link,
     one_hop_subgraph,
@@ -97,7 +98,6 @@ def test_one_hop_subgraph_is_closed_neighborhood():
     with pytest.raises(GraphError):
         one_hop_subgraph(g, "nope")
     assert g.views == tuple(one_hop_subgraph(g, v) for v in g.vertices)
-    assert g.views is g.views
 
 
 def test_one_hop_subgraph_keeps_induced_links():
@@ -122,6 +122,28 @@ def test_one_hop_subgraph_equals_the_link_filter(seed=23, trials=40):
             expected = filter_one_hop_subgraph(g, v)
             assert sub == expected
             assert (sub is g) == (expected is g)
+
+
+def test_view_links_are_the_one_hop_subgraph_links(seed=29, trials=40):
+    """Each view's link indices are the indices in g.links of its 1-hop
+    subgraph's links, sorted, and the whole conflict graph restricted to
+    them is the subgraph's own radius-2 conflict graph, elimination
+    included."""
+    rng = random.Random(seed)
+    graphs = [g for _, g in family_graphs()]
+    graphs += [NON_CHORDAL_VIEW, star_graph(40), generate("circulant:12:1,3")]
+    graphs.append(build_graph("abcde", [("a", "b"), ("b", "c"), ("a", "c")]))
+    graphs += [random_connected_graph(rng, 9, 16) for _ in range(trials)]
+    for g in graphs:
+        gc = conflict_graph(g, 2)
+        assert len(g.view_links) == len(g.vertices)
+        for v, idx in zip(g.vertices, g.view_links):
+            sub = one_hop_subgraph(g, v)
+            assert idx == tuple(gc.index(link) for link in sub.links)
+            assert list(idx) == sorted(idx)
+            own, restricted = conflict_graph(sub, 2), induced_conflict(gc, idx)
+            assert (restricted.links, restricted.adj) == (own.links, own.adj)
+            assert restricted.elimination == own.elimination
 
 
 def test_views_make_no_reference_cycle():
@@ -152,8 +174,8 @@ def test_views_make_no_reference_cycle():
 
 def test_whole_graph_view_shares_the_conflict_graph(capsys, monkeypatch):
     """On a star the hub's view is the whole graph: beta builds its radius-2
-    conflict graph once, for the graph and the view together, and prints
-    what it prints when every view is a graph of its own."""
+    conflict graph once, for the graph and every view together, and prints
+    the same when each view would be a graph of its own."""
     import hopadmit.graphs as graphs
     from hopadmit.cli import main
 
@@ -178,7 +200,7 @@ def test_whole_graph_view_shares_the_conflict_graph(capsys, monkeypatch):
     monkeypatch.setattr(graphs, "one_hop_subgraph", fresh)
     assert main(["beta", "star:12"]) == 0
     assert capsys.readouterr().out == shared
-    assert builds.count((13, 2)) == 2
+    assert builds.count((13, 2)) == 1
 
 
 def test_connected_conflict_graph_is_its_own_component(capsys, monkeypatch):

@@ -344,9 +344,9 @@ def test_imp_lower_matches_full_mask_sweep():
 
 
 def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
-    """Upper bound 1 on a perfect graph: only the first link indicator is
-    replayed, and neither the hole search nor the polytope enumeration
-    runs."""
+    """Upper bound 1 on a perfect graph: the start, ratio 1 with the first
+    link's indicator, is returned with no candidate replayed, and neither
+    the hole search nor the polytope enumeration runs."""
     from hopadmit import invariants
 
     gc = conflict_graph(clique_pendant_graph(3), 2)
@@ -365,7 +365,8 @@ def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
     monkeypatch.setattr(invariants, "qstab_vertices", forbidden)
     monkeypatch.setattr(invariants, "iter_induced_cycles", forbidden)
     assert imperfection_lower_bound(gc, upper=Fraction(1)) == expected
-    assert replayed == [{gc.links[0]: 1}]
+    assert expected == (1, {gc.links[0]: 1})
+    assert replayed == []
     report = invariant_report(clique_pendant_graph(3))
     assert (report.imp_lower, report.imp_lower_witness) == expected
     with pytest.raises(AssertionError):
