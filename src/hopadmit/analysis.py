@@ -12,11 +12,13 @@ Demands are checked and scaled to integers over one denominator once per
 call (`scheduling.scale_demands`), and every price then comes from
 `scheduling.scaled_duration` in those integers. A view is its link
 indices (`NetworkGraph.view_links`), priced by `_view_value` on the whole
-radius-2 conflict graph. `price_scaled` gives the largest view value
+radius-2 conflict graph from the view's own support, so a view costs
+nothing per link outside it. `price_scaled` gives the largest view value
 (`_view_max`), the heaviest clique of the graph's table of maximal view
 cliques (`NetworkGraph.view_clique_table`) or the value of a non-chordal
-view, and the network-wide duration. `view_values` prices every view,
-for `local_views` and the protocol trace.
+view, and the network-wide duration, on a chordal conflict graph its
+heaviest maximal clique (`ConflictGraph.clique_readers`). `view_values`
+prices every view, for `local_views` and the protocol trace.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ def check_sample_count(count: int, what: str) -> None:
 def _view_value(gc: ConflictGraph, idx, scaled: list[int], den: int, cap: int) -> int | Fraction:
     """Duration of the demands scaled / den on the view of link indices
     idx, times den. At radius 2 the view's conflict graph is gc restricted
-    to idx, so this is `scaled_duration` on gc with every other entry 0."""
-    view = [0] * len(scaled)
-    for i in idx:
-        view[i] = scaled[i]
-    return scaled_duration(gc, view, den, cap)
+    to idx, so this is `scaled_duration` on gc priced from the view's own
+    support, its indices with nonzero demand, or on all of gc when the
+    view holds every link."""
+    if len(idx) == len(scaled):
+        return scaled_duration(gc, scaled, den, cap)
+    return scaled_duration(gc, scaled, den, cap, [i for i in idx if scaled[i]])
 
 
 def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | Fraction:
@@ -78,9 +81,10 @@ def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | F
     chordal is priced by `_view_value`.
     """
     table = g.view_clique_table
-    gc = conflict_graph(g, 2)
     values = [sum(read(scaled)) for read in table.readers]
-    values += [_view_value(gc, idx, scaled, den, cap) for idx in table.non_chordal]
+    if table.non_chordal:
+        gc = conflict_graph(g, 2)
+        values += [_view_value(gc, idx, scaled, den, cap) for idx in table.non_chordal]
     return max(values, default=0)
 
 

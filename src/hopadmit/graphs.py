@@ -280,6 +280,19 @@ class ConflictGraph:
         """
         return elimination(len(self.links), self.adj)
 
+    @cached_property
+    def clique_readers(self) -> tuple[Callable, ...] | None:
+        """One reader per maximal clique, each returning the clique's
+        entries of a list indexed like links in one call, or None when the
+        graph is not chordal. A chordal graph is perfect, so the heaviest
+        of these cliques, max(sum(read(w)) for read in clique_readers), is
+        its weighted fractional chromatic number (0 with no vertex).
+        """
+        elim = self.elimination
+        if elim is None:
+            return None
+        return tuple([_reader(c) for c in _elimination_maximal_cliques(elim)])
+
     @property
     def components(self) -> tuple[ConflictGraph, ...]:
         """The subgraph induced by each connected component, in the order
@@ -358,22 +371,23 @@ def conflict_components(
     gc: ConflictGraph, keep: Iterable[int] | None = None
 ) -> list[list[int]]:
     """Connected components of the conflict graph, or of the subgraph
-    induced by the indices in keep, as sorted index lists of gc."""
-    seen: set[int] = set() if keep is None else set(range(len(gc.links))).difference(keep)
+    induced by the indices in keep, as sorted index lists of gc, ordered by
+    their smallest index. Only the kept indices are walked: each neighbor
+    set is intersected with the unvisited ones, walking the smaller."""
+    order = range(len(gc.links)) if keep is None else sorted(set(keep))
+    unseen = set(order)
     comps = []
-    for s in range(len(gc.links)):
-        if s in seen:
+    for s in order:
+        if s not in unseen:
             continue
+        unseen.discard(s)
         comp = [s]
-        seen.add(s)
-        queue = deque(comp)
-        while queue:
-            u = queue.popleft()
-            for w in gc.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
+        # The loop also walks the indices appended while it runs.
+        for u in comp:
+            new = gc.adj[u] & unseen
+            if new:
+                unseen -= new
+                comp += new
         comps.append(sorted(comp))
     return comps
 

@@ -5,18 +5,21 @@ time. A schedule is a list of (independent link set, duration) entries; the
 shortest schedule meeting a demand vector has total duration equal to the
 weighted fractional chromatic number of the conflict graph, computed here
 as an exact covering LP over maximal independent sets. A chordal graph is
-perfect (Lovasz), so its duration is its heaviest clique, read off the
-conflict graph's cached elimination ordering, without the LP.
-Chordality is hereditary, so on a chordal conflict graph this holds for
-every demand vector at once; on any other graph each connected support
-component is priced this way when it is chordal and by the LP when it is
-not.
+perfect (Lovasz), so its duration is its heaviest clique, without the
+LP: the conflict graph caches one reader per maximal clique, read off
+its elimination ordering (Gavril), and the heaviest is a few integer
+sums. Chordality is hereditary, so on a chordal conflict graph this
+holds for every demand vector at once; on any other graph each
+connected support component is priced by its own clique readers when
+it is chordal and by the LP when it is not.
 
 This module is the one place that prices demands. `scale_demands`
 checks a demand vector once and writes it as integers over one common
 denominator; `scaled_duration` returns the duration times that
-denominator, an int unless a component needs the LP. Every other entry
-point, here and in `analysis` and `simulate`, scales once and calls it.
+denominator, an int unless a component needs the LP, and prices only a
+given support when one is passed, as for a 1-hop view. Every other
+entry point, here and in `analysis` and `simulate`, scales once and
+calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import GraphError
 from .graphs import ConflictGraph, Link, conflict_components, induced_conflict
@@ -97,32 +100,14 @@ def scale_demands(gc: ConflictGraph, tau: Mapping) -> tuple[list[int], int]:
     )
 
 
-def heaviest_clique_sum(
-    elimination: Iterable[tuple[int, Iterable[int]]], scaled: Sequence[int]
-) -> int:
-    """Heaviest clique of a chordal graph in integer weights, given its
-    elimination ordering as (vertex, later neighbors) pairs.
-
-    Every maximal clique is a vertex plus its later neighbors, and a vertex
-    of weight 0 can be skipped: its later neighbors lie in the clique of
-    the earliest of them.
-    """
-    return max(
-        (
-            scaled[v] + sum([scaled[u] for u in later])
-            for v, later in elimination
-            if scaled[v]
-        ),
-        default=0,
-    )
-
-
 def _support_components(
-    gc: ConflictGraph, scaled: Sequence[int]
+    gc: ConflictGraph, scaled: Sequence[int], support: Sequence[int] | None = None
 ) -> list[tuple[ConflictGraph, list[int]]]:
     """Each connected component of the demands' support, as its induced
-    conflict graph and its entries of scaled."""
-    support = [i for i, w in enumerate(scaled) if w]
+    conflict graph and its entries of scaled. The support is the given
+    indices, or else every index with a nonzero entry."""
+    if support is None:
+        support = [i for i, w in enumerate(scaled) if w]
     return [
         (induced_conflict(gc, comp), [scaled[i] for i in comp])
         for comp in conflict_components(gc, support)
@@ -130,23 +115,32 @@ def _support_components(
 
 
 def scaled_duration(
-    gc: ConflictGraph, scaled: Sequence[int], den: int, cap: int = DEFAULT_SET_CAP
+    gc: ConflictGraph,
+    scaled: Sequence[int],
+    den: int,
+    cap: int = DEFAULT_SET_CAP,
+    support: Sequence[int] | None = None,
 ) -> int | Fraction:
     """Minimum schedule duration of the demands scaled / den, times den.
 
-    scaled is indexed like gc.links and holds nonnegative integers. On a
-    chordal gc the value is its heaviest clique along gc.elimination. Any
-    other gc is priced per connected support component, the largest
-    value winning: a chordal component by its heaviest clique, any other
-    by the covering LP on the demands as Fractions. The value is an int
-    unless some component needs the LP.
+    scaled is indexed like gc.links and holds nonnegative integers. Given
+    support, the indices of some nonzero entries, only those demands are
+    priced and the rest of scaled is never read. On a chordal gc, with no
+    support given, the value is its heaviest maximal clique, read by
+    gc.clique_readers. Otherwise each connected support component is
+    priced, the largest value winning: a chordal component by its own
+    clique readers, any other by the covering LP on the demands as
+    Fractions. The value is an int unless some component needs the LP.
     """
-    if gc.elimination is not None:
-        return heaviest_clique_sum(gc.elimination, scaled)
+    if support is None and gc.clique_readers is not None:
+        parts = [(gc, scaled)]
+    else:
+        parts = _support_components(gc, scaled, support)
     best: int | Fraction = 0
-    for comp, weights in _support_components(gc, scaled):
-        if comp.elimination is not None:
-            value = heaviest_clique_sum(comp.elimination, weights)
+    for comp, weights in parts:
+        readers = comp.clique_readers
+        if readers is not None:
+            value = max([sum(read(weights)) for read in readers], default=0)
         else:
             lp, _ = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
             value = lp * den

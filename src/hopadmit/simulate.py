@@ -9,7 +9,8 @@ radius 2 only. The run is compared against a centralized feasibility
 oracle and classified; everything is deterministic for fixed inputs.
 
 ``_decide`` is the one place that turns the largest view value and the
-oracle's value into a decision and its classification. ``run_admission``
+oracle's value, over one denominator, into a decision and its
+classification, by integer comparisons. ``run_admission``
 scales the demands to integers once (``scheduling.scale_demands``),
 prices every view and the oracle from them, and wraps the decision in the
 full protocol trace (messages, reconstructed views, the check that each
@@ -17,9 +18,13 @@ view matches its 1-hop subgraph), which ``admit --mode distributed``
 prints. ``evaluate_policy`` builds no trace and stays in integers from
 the draw to the decision: ``_draw_demands`` draws a raw vector as integer
 numerators over one denominator, with the local value it is to be
-rescaled to, ``analysis.price_scaled`` prices those integers in one
-pass, and the rescaled row follows with one ``Fraction`` per value,
-because every value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``).
+rescaled to, through ``rng.getrandbits`` with CPython's rejection rule
+for ``Random.randint`` inlined, so the vector and the generator state
+are those of ``randint``. ``analysis.price_scaled`` prices those
+integers in one pass. A rescaled sample is decided over the denominator
+``local * goal.denominator``, because every value is homogeneous
+(``chi_f(c * tau) == c * chi_f(tau)``), and ``Fraction``s are built only
+for the two values in the row.
 ``sample_demands`` turns the same draw into a ``Fraction`` vector for
 callers that want one.
 """
@@ -82,14 +87,21 @@ def _classify(admit: bool, feasible: bool) -> str:
 
 
 def _decide(
-    local_max: Fraction, oracle_value: Fraction, threshold: Fraction | None
+    local: int | Fraction,
+    exact: int | Fraction,
+    threshold: Fraction | None,
+    den: int = 1,
 ) -> tuple[bool, str]:
     """The admission decision and its classification for one demand
-    vector, from its largest 1-hop view value and its exact duration. The
-    network admits iff every view's value is within the threshold; a
-    threshold of None admits exactly the feasible vectors."""
-    feasible = oracle_value <= 1
-    admit = feasible if threshold is None else local_max <= threshold
+    vector, from its largest 1-hop value local / den and its exact
+    duration exact / den, compared by cross-multiplying. The network
+    admits iff every view's value is within the threshold; a threshold of
+    None admits exactly the feasible vectors."""
+    feasible = exact <= den
+    if threshold is None:
+        admit = feasible
+    else:
+        admit = local * threshold.denominator <= threshold.numerator * den
     return admit, _classify(admit, feasible)
 
 
@@ -177,15 +189,30 @@ def _draw_demands(
     1-hop value is positive and the rescale is always defined.
     """
     den = lcm(*range(1, denom_max + 1))
+    # rng.randint(1, n) is 1 plus CPython's _randbelow_with_getrandbits(n):
+    # getrandbits(n.bit_length()), drawn again until it is below n. That
+    # rule is inlined here, drawing d - 1 and then k - 1, so the vector
+    # and the generator state afterwards are those of
+    # rng.randint(1, denom_max) and rng.randint(1, d); a test checks this
+    # on the running interpreter.
+    uniform, getrandbits = rng.random, rng.getrandbits
+    bits = denom_max.bit_length()
     scaled = [0] * len(g.links)
     for i in range(len(scaled)):
-        if rng.random() < 0.6:
-            d = rng.randint(1, denom_max)
-            scaled[i] = rng.randint(1, d) * (den // d)
+        if uniform() < 0.6:
+            d = getrandbits(bits)
+            while d >= denom_max:
+                d = getrandbits(bits)
+            d += 1
+            d_bits = d.bit_length()
+            k = getrandbits(d_bits)
+            while k >= d:
+                k = getrandbits(d_bits)
+            scaled[i] = (k + 1) * (den // d)
     if not any(scaled):
         scaled[rng.randrange(len(scaled))] = den // denom_max
     goal = None
-    if target is not None and rng.random() < 0.6:
+    if target is not None and uniform() < 0.6:
         goal = rng.choice(_RESCALE_FACTORS) * Fraction(target)
     return scaled, den, goal
 
@@ -255,14 +282,18 @@ def evaluate_policy(
         scaled, den, goal = _draw_demands(g, rng, target=target)
         local, exact = price_scaled(g, scaled, den, cap)
         if goal is None:
-            local_max, oracle_value = Fraction(local, den), Fraction(exact, den)
+            local_max = Fraction(local, den)
         else:
             # Every value is homogeneous in the demands, so rescaling the
             # raw vector to a largest view value of goal scales the
-            # duration by goal / local, and den cancels.
+            # duration by goal / local, and den cancels: over the new den,
+            # local * goal.denominator, the view value is goal.
+            local, exact, den = (
+                goal.numerator * local, goal.numerator * exact, goal.denominator * local
+            )
             local_max = goal
-            oracle_value = Fraction(exact * goal.numerator, local * goal.denominator)
-        admit, classification = _decide(local_max, oracle_value, threshold)
+        admit, classification = _decide(local, exact, threshold, den)
+        oracle_value = Fraction(exact, den)
         tally[classification] += 1
         rows.append(
             {

@@ -110,6 +110,31 @@ def scan_maximal_cliques(n, adj, cap=DEFAULT_SET_CAP):
     return sorted(out)
 
 
+def brute_heaviest_clique(n, adj, weights):
+    """Largest total weight of a clique, 0 with no vertex, by growing every
+    clique in increasing vertex order."""
+
+    def grow(total, cand):
+        return max([total] + [grow(total + weights[v], {u for u in cand & adj[v] if u > v}) for v in cand])
+
+    return grow(0, set(range(n)))
+
+
+def heaviest_clique_sum(elimination, scaled):
+    """Heaviest clique of a chordal graph in integer weights, given its
+    elimination ordering as (vertex, later neighbors) pairs: the walk the
+    package priced chordal graphs by before it read maximal cliques.
+
+    Every maximal clique is a vertex plus its later neighbors, and a vertex
+    of weight 0 can be skipped: its later neighbors lie in the clique of
+    the earliest of them.
+    """
+    return max(
+        (scaled[v] + sum([scaled[u] for u in later]) for v, later in elimination if scaled[v]),
+        default=0,
+    )
+
+
 def brute_max_clique_size(n, adj):
     return max((len(c) for c in brute_maximal_cliques(n, adj)), default=0)
 

@@ -110,6 +110,38 @@ def test_views_equal_subgraphs_priced_alone(seed=53, trials=30):
             assert [(view.subgraph, view.local_value) for view in trace.views] == expected
 
 
+class _RecordingList(list):
+    """A list that records every index read from it."""
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return super().__getitem__(i)
+
+
+def test_view_value_reads_only_its_view(seed=59, trials=20):
+    """A view that is not every link is priced from its own support: no
+    demand outside the view is read, and the value is that of the view's
+    demands alone."""
+    from hopadmit.analysis import _view_value
+    from hopadmit.scheduling import scale_demands, scaled_duration
+
+    rng = random.Random(seed)
+    graphs = [cycle_graph(30), star_graph(12), NON_CHORDAL_VIEW]
+    graphs += [random_connected_graph(rng, 8, 12) for _ in range(trials)]
+    for g in graphs:
+        gc = conflict_graph(g, 2)
+        scaled, den = scale_demands(gc, {link: rng.randint(0, 2) for link in g.links})
+        for idx in g.view_links:
+            if len(idx) == len(gc.links):
+                continue
+            demands = _RecordingList(scaled)
+            demands.reads = set()
+            value = _view_value(gc, idx, demands, den, 1000)
+            assert demands.reads <= set(idx)
+            alone = [scaled[i] if i in idx else 0 for i in range(len(scaled))]
+            assert value == scaled_duration(gc, alone, den)
+
+
 def test_durations_scale_with_demand(seed=47, count=12):
     """Global and local durations are homogeneous of degree one."""
     rng = random.Random(seed)

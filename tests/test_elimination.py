@@ -1,8 +1,11 @@
-"""Maximum cardinality search and the cached elimination ordering.
+"""Maximum cardinality search, the cached elimination ordering and the
+clique readers built from it.
 
 mcs_order must visit vertices in exactly the order of the original full
 scan, and ConflictGraph.elimination must be None exactly on the graphs
 that are not chordal, cross-checked against networkx when it is installed.
+On a chordal graph the heaviest clique read by ConflictGraph.clique_readers
+must equal the elimination walk and a brute-force heaviest clique.
 """
 
 from __future__ import annotations
@@ -12,10 +15,16 @@ import random
 import pytest
 
 from corpus import family_graphs, random_adjacency, random_connected_graph
-from oracles import lambda_scan_mcs_order, verify_peo
+from oracles import (
+    brute_heaviest_clique,
+    heaviest_clique_sum,
+    lambda_scan_mcs_order,
+    verify_peo,
+)
 from hopadmit import conflict_graph
 from hopadmit.chordal import mcs_order
 from hopadmit.graphs import ConflictGraph
+from hopadmit.scheduling import scaled_duration
 
 
 def _as_conflict_graph(adj):
@@ -64,3 +73,56 @@ def test_elimination_agrees_with_networkx(seed=227, trials=600):
         assert (_as_conflict_graph(adj).elimination is not None) == chordal, adj
         kinds.add(chordal)
     assert kinds == {True, False}
+
+
+def _random_chordal_adjacency(rng, n):
+    """Each new vertex joins a random clique of the earlier ones, so the
+    reversed construction order is a perfect elimination ordering; the
+    vertices are then relabelled at random."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        clique = []
+        for u in rng.sample(range(v), v):
+            if rng.random() < 0.5 and all(w in adj[u] for w in clique):
+                clique.append(u)
+        for u in clique:
+            adj[u].add(v)
+            adj[v].add(u)
+    label = rng.sample(range(n), n)
+    out = [frozenset()] * n
+    for v in range(n):
+        out[label[v]] = frozenset(label[u] for u in adj[v])
+    return tuple(out)
+
+
+def test_clique_readers_price_the_heaviest_clique(seed=229, trials=500):
+    rng = random.Random(seed)
+    sizes = set()
+    for _ in range(trials):
+        n = rng.randint(0, 14)
+        adj = _random_chordal_adjacency(rng, n)
+        gc = _as_conflict_graph(adj)
+        assert gc.elimination is not None
+        weights = [rng.choice((0, rng.randint(1, 9))) for _ in range(n)]
+        readers = gc.clique_readers
+        sizes.update(len(read(weights)) for read in readers)
+        got = max((sum(read(weights)) for read in readers), default=0)
+        assert got == heaviest_clique_sum(gc.elimination, weights), adj
+        assert got == brute_heaviest_clique(n, adj, weights), adj
+        assert scaled_duration(gc, weights, 1) == got
+    assert 1 in sizes and max(sizes) > 2
+
+
+def test_clique_readers_of_tiny_and_non_chordal_graphs():
+    empty = _as_conflict_graph(())
+    assert empty.clique_readers == ()
+    assert scaled_duration(empty, [], 1) == 0
+    # A lone vertex is one clique, read by a slice, not a bare itemgetter.
+    lone = _as_conflict_graph((frozenset(),))
+    (read,) = lone.clique_readers
+    assert read([7]) == [7]
+    assert scaled_duration(lone, [7], 3) == 7
+    assert scaled_duration(lone, [0], 3) == 0
+    hole = _as_conflict_graph(tuple(frozenset({(v - 1) % 4, (v + 1) % 4}) for v in range(4)))
+    assert hole.elimination is None and hole.clique_readers is None
+    assert lone.clique_readers is lone.clique_readers

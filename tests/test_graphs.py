@@ -320,6 +320,39 @@ def test_conflict_graph_rejects_bad_radius():
         conflict_graph(cycle_graph(4), 0)
 
 
+class _Recording(tuple):
+    """A tuple that records every index read from it."""
+
+    def __new__(cls, items, reads):
+        out = super().__new__(cls, items)
+        out.reads = reads
+        return out
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return super().__getitem__(i)
+
+
+def test_conflict_components_walk_only_the_kept_indices(seed=233, trials=40):
+    """With keep, the components are those of the induced subgraph, mapped
+    back and ordered by their smallest index, and no neighbor set outside
+    keep is read."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        gc = conflict_graph(random_connected_graph(rng), rng.choice((1, 2)))
+        m = len(gc.links)
+        keep = rng.sample(range(m), rng.randint(0, m))
+        sub = induced_conflict(gc, keep)
+        order = sorted(keep)
+        want = [[order[i] for i in comp] for comp in conflict_components(sub)]
+        reads: set[int] = set()
+        recording = hopadmit.ConflictGraph(gc.links, _Recording(gc.adj, reads), gc.k)
+        got = conflict_components(recording, keep)
+        assert got == want
+        assert got == sorted(got)
+        assert reads <= set(keep)
+
+
 def test_conflict_components_split():
     g = build_graph("abcdef", [("a", "b"), ("c", "d"), ("e", "f")])
     gc = conflict_graph(g, 2)

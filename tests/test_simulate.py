@@ -313,6 +313,35 @@ def test_draw_keeps_the_fraction_draw(seed=19):
             assert goal == expected_goal
 
 
+def test_inline_draw_matches_randint():
+    """The draw inlines CPython's rejection rule behind Random.randint. On
+    the running interpreter it must give the integers of the draw through
+    randint and leave the generator in the same state, so a change to that
+    rule fails here instead of changing output."""
+    from math import lcm
+
+    from oracles import fraction_draw
+
+    graphs = [
+        build_graph("ab", [("a", "b")]),
+        cycle_graph(5),
+        cycle_graph(12),
+    ]
+    for g in graphs:
+        for denom_max in range(1, 7):
+            den = lcm(*range(1, denom_max + 1))
+            for seed in range(2000):
+                target = Fraction(2, 5) if seed % 2 else None
+                rng = random.Random(seed)
+                scaled, got_den, goal = simulate._draw_demands(g, rng, denom_max, target)
+                ref = random.Random(seed)
+                tau, expected_goal = fraction_draw(g, ref, denom_max, target)
+                assert rng.getstate() == ref.getstate(), (len(g.links), denom_max, seed)
+                assert got_den == den
+                assert scaled == [tau[link] * den if link in tau else 0 for link in g.links]
+                assert goal == expected_goal
+
+
 def test_sampler_output_shape(seed=17):
     rng = random.Random(seed)
     g = cycle_graph(9)
