@@ -1,11 +1,12 @@
 """Chordality testing with verifiable certificates.
 
 Maximum cardinality search produces an ordering whose reverse is a perfect
-elimination ordering exactly when the graph is chordal. The ordering is
-checked and each vertex's later neighbors collected in one pass
-(``elimination``), which is all a chordal graph's cliques need. For a
-certificate, the PEO is returned on success; on failure an induced
-chordless cycle of length at least four is extracted as a counterexample.
+elimination ordering exactly when the graph is chordal. One pass
+(``peo_cliques``) checks the ordering and reads the graph's maximal
+cliques off it, each a vertex plus its later neighbors; this is the only
+module that handles elimination orderings. For a certificate, the PEO is
+returned on success; on failure an induced chordless cycle of length at
+least four is extracted as a counterexample.
 """
 
 from __future__ import annotations
@@ -33,15 +34,20 @@ def mcs_order(n: int, adj: Sequence[frozenset[int]]) -> list[int]:
     return order
 
 
-def elimination(
+def peo_cliques(
     n: int, adj: Sequence[frozenset[int]]
-) -> tuple[tuple[int, frozenset[int]], ...] | None:
-    """(vertex, later neighbors) pairs along the reversed MCS order, or
-    None when that order is not a perfect elimination ordering, which
+) -> tuple[list[int], list[tuple[int, ...]]] | None:
+    """The reversed MCS order and the maximal cliques of a chordal graph,
+    or None when that order is not a perfect elimination ordering, which
     happens exactly when the graph is not chordal.
 
     Each vertex's later neighbors must all be adjacent to the earliest of
-    them (the single-representative test).
+    them (the single-representative test). Every maximal clique is then a
+    vertex v plus its later neighbors, listed as (v, *later) in order. The
+    clique of v lies inside another exactly when some u has v as its
+    earliest later neighbor and one later neighbor more than v: later(u)
+    minus v lies in later(v), because later(u) is a clique, so then
+    later(u) is v plus later(v).
     """
     order = mcs_order(n, adj)
     order.reverse()
@@ -49,16 +55,20 @@ def elimination(
     for i, v in enumerate(order):
         pos[v] = i
     remaining = set(range(n))
-    out = []
+    laters = []
+    firsts = []
     for v in order:
         remaining.discard(v)
         later = adj[v] & remaining
+        laters.append(later)
         if later:
             first = min(later, key=pos.__getitem__)
             if len(later - adj[first]) != 1:
                 return None
-        out.append((v, later))
-    return tuple(out)
+            firsts.append((first, len(later)))
+    covered = {u for u, size in firsts if size == len(laters[pos[u]]) + 1}
+    cliques = [(v, *later) for v, later in zip(order, laters) if v not in covered]
+    return order, cliques
 
 
 def find_hole(n: int, adj: Sequence[frozenset[int]]) -> list[int] | None:
@@ -106,9 +116,9 @@ def chordality_certificate(
     n: int, adj: Sequence[frozenset[int]]
 ) -> tuple[bool, list[int]]:
     """(True, perfect elimination ordering) or (False, induced hole)."""
-    elim = elimination(n, adj)
-    if elim is not None:
-        return True, [v for v, _ in elim]
+    found = peo_cliques(n, adj)
+    if found is not None:
+        return True, found[0]
     hole = find_hole(n, adj)
     if hole is None:
         raise RuntimeError("elimination check failed but no hole was found")

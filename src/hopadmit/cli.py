@@ -2,7 +2,7 @@
 
 Every command prints a JSON envelope (sorted keys, stable across reruns)
 carrying the tool version, the input digest, and the command's result.
-Exit codes: 0 success, 2 bad input, 3 resource-guard abort.
+Exit codes: 0 success, 2 bad input, 3 resource-guard abort or out of memory.
 """
 
 from __future__ import annotations
@@ -322,6 +322,9 @@ def main(argv=None) -> int:
             return 2
         except ResourceLimitError as exc:
             print(f"resource limit: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError:
+            print("resource limit: out of memory", file=sys.stderr)
             return 3
         finally:
             for caught_warning in caught:

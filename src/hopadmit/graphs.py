@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .chordal import elimination
+from .chordal import peo_cliques
 from .errors import GraphError, ResourceLimitError
 from .simplex import _reader
 
@@ -84,10 +84,10 @@ class NetworkGraph:
         restricted to its links (`view_links`): two links conflict when
         they share an endpoint or one edge joins their endpoints, and that
         edge lies inside the closed neighborhood. A chordal view is worth
-        its heaviest clique, and each of its maximal cliques is a vertex
-        plus its later neighbors along its elimination. The table keeps
-        those cliques, relabelled to link indices of the whole conflict
-        graph, and drops each one contained in another (of any view):
+        its heaviest clique, and its maximal cliques are the `cliques` of
+        that restriction. The table keeps them, relabelled to link indices
+        of the whole conflict graph, and drops each one contained in
+        another (of any view):
         weights are nonnegative, so the heaviest clique over all chordal
         views is among the rest. Non-chordal views keep their link indices.
         """
@@ -96,11 +96,11 @@ class NetworkGraph:
         non_chordal = []
         for idx in dict.fromkeys(self.view_links):
             view = gc if len(idx) == len(gc.links) else induced_conflict(gc, idx)
-            elim = view.elimination
-            if elim is None:
+            cliques = view.cliques
+            if cliques is None:
                 non_chordal.append(idx)
                 continue
-            for clique in _elimination_maximal_cliques(elim):
+            for clique in cliques:
                 found.add(tuple(sorted(idx[u] for u in clique)))
         cliques = _inclusion_maximal(found)
         return ViewCliqueTable(
@@ -144,28 +144,6 @@ class ViewCliqueTable:
     cliques: tuple[tuple[int, ...], ...]
     readers: tuple[Callable, ...]
     non_chordal: tuple[tuple[int, ...], ...]
-
-
-def _elimination_maximal_cliques(
-    elim: Sequence[tuple[int, frozenset[int]]]
-) -> list[tuple[int, ...]]:
-    """The maximal cliques of a chordal graph from its elimination.
-
-    Each is a vertex plus its later neighbors. The clique of v lies inside
-    another exactly when some u has v as its earliest later neighbor and
-    one later neighbor more than v: later(u) minus v lies in later(v),
-    because later(u) is a clique, so then later(u) is v plus later(v).
-    """
-    pos = [0] * len(elim)
-    for i, (v, _) in enumerate(elim):
-        pos[v] = i
-    covered = set()
-    for _, later in elim:
-        if later:
-            v, later_v = elim[min(map(pos.__getitem__, later))]
-            if len(later) == len(later_v) + 1:
-                covered.add(v)
-    return [(v, *later) for v, later in elim if v not in covered]
 
 
 def _inclusion_maximal(cliques: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -261,7 +239,9 @@ def one_hop_subgraph(g: NetworkGraph, v: str) -> NetworkGraph:
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Graph on links; adjacency means the links may not share a slot."""
+    """Graph on links; adjacency means the links may not share a slot.
+    Its maximal cliques (when chordal), their readers and its components
+    are cached on the instance."""
 
     links: tuple[Link, ...]
     adj: tuple[frozenset[int], ...]
@@ -272,13 +252,14 @@ class ConflictGraph:
         return {link: i for i, link in enumerate(self.links)}
 
     @cached_property
-    def elimination(self) -> tuple[tuple[int, frozenset[int]], ...] | None:
-        """(link index, later neighbors) pairs along a perfect elimination
-        ordering, or None when the graph is not chordal. Built once per
-        instance; restricted to any subset of links it is still a perfect
-        elimination ordering of the induced subgraph.
+    def cliques(self) -> tuple[tuple[int, ...], ...] | None:
+        """The maximal cliques as link-index tuples, each a link plus its
+        later neighbors along a perfect elimination ordering, in that
+        order; None when the graph is not chordal. Built once per
+        instance.
         """
-        return elimination(len(self.links), self.adj)
+        found = peo_cliques(len(self.links), self.adj)
+        return None if found is None else tuple(found[1])
 
     @cached_property
     def clique_readers(self) -> tuple[Callable, ...] | None:
@@ -288,10 +269,10 @@ class ConflictGraph:
         of these cliques, max(sum(read(w)) for read in clique_readers), is
         its weighted fractional chromatic number (0 with no vertex).
         """
-        elim = self.elimination
-        if elim is None:
+        cliques = self.cliques
+        if cliques is None:
             return None
-        return tuple([_reader(c) for c in _elimination_maximal_cliques(elim)])
+        return tuple([_reader(c) for c in cliques])
 
     @property
     def components(self) -> tuple[ConflictGraph, ...]:

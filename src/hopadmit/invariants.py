@@ -158,7 +158,7 @@ def _odd_hole_candidates(
 
 def _is_perfect(comp: ConflictGraph) -> bool:
     """Chordal or bipartite, so perfect and of imperfection ratio 1."""
-    return comp.elimination is not None or is_bipartite(len(comp.links), comp.adj)
+    return comp.cliques is not None or is_bipartite(len(comp.links), comp.adj)
 
 
 def _polytope_witness(
@@ -310,7 +310,7 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
     for a, b in pairs:
         keep = [i for i in range(m) if i not in (a, b)]
         sub = induced_conflict(gc, keep)
-        if sub.elimination is None:
+        if sub.cliques is None:
             return None
     p = m // 2
     return Fraction(p, p - 1)

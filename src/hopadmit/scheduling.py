@@ -6,8 +6,9 @@ shortest schedule meeting a demand vector has total duration equal to the
 weighted fractional chromatic number of the conflict graph, computed here
 as an exact covering LP over maximal independent sets. A chordal graph is
 perfect (Lovasz), so its duration is its heaviest clique, without the
-LP: the conflict graph caches one reader per maximal clique, read off
-its elimination ordering (Gavril), and the heaviest is a few integer
+LP: the conflict graph caches its maximal cliques (`gc.cliques`, read
+off a perfect elimination ordering in the pass that tests chordality;
+Gavril) and one reader per clique, and the heaviest is a few integer
 sums. Chordality is hereditary, so on a chordal conflict graph this
 holds for every demand vector at once; on any other graph each
 connected support component is priced by its own clique readers when
@@ -242,7 +243,7 @@ def weighted_clique_number(
     otherwise the heaviest maximal clique of the demands' support.
     """
     scaled, den = scale_demands(gc, tau)
-    if gc.elimination is not None:
+    if gc.cliques is not None:
         return Fraction(scaled_duration(gc, scaled, den, cap), den)
     support = [i for i, w in enumerate(scaled) if w]
     if not support:

@@ -18,6 +18,7 @@ from math import gcd, lcm
 from unittest import mock
 
 from hopadmit import qstab, simplex
+from hopadmit.chordal import mcs_order
 from hopadmit.analysis import (
     admission_threshold,
     check_sample_count,
@@ -120,10 +121,58 @@ def brute_heaviest_clique(n, adj, weights):
     return grow(0, set(range(n)))
 
 
+def elimination(n, adj):
+    """(vertex, later neighbors) pairs along the reversed MCS order, or None
+    when that order is not a perfect elimination ordering: the first of the
+    two passes that chordal.peo_cliques does in one.
+
+    Each vertex's later neighbors must all be adjacent to the earliest of
+    them (the single-representative test).
+    """
+    order = mcs_order(n, adj)
+    order.reverse()
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    remaining = set(range(n))
+    out = []
+    for v in order:
+        remaining.discard(v)
+        later = adj[v] & remaining
+        if later:
+            first = min(later, key=pos.__getitem__)
+            if len(later - adj[first]) != 1:
+                return None
+        out.append((v, later))
+    return tuple(out)
+
+
+def elimination_maximal_cliques(elim):
+    """The maximal cliques of a chordal graph from its elimination: the
+    second pass, which finds each earliest later neighbor again.
+
+    Each is a vertex plus its later neighbors. The clique of v lies inside
+    another exactly when some u has v as its earliest later neighbor and
+    one later neighbor more than v: later(u) minus v lies in later(v),
+    because later(u) is a clique, so then later(u) is v plus later(v).
+    """
+    pos = [0] * len(elim)
+    for i, (v, _) in enumerate(elim):
+        pos[v] = i
+    covered = set()
+    for _, later in elim:
+        if later:
+            v, later_v = elim[min(map(pos.__getitem__, later))]
+            if len(later) == len(later_v) + 1:
+                covered.add(v)
+    return [(v, *later) for v, later in elim if v not in covered]
+
+
 def heaviest_clique_sum(elimination, scaled):
     """Heaviest clique of a chordal graph in integer weights, given its
-    elimination ordering as (vertex, later neighbors) pairs: the walk the
-    package priced chordal graphs by before it read maximal cliques.
+    elimination ordering as (vertex, later neighbors) pairs (as from
+    `elimination` above): the walk the package priced chordal graphs by
+    before it read maximal cliques.
 
     Every maximal clique is a vertex plus its later neighbors, and a vertex
     of weight 0 can be skipped: its later neighbors lie in the clique of

@@ -375,6 +375,20 @@ def test_ray_cap_exits_3(capsys, monkeypatch):
     assert "resource limit:" in err
 
 
+def test_memory_error_exits_3(capsys, monkeypatch):
+    """Running out of memory is a resource limit: exit 3 and one stderr
+    line, never a traceback. The command raises MemoryError itself, so no
+    memory is exhausted."""
+    from hopadmit import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ratio_bounds", out_of_memory)
+    code, out, err = _run(capsys, "beta", "cycle:6")
+    assert (code, out, err) == (3, "", "resource limit: out of memory\n")
+
+
 def test_tiny_cap_exits_3(capsys):
     demands = json.dumps({f"v{i}-v{i % 10 + 1}": "1" for i in range(1, 11)})
     code, _, err = _run(

@@ -1,11 +1,14 @@
-"""Maximum cardinality search, the cached elimination ordering and the
-clique readers built from it.
+"""Maximum cardinality search, the one-pass elimination ordering and
+maximal cliques, and the clique readers built from them.
 
 mcs_order must visit vertices in exactly the order of the original full
-scan, and ConflictGraph.elimination must be None exactly on the graphs
-that are not chordal, cross-checked against networkx when it is installed.
-On a chordal graph the heaviest clique read by ConflictGraph.clique_readers
-must equal the elimination walk and a brute-force heaviest clique.
+scan. peo_cliques must give the same None, ordering and cliques, in the
+same order, as the two-pass reference in oracles (elimination, then
+elimination_maximal_cliques), and ConflictGraph.cliques must be None
+exactly on the graphs that are not chordal, cross-checked against
+networkx when it is installed. On a chordal graph the heaviest clique
+read by ConflictGraph.clique_readers must equal the elimination walk and
+a brute-force heaviest clique.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import pytest
 from corpus import family_graphs, random_adjacency, random_connected_graph
 from oracles import (
     brute_heaviest_clique,
+    elimination,
+    elimination_maximal_cliques,
     heaviest_clique_sum,
     lambda_scan_mcs_order,
     verify_peo,
 )
 from hopadmit import conflict_graph
-from hopadmit.chordal import mcs_order
+from hopadmit.chordal import mcs_order, peo_cliques
 from hopadmit.graphs import ConflictGraph
 from hopadmit.scheduling import scaled_duration
 
@@ -47,14 +52,18 @@ def test_elimination_lists_later_neighbors():
     for g in graphs:
         for k in (1, 2, 3):
             gc = conflict_graph(g, k)
-            elim = gc.elimination
-            assert gc.elimination is elim
-            if elim is None:
+            cliques = gc.cliques
+            assert gc.cliques is cliques
+            found = peo_cliques(len(gc.links), gc.adj)
+            if cliques is None:
+                assert found is None
                 continue
-            order = [v for v, _ in elim]
+            order, listed = found
+            assert tuple(listed) == cliques
             assert verify_peo(len(gc.links), gc.adj, order)
-            for i, (v, later) in enumerate(elim):
-                assert later == gc.adj[v] & set(order[i + 1 :])
+            for v, *later in cliques:
+                i = order.index(v)
+                assert set(later) == gc.adj[v] & set(order[i + 1 :])
 
 
 def test_elimination_agrees_with_networkx(seed=227, trials=600):
@@ -70,7 +79,7 @@ def test_elimination_agrees_with_networkx(seed=227, trials=600):
         h.add_nodes_from(range(len(adj)))
         h.add_edges_from((v, w) for v in range(len(adj)) for w in adj[v] if v < w)
         chordal = nx.is_chordal(h)
-        assert (_as_conflict_graph(adj).elimination is not None) == chordal, adj
+        assert (_as_conflict_graph(adj).cliques is not None) == chordal, adj
         kinds.add(chordal)
     assert kinds == {True, False}
 
@@ -95,6 +104,40 @@ def _random_chordal_adjacency(rng, n):
     return tuple(out)
 
 
+def test_peo_cliques_match_the_two_pass_reference(seed=233, trials=10000):
+    """The one pass gives the two-pass reference's answer exactly: None on
+    the same graphs, otherwise the same ordering and the same clique
+    tuples in the same order, on random chordal and arbitrary graphs
+    relabelled at random, and on the graphs of 0 and 1 vertex."""
+    rng = random.Random(seed)
+    adjs = [(), (frozenset(),)]
+    for t in range(trials):
+        n = rng.randint(0, 14)
+        if t % 2:
+            adjs.append(_random_chordal_adjacency(rng, n))
+        else:
+            adj = random_adjacency(rng, n, rng.random())
+            label = rng.sample(range(n), n)
+            out = [frozenset()] * n
+            for v in range(n):
+                out[label[v]] = frozenset(label[u] for u in adj[v])
+            adjs.append(tuple(out))
+    kinds = set()
+    for adj in adjs:
+        n = len(adj)
+        elim = elimination(n, adj)
+        got = peo_cliques(n, adj)
+        kinds.add(elim is None)
+        if elim is None:
+            assert got is None, adj
+            continue
+        assert got == ([v for v, _ in elim], elimination_maximal_cliques(elim)), adj
+        assert _as_conflict_graph(adj).cliques == tuple(got[1])
+    assert kinds == {True, False}
+    assert peo_cliques(0, ()) == ([], [])
+    assert peo_cliques(1, (frozenset(),)) == ([0], [(0,)])
+
+
 def test_clique_readers_price_the_heaviest_clique(seed=229, trials=500):
     rng = random.Random(seed)
     sizes = set()
@@ -102,12 +145,12 @@ def test_clique_readers_price_the_heaviest_clique(seed=229, trials=500):
         n = rng.randint(0, 14)
         adj = _random_chordal_adjacency(rng, n)
         gc = _as_conflict_graph(adj)
-        assert gc.elimination is not None
+        assert gc.cliques is not None
         weights = [rng.choice((0, rng.randint(1, 9))) for _ in range(n)]
         readers = gc.clique_readers
         sizes.update(len(read(weights)) for read in readers)
         got = max((sum(read(weights)) for read in readers), default=0)
-        assert got == heaviest_clique_sum(gc.elimination, weights), adj
+        assert got == heaviest_clique_sum(elimination(n, adj), weights), adj
         assert got == brute_heaviest_clique(n, adj, weights), adj
         assert scaled_duration(gc, weights, 1) == got
     assert 1 in sizes and max(sizes) > 2
@@ -124,5 +167,5 @@ def test_clique_readers_of_tiny_and_non_chordal_graphs():
     assert scaled_duration(lone, [7], 3) == 7
     assert scaled_duration(lone, [0], 3) == 0
     hole = _as_conflict_graph(tuple(frozenset({(v - 1) % 4, (v + 1) % 4}) for v in range(4)))
-    assert hole.elimination is None and hole.clique_readers is None
+    assert hole.cliques is None and hole.clique_readers is None
     assert lone.clique_readers is lone.clique_readers

@@ -1,12 +1,12 @@
-"""Property test: heaviest cliques along the cached elimination ordering.
+"""Property test: heaviest cliques read off the cached maximal cliques.
 
 On random graphs of at most 8 vertices, half of them built chordal by
 attaching each new vertex to a clique of earlier ones, with random
-rational demands: elimination is None exactly when find_hole finds a
-hole, and on a chordal graph fractional_chromatic equals the dense
-tableau LP over every maximal independent set, weighted_clique_number
-the brute-force heaviest clique, and the cliques the elimination keeps as
-maximal are the brute-force maximal cliques. On random families of small
+rational demands: ConflictGraph.cliques is None exactly when find_hole
+finds a hole, and on a chordal graph fractional_chromatic equals the
+dense tableau LP over every maximal independent set,
+weighted_clique_number the brute-force heaviest clique, and the cliques
+read off the elimination ordering are the brute-force maximal cliques. On random families of small
 index tuples, the inclusion-maximal filter behind the clique table keeps
 exactly the tuples contained in no other one.
 """
@@ -29,7 +29,6 @@ from hopadmit import fractional_chromatic, weighted_clique_number  # noqa: E402
 from hopadmit.chordal import find_hole  # noqa: E402
 from hopadmit.graphs import (  # noqa: E402
     ConflictGraph,
-    _elimination_maximal_cliques,
     _inclusion_maximal,
 )
 
@@ -77,8 +76,8 @@ def instances(draw):
 def test_elimination_prices_chordal_graphs(instance):
     gc, tau = instance
     n = len(gc.links)
-    assert (gc.elimination is None) == (find_hole(n, gc.adj) is not None)
-    if gc.elimination is None:
+    assert (gc.cliques is None) == (find_hole(n, gc.adj) is not None)
+    if gc.cliques is None:
         return
     weights = [tau[link] for link in gc.links]
     sets = sorted(tuple(sorted(s)) for s in brute_maximal_independent_sets(n, gc.adj))
@@ -95,7 +94,7 @@ def test_elimination_prices_chordal_graphs(instance):
 def test_elimination_keeps_exactly_the_maximal_cliques(adj):
     n = len(adj)
     gc = ConflictGraph(tuple((f"a{i}", f"b{i}") for i in range(n)), tuple(map(frozenset, adj)), 2)
-    kept = _elimination_maximal_cliques(gc.elimination)
+    kept = gc.cliques
     assert sorted(map(sorted, kept)) == sorted(map(sorted, brute_maximal_cliques(n, gc.adj)))
 
 

@@ -31,7 +31,7 @@ from hopadmit import (
     sample_demands,
     star_graph,
 )
-from hopadmit.chordal import elimination
+from hopadmit.chordal import peo_cliques
 from hopadmit.scheduling import _component_lp, _support_components, scale_demands
 from hopadmit.search import DEFAULT_SET_CAP
 
@@ -76,7 +76,7 @@ def _kind(adj):
     n = len(adj)
     if all(len(a) == n - 1 for a in adj):
         return "clique"
-    return "chordal" if elimination(n, adj) is not None else "lp"
+    return "chordal" if peo_cliques(n, adj) is not None else "lp"
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ def test_fast_path_equals_brute_force(components):
         n = len(adj)
         if n > BRUTE_SCAN_LINKS:
             continue
-        chordal = elimination(n, adj) is not None
+        chordal = peo_cliques(n, adj) is not None
         assert chordal == brute_is_chordal(n, adj)
         if n <= BRUTE_LP_LINKS:
             names, comp, weights, value = entries[0]

@@ -70,7 +70,7 @@ def test_fast_path_equals_lp(instance):
     assert duration == value * den
     for c in (2, 3, 7):
         assert scaled_duration(gc, [c * s for s in scaled], c * den) == c * duration
-    if all(comp.elimination is not None for comp, _ in components):
+    if all(comp.cliques is not None for comp, _ in components):
         assert type(duration) is int
     support = induced_conflict(gc, [gc.index(link) for link in t])
     chordal, cert = is_chordal(support)

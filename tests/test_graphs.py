@@ -127,7 +127,7 @@ def test_one_hop_subgraph_equals_the_link_filter(seed=23, trials=40):
 def test_view_links_are_the_one_hop_subgraph_links(seed=29, trials=40):
     """Each view's link indices are the indices in g.links of its 1-hop
     subgraph's links, sorted, and the whole conflict graph restricted to
-    them is the subgraph's own radius-2 conflict graph, elimination
+    them is the subgraph's own radius-2 conflict graph, maximal cliques
     included."""
     rng = random.Random(seed)
     graphs = [g for _, g in family_graphs()]
@@ -143,7 +143,7 @@ def test_view_links_are_the_one_hop_subgraph_links(seed=29, trials=40):
             assert list(idx) == sorted(idx)
             own, restricted = conflict_graph(sub, 2), induced_conflict(gc, idx)
             assert (restricted.links, restricted.adj) == (own.links, own.adj)
-            assert restricted.elimination == own.elimination
+            assert restricted.cliques == own.cliques
 
 
 def test_views_make_no_reference_cycle():
@@ -205,7 +205,7 @@ def test_whole_graph_view_shares_the_conflict_graph(capsys, monkeypatch):
 
 def test_connected_conflict_graph_is_its_own_component(capsys, monkeypatch):
     """A connected conflict graph is its only component, not an induced
-    copy that would compute its elimination again; beta star:999 prints
+    copy that would compute its cliques again; beta star:999 prints
     what it prints when every component is a copy."""
     import hopadmit.graphs as graphs
     from hopadmit.cli import main

@@ -387,9 +387,14 @@ def test_imp_upper_certificates():
 
 
 def test_imp_upper_unavailable_on_large_odd_ring():
-    gc = conflict_graph(cycle_graph(13), 2)
-    value, tag = imperfection_upper_bound(gc)
-    assert tag == "odd-cycle-family" or value is None or value >= 1
+    """At radius 2 the conflict graph of C13 is C13 squared, which no route
+    past the enumeration limit covers; at radius 1 it is the odd hole C13
+    itself, whose ratio 13/12 the odd-cycle family certifies from above
+    and the hole's indicator from below."""
+    assert imperfection_upper_bound(conflict_graph(cycle_graph(13), 2)) == (None, "unavailable")
+    hole = conflict_graph(cycle_graph(13), 1)
+    assert imperfection_upper_bound(hole) == (Fraction(13, 12), "odd-cycle-family")
+    assert imperfection_lower_bound(hole)[0] == Fraction(13, 12)
 
 
 def test_imp_bounds_sandwich(seed=97, trials=15):

@@ -215,7 +215,7 @@ def test_sweep_scales_each_sample_once(monkeypatch):
     from hopadmit import analysis, scheduling
 
     g = clique_pendant_graph(4)
-    assert conflict_graph(g, 2).elimination is not None
+    assert conflict_graph(g, 2).cliques is not None
     policies = ("theorem3", "oracle-exact")
     expected = {policy: evaluate_policy(g, 60, seed=21, policy=policy) for policy in policies}
     calls = []
@@ -251,7 +251,7 @@ def test_each_entry_point_checks_its_demands_once(monkeypatch, g):
     from hopadmit import analysis, scheduling
 
     gc = conflict_graph(g, 2)
-    assert gc.elimination is None
+    assert gc.cliques is None
     tau = {link: Fraction(i % 3 + 1, i % 4 + 2) for i, link in enumerate(g.links)}
     calls = []
     real = scheduling.normalize_demands
@@ -401,7 +401,7 @@ def test_policy_sweep_equals_fraction_reference():
     summary of the sweep in Fractions, for every policy, also where a
     view's or the whole conflict graph is not chordal."""
     graphs = [NON_CHORDAL_VIEW] + [g for _, g in family_graphs()] + random_corpus(31, 30, 8, 12)
-    chordal = {conflict_graph(g, 2).elimination is not None for g in graphs}
+    chordal = {conflict_graph(g, 2).cliques is not None for g in graphs}
     assert chordal == {True, False}
     for index, g in enumerate(graphs):
         for policy, user_bound in POLICIES:

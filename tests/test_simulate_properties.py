@@ -21,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from corpus import NON_CHORDAL_VIEW  # noqa: E402
-from oracles import tableau_chif  # noqa: E402
+from oracles import elimination, tableau_chif  # noqa: E402
 from hopadmit import build_graph, conflict_graph, one_hop_subgraph  # noqa: E402
 from hopadmit.analysis import local_estimate, local_views, price_scaled  # noqa: E402
 from hopadmit.scheduling import scale_demands  # noqa: E402
@@ -72,7 +72,7 @@ def _lp_value(gc, tau):
 def test_non_chordal_view_has_no_clique_table():
     gc = conflict_graph(NON_CHORDAL_VIEW, 2)
     sub = one_hop_subgraph(NON_CHORDAL_VIEW, "v3")
-    assert conflict_graph(sub, 2).elimination is None
+    assert conflict_graph(sub, 2).cliques is None
     assert NON_CHORDAL_VIEW.view_clique_table.non_chordal == (
         tuple(gc.index(link) for link in sub.links),
     )
@@ -98,7 +98,8 @@ def test_clique_table_is_maximal_and_covers_the_views(instance):
     for clique, read in zip(table.cliques, table.readers):
         assert sum(read(scaled)) == sum(scaled[i] for i in clique)
     for sub in g.views:
-        elim = conflict_graph(sub, 2).elimination
+        own = conflict_graph(sub, 2)
+        elim = elimination(len(own.links), own.adj)
         if elim is None:
             assert tuple(gc.index(link) for link in sub.links) in table.non_chordal
             continue
