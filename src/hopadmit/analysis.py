@@ -16,8 +16,8 @@ radius-2 conflict graph from the view's own support, so a view costs
 nothing per link outside it. `price_scaled` gives the largest view value
 (`_view_max`), the heaviest clique of the graph's table of maximal view
 cliques (`NetworkGraph.view_clique_table`) or the value of a non-chordal
-view, and the network-wide duration, on a chordal conflict graph its
-heaviest maximal clique (`ConflictGraph.clique_readers`). `view_values`
+view, and the network-wide duration, on a chordal or co-chordal conflict
+graph its heaviest maximal clique (`ConflictGraph.clique_readers`). `view_values`
 prices every view, for `local_views` and the protocol trace.
 """
 

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .chordal import peo_cliques
 from .errors import GraphError, ResourceLimitError
+from .search import maximal_cliques
 from .simplex import _reader
 
 Link = tuple[str, str]
@@ -240,8 +241,8 @@ def one_hop_subgraph(g: NetworkGraph, v: str) -> NetworkGraph:
 @dataclass(frozen=True)
 class ConflictGraph:
     """Graph on links; adjacency means the links may not share a slot.
-    Its maximal cliques (when chordal), their readers and its components
-    are cached on the instance."""
+    Its maximal cliques (when chordal), their readers (when chordal or
+    co-chordal) and its components are cached on the instance."""
 
     links: tuple[Link, ...]
     adj: tuple[frozenset[int], ...]
@@ -265,13 +266,16 @@ class ConflictGraph:
     def clique_readers(self) -> tuple[Callable, ...] | None:
         """One reader per maximal clique, each returning the clique's
         entries of a list indexed like links in one call, or None when the
-        graph is not chordal. A chordal graph is perfect, so the heaviest
-        of these cliques, max(sum(read(w)) for read in clique_readers), is
-        its weighted fractional chromatic number (0 with no vertex).
+        graph is neither chordal nor co-chordal (`_co_chordal_cliques`).
+        Both kinds are perfect (Lovasz), so the heaviest of these cliques,
+        max(sum(read(w)) for read in clique_readers), is the weighted
+        fractional chromatic number (0 with no vertex).
         """
         cliques = self.cliques
         if cliques is None:
-            return None
+            cliques = _co_chordal_cliques(self.adj)
+            if cliques is None:
+                return None
         return tuple([_reader(c) for c in cliques])
 
     @property
@@ -303,6 +307,35 @@ class ConflictGraph:
 
     def has_link(self, link: Link) -> bool:
         return link in self._link_index
+
+
+def _co_chordal_cliques(adj: Sequence[frozenset[int]]) -> list[tuple[int, ...]] | None:
+    """The maximal cliques of a graph whose complement is chordal, or None.
+
+    The complement is built only when it has no more edges than the graph,
+    so it never holds more than the graph does. Its PEO, from
+    `peo_cliques`, gives its largest independent set greedily (Gavril),
+    which is the clique number w of the graph; the cliques (Bron-Kerbosch)
+    are kept only up to n(n - 1) / w of them, so they hold at most n(n - 1)
+    entries. Past either limit, or when the complement is not chordal,
+    this is None.
+    """
+    n = len(adj)
+    if n * (n - 1) // 2 > sum(map(len, adj)):
+        return None
+    everything = frozenset(range(n))
+    co_adj = [everything - a - {v} for v, a in enumerate(adj)]
+    found = peo_cliques(n, co_adj)
+    if found is None:
+        return None
+    independent: set[int] = set()
+    for v in found[0]:
+        if not co_adj[v] & independent:
+            independent.add(v)
+    try:
+        return maximal_cliques(n, adj, n * (n - 1) // len(independent))
+    except ResourceLimitError:
+        return None
 
 
 def induced_conflict(gc: ConflictGraph, keep: Sequence[int]) -> ConflictGraph:

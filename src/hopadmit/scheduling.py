@@ -4,15 +4,20 @@ A demand vector assigns each link a nonnegative rational airtime per unit
 time. A schedule is a list of (independent link set, duration) entries; the
 shortest schedule meeting a demand vector has total duration equal to the
 weighted fractional chromatic number of the conflict graph, computed here
-as an exact covering LP over maximal independent sets. A chordal graph is
-perfect (Lovasz), so its duration is its heaviest clique, without the
-LP: the conflict graph caches its maximal cliques (`gc.cliques`, read
-off a perfect elimination ordering in the pass that tests chordality;
-Gavril) and one reader per clique, and the heaviest is a few integer
-sums. Chordality is hereditary, so on a chordal conflict graph this
-holds for every demand vector at once; on any other graph each
-connected support component is priced by its own clique readers when
-it is chordal and by the LP when it is not.
+as an exact covering LP over maximal independent sets. A chordal graph,
+and the complement of one (a co-chordal graph), is perfect (Lovasz), so
+its duration is its heaviest clique, without the LP: the conflict graph
+caches one reader per maximal clique (`gc.clique_readers`), and the
+heaviest is a few integer sums. A chordal graph's cliques are read off a
+perfect elimination ordering in the pass that tests chordality
+(`gc.cliques`; Gavril); a co-chordal one's are listed by Bron-Kerbosch,
+within a bound on their number. Both properties are hereditary, so on
+such a conflict graph this holds for every demand vector at once. On any
+other graph, and for a given support, each connected support component
+is priced on its own: one or two links by their total, a larger
+component by its heaviest clique when it is chordal and by the LP when
+it is not. Components are built per call, so only a conflict graph that
+is kept, as a command's own, is tested for co-chordality.
 
 This module is the one place that prices demands. `scale_demands`
 checks a demand vector once and writes it as integers over one common
@@ -102,13 +107,12 @@ def scale_demands(gc: ConflictGraph, tau: Mapping) -> tuple[list[int], int]:
 
 
 def _support_components(
-    gc: ConflictGraph, scaled: Sequence[int], support: Sequence[int] | None = None
+    gc: ConflictGraph, scaled: Sequence[int]
 ) -> list[tuple[ConflictGraph, list[int]]]:
-    """Each connected component of the demands' support, as its induced
-    conflict graph and its entries of scaled. The support is the given
-    indices, or else every index with a nonzero entry."""
-    if support is None:
-        support = [i for i, w in enumerate(scaled) if w]
+    """Each connected component of the demands' support, every index with
+    a nonzero entry, as its induced conflict graph and its entries of
+    scaled."""
+    support = [i for i, w in enumerate(scaled) if w]
     return [
         (induced_conflict(gc, comp), [scaled[i] for i in comp])
         for comp in conflict_components(gc, support)
@@ -126,25 +130,34 @@ def scaled_duration(
 
     scaled is indexed like gc.links and holds nonnegative integers. Given
     support, the indices of some nonzero entries, only those demands are
-    priced and the rest of scaled is never read. On a chordal gc, with no
-    support given, the value is its heaviest maximal clique, read by
-    gc.clique_readers. Otherwise each connected support component is
-    priced, the largest value winning: a chordal component by its own
-    clique readers, any other by the covering LP on the demands as
-    Fractions. The value is an int unless some component needs the LP.
+    priced and the rest of scaled is never read. With no support given,
+    on a chordal or co-chordal gc the value is its heaviest maximal
+    clique, read by gc.clique_readers. Otherwise each connected support
+    component is priced, the largest value winning: a component of one
+    or two links is a clique, worth its total; a larger one is worth its
+    heaviest clique when it is chordal (its `cliques`; a component built
+    for one call is never tested for co-chordality) and its covering LP,
+    on the demands as Fractions, when it is not. The value is an int
+    unless some component needs the LP.
     """
-    if support is None and gc.clique_readers is not None:
-        parts = [(gc, scaled)]
-    else:
-        parts = _support_components(gc, scaled, support)
-    best: int | Fraction = 0
-    for comp, weights in parts:
-        readers = comp.clique_readers
+    if support is None:
+        readers = gc.clique_readers
         if readers is not None:
-            value = max([sum(read(weights)) for read in readers], default=0)
+            return max([sum(read(scaled)) for read in readers], default=0)
+        support = [i for i, w in enumerate(scaled) if w]
+    best: int | Fraction = 0
+    for idx in conflict_components(gc, support):
+        weights = [scaled[i] for i in idx]
+        if len(idx) < 3:
+            value = sum(weights)
         else:
-            lp, _ = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
-            value = lp * den
+            comp = induced_conflict(gc, idx)
+            cliques = comp.cliques
+            if cliques is not None:
+                value = max([sum([weights[i] for i in c]) for c in cliques])
+            else:
+                lp, _ = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
+                value = lp * den
         if value > best:
             best = value
     return best
@@ -239,11 +252,12 @@ def weighted_clique_number(
 ) -> Fraction:
     """Largest total demand on a set of pairwise conflicting links.
 
-    On a chordal gc this is the duration, from `scaled_duration`;
+    When gc has clique readers (it is chordal or co-chordal, so perfect)
+    this is the duration, from `scaled_duration`, which reads them;
     otherwise the heaviest maximal clique of the demands' support.
     """
     scaled, den = scale_demands(gc, tau)
-    if gc.cliques is not None:
+    if gc.clique_readers is not None:
         return Fraction(scaled_duration(gc, scaled, den, cap), den)
     support = [i for i, w in enumerate(scaled) if w]
     if not support:

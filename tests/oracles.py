@@ -209,6 +209,37 @@ def brute_is_chordal(n, adj):
     return True
 
 
+def complement_adjacency(n, adj):
+    """Neighbor sets of the complement graph."""
+    return tuple(frozenset(u for u in range(n) if u != v and u not in adj[v]) for v in range(n))
+
+
+def brute_is_co_chordal(n, adj):
+    """True iff the complement has no induced cycle of length >= 4."""
+    return brute_is_chordal(n, complement_adjacency(n, adj))
+
+
+def clique_reader_reference(n, adj):
+    """(kind, cliques) for the cliques ConflictGraph.clique_readers should
+    read, by subset scans. kind is "chordal" or "co-chordal" when there
+    are readers, and cliques is then the set of maximal cliques (as
+    frozensets); otherwise cliques is None and kind says why: "neither"
+    chordal nor co-chordal, "gate" when the complement has more edges than
+    the graph, or "cap" when the cliques number more than n(n - 1) / w,
+    w the size of the largest one."""
+    if brute_is_chordal(n, adj):
+        return "chordal", brute_maximal_cliques(n, adj)
+    if not brute_is_co_chordal(n, adj):
+        return "neither", None
+    edges = sum(len(a) for a in adj) // 2
+    if n * (n - 1) // 2 - edges > edges:
+        return "gate", None
+    cliques = brute_maximal_cliques(n, adj)
+    if len(cliques) * max(len(c) for c in cliques) > n * (n - 1):
+        return "cap", None
+    return "co-chordal", cliques
+
+
 def lambda_scan_mcs_order(n, adj):
     """Maximum cardinality search by a full scan per step (ties to the
     smallest index), the order that mcs_order's score list must match."""

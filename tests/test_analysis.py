@@ -142,6 +142,28 @@ def test_view_value_reads_only_its_view(seed=59, trials=20):
             assert value == scaled_duration(gc, alone, den)
 
 
+def test_views_of_one_or_two_demanded_links_build_no_conflict_graph():
+    """A connected support of one or two links is a clique: with demand on
+    two of every three ring links, each view's support is one link or two
+    that share an endpoint, and no view builds a conflict graph to price
+    it."""
+    from unittest import mock
+
+    from hopadmit.analysis import view_values
+    from hopadmit.scheduling import scale_demands
+
+    g = cycle_graph(30)
+    gc = conflict_graph(g, 2)
+    demands = {
+        make_link(f"v{i}", f"v{i % 30 + 1}"): Fraction(1, 3) for i in range(1, 31) if i % 3
+    }
+    scaled, den = scale_demands(gc, demands)
+    with mock.patch("hopadmit.scheduling.induced_conflict") as built:
+        values = view_values(g, scaled, den, 1000)
+    assert not built.called
+    assert sorted({value for _, value in values}) == [Fraction(1, 3), Fraction(2, 3)]
+
+
 def test_durations_scale_with_demand(seed=47, count=12):
     """Global and local durations are homogeneous of degree one."""
     rng = random.Random(seed)

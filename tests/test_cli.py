@@ -408,6 +408,19 @@ def test_cap_sets_spares_chordal_components(capsys):
     assert envelope["result"]["chi_f"] == "3/4"
 
 
+def test_cap_sets_spares_co_chordal_graphs(capsys):
+    # The conflict graph of cycle:6 is the octahedron: not chordal, but its
+    # complement (three disjoint edges) is, so it is settled by its
+    # heaviest clique with no set enumeration for the cap to stop. That of
+    # cycle:10 is neither, and the cap still stops it (test_tiny_cap_exits_3).
+    demands = json.dumps({f"v{i}-v{i % 6 + 1}": f"1/{i + 1}" for i in range(1, 7)})
+    envelope = _run_json(
+        capsys, "chif", "cycle:6", "--cap-sets", "1", "--demands", demands
+    )
+    # One link of each opposite pair: 1/2 + 1/3 + 1/4.
+    assert envelope["result"]["chi_f"] == "13/12"
+
+
 def test_oversized_generator_exits_3(capsys):
     for spec in (
         "cycle:99999999999999999999",

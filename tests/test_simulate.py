@@ -419,3 +419,28 @@ def test_policy_sweep_builds_no_trace(monkeypatch):
     for policy, user_bound in POLICIES:
         result = _outcome(evaluate_policy, cycle_graph(10), policy, user_bound, 5)
         assert result["summary"]["policy"] == policy
+
+
+def test_co_chordal_conflict_graph_is_priced_without_the_lp(capsys):
+    """The radius-2 conflict graph of cycle:6 is the octahedron, which is
+    co-chordal, so every sample's network-wide duration is its heaviest
+    clique: with the covering LP made to fail, simulate prints exactly
+    what it printed when the LP priced every sample (its sha256 below)."""
+    import hashlib
+    from unittest import mock
+
+    from hopadmit.cli import main
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the covering LP was solved")
+
+    assert conflict_graph(cycle_graph(6), 2).cliques is None
+    with mock.patch("hopadmit.simplex.solve_min_ge", no_lp), mock.patch(
+        "hopadmit.scheduling.solve_min_ge", no_lp
+    ):
+        code = main(["simulate", "cycle:6", "--samples", "100", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c1535fb2b19d011d61950e8b3dcdd69e95916531fe8999ff3b5a94a38307e78"
+    )
