@@ -17,8 +17,9 @@ nothing per link outside it. `price_scaled` gives the largest view value
 (`_view_max`), the heaviest clique of the graph's table of maximal view
 cliques (`NetworkGraph.view_clique_table`) or the value of a non-chordal
 view, and the network-wide duration, on a chordal or co-chordal conflict
-graph its heaviest maximal clique (`ConflictGraph.clique_readers`). `view_values`
-prices every view, for `local_views` and the protocol trace.
+graph its heaviest maximal clique (`ConflictGraph.clique_readers`).
+`local_views` and the protocol trace (`simulate.run_admission`) price each
+view on its own by `_view_value`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .graphs import (
     conflict_graph,
     cycle_graph,
     make_link,
+    one_hop_subgraph,
 )
 from .invariants import (
     imperfection_upper_bound,
@@ -103,18 +105,6 @@ def price_scaled(
     return _view_max(g, scaled, den, cap), exact
 
 
-def view_values(
-    g: NetworkGraph, scaled: list[int], den: int, cap: int
-) -> list[tuple[NetworkGraph, Fraction]]:
-    """Each 1-hop view of g, as its subgraph, and its `_view_value` of the
-    demands scaled / den, in vertex order."""
-    gc = conflict_graph(g, 2)
-    return [
-        (sub, Fraction(_view_value(gc, idx, scaled, den, cap), den))
-        for sub, idx in zip(g.views, g.view_links)
-    ]
-
-
 def local_views(
     g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
 ) -> list[tuple[NetworkGraph, Fraction]]:
@@ -124,8 +114,12 @@ def local_views(
     value is the exact minimum schedule duration for the demands of the
     links inside it, which conflict as they do in the whole graph.
     """
-    scaled, den = scale_demands(conflict_graph(g, 2), tau)
-    return view_values(g, scaled, den, cap)
+    gc = conflict_graph(g, 2)
+    scaled, den = scale_demands(gc, tau)
+    return [
+        (one_hop_subgraph(g, v), Fraction(_view_value(gc, idx, scaled, den, cap), den))
+        for v, idx in zip(g.vertices, g.view_links)
+    ]
 
 
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:

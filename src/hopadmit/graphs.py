@@ -11,6 +11,7 @@ depth k - 1 around each link, so no all-pairs distances are ever held.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,12 +52,6 @@ class NetworkGraph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: tuple(sorted(nb)) for v, nb in adj.items()}
-
-    @property
-    def views(self) -> tuple[NetworkGraph, ...]:
-        """Each vertex's 1-hop subgraph, in vertex order, built when read;
-        only `local_views` and the protocol trace need views as graphs."""
-        return tuple(one_hop_subgraph(self, v) for v in self.vertices)
 
     @cached_property
     def view_links(self) -> tuple[tuple[int, ...], ...]:
@@ -224,18 +219,17 @@ def link_distance(g: NetworkGraph, e: Link, f: Link) -> int | float:
 
 
 def one_hop_subgraph(g: NetworkGraph, v: str) -> NetworkGraph:
-    """Subgraph induced by v and its neighbors; g itself when that is every
-    vertex, so such a view shares g's conflict graphs."""
+    """Subgraph induced by v and its neighbors, its links read from
+    g.view_links; g itself when that is every vertex, so such a view
+    shares g's conflict graphs."""
     if not g.has_vertex(v):
         raise GraphError(f"unknown vertex {v!r}")
-    adj = g.adjacency
-    keep = {v, *adj[v]}
+    keep = {v, *g.adjacency[v]}
     if len(keep) == len(g.vertices):
         return g
-    # Each member's links inside keep, read from its own neighbors rather
-    # than from every link of g.
-    links = sorted((u, w) for u in keep for w in adj[u] if u < w and w in keep)
-    return NetworkGraph(tuple(sorted(keep)), tuple(links))
+    links = g.links
+    view = g.view_links[bisect_left(g.vertices, v)]
+    return NetworkGraph(tuple(sorted(keep)), tuple([links[i] for i in view]))
 
 
 @dataclass(frozen=True)

@@ -204,43 +204,31 @@ def min_schedule(
 ) -> Schedule:
     """A shortest schedule meeting the demands.
 
-    Per-component optimal schedules run in parallel: the timeline is cut at
-    every component's entry boundary and concurrent entries are unioned,
-    which is sound because links in different support components never
-    conflict. Every component's entries have positive durations and fill
-    its optimum, so the merged duration is the largest optimum, which is
+    Per-component optimal schedules run in parallel, which is sound
+    because links in different support components never conflict. Each
+    component's entries are a stack of [links, remaining duration], its
+    first entry on top. Each step runs the union of the entries on top
+    for the smallest remaining duration, takes that from each of them and
+    pops those it used up, so a step ends where some entry ends. Every
+    component's entries have positive durations and fill its optimum, so
+    the merged duration is the largest optimum, which is
     fractional_chromatic(gc, tau).
     """
     scaled, den = scale_demands(gc, tau)
-    parts = []
+    stacks = []
     for comp, weights in _support_components(gc, scaled):
         _, entries = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
-        parts.append([(frozenset(comp.links[i] for i in idx_set), dur)
-                      for idx_set, dur in entries])
-    if len(parts) == 1:
-        # A lone component runs in parallel with nothing: the cuts are its
-        # own entry boundaries, so its entries are the merged schedule.
-        merged = parts[0]
-    else:
-        timelines = []
-        for entries in parts:
-            timeline = []
-            clock = Fraction(0)
-            for links, dur in entries:
-                timeline.append((clock, clock + dur, links))
-                clock += dur
-            timelines.append(timeline)
-        cuts = sorted({Fraction(0)} | {seg[1] for timeline in timelines for seg in timeline})
-        merged = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            active: frozenset[Link] = frozenset()
-            for timeline in timelines:
-                for start, end, links in timeline:
-                    if start <= lo and hi <= end:
-                        active = active | links
-                        break
-            if active:
-                merged.append((active, hi - lo))
+        stacks.append([[frozenset(comp.links[i] for i in idx_set), dur]
+                       for idx_set, dur in reversed(entries)])
+    merged = []
+    while stacks:
+        step = min([stack[-1][1] for stack in stacks])
+        merged.append((frozenset().union(*[stack[-1][0] for stack in stacks]), step))
+        for stack in stacks:
+            stack[-1][1] -= step
+            if not stack[-1][1]:
+                stack.pop()
+        stacks = [stack for stack in stacks if stack]
     schedule = Schedule(tuple(merged))
     if not schedule.satisfies(gc, tau):
         raise AssertionError("optimal schedule failed its own feasibility check")

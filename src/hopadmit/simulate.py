@@ -1,30 +1,30 @@
 """Round-based simulation of distributed admission control.
 
 Round 0: every node knows its incident links and their demands. Round 1:
-every node sends that knowledge to each neighbor. A node then reconstructs
-exactly the subgraph induced by its closed neighborhood, takes the exact
-duration of that view from ``analysis.view_values``, and admits when it
+every node sends that knowledge to each neighbor. A node then rebuilds
+exactly the links inside its closed neighborhood, prices that view, as
+link indices, by ``analysis._view_value``, and admits when its value
 stays within the threshold. The protocol is defined at interference
 radius 2 only. The run is compared against a centralized feasibility
 oracle and classified; everything is deterministic for fixed inputs.
 
 ``_decide`` is the one place that turns the largest view value and the
 oracle's value, over one denominator, into a decision and its
-classification, by integer comparisons. ``run_admission``
-scales the demands to integers once (``scheduling.scale_demands``),
-prices every view and the oracle from them, and wraps the decision in the
-full protocol trace (messages, reconstructed views, the check that each
-view matches its 1-hop subgraph), which ``admit --mode distributed``
-prints. ``evaluate_policy`` builds no trace and stays in integers from
-the draw to the decision: ``_draw_demands`` draws a raw vector as integer
-numerators over one denominator, with the local value it is to be
-rescaled to, through ``rng.getrandbits`` with CPython's rejection rule
-for ``Random.randint`` inlined, so the vector and the generator state
-are those of ``randint``. ``analysis.price_scaled`` prices those
-integers in one pass. A rescaled sample is decided over the denominator
-``local * goal.denominator``, because every value is homogeneous
-(``chi_f(c * tau) == c * chi_f(tau)``), and ``Fraction``s are built only
-for the two values in the row.
+classification, by integer comparisons. ``run_admission`` scales the
+demands to integers once (``scheduling.scale_demands``), prices the
+oracle and the view each node rebuilt from its inbox, after checking
+that view against ``NetworkGraph.view_links``, and wraps the decision in
+the full protocol trace (messages and rebuilt views), which
+``admit --mode distributed`` prints. ``evaluate_policy`` builds no trace
+and stays in integers from the draw to the decision: ``_draw_demands``
+draws a raw vector as integer numerators over one denominator, with the
+local value it is to be rescaled to, through ``rng.getrandbits`` with
+CPython's rejection rule for ``Random.randint`` inlined, so the vector
+and the generator state are those of ``randint``.
+``analysis.price_scaled`` prices those integers in one pass. A rescaled
+sample is decided over the denominator ``local * goal.denominator``,
+because every value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``),
+and ``Fraction``s are built only for the two values in the row.
 ``sample_demands`` turns the same draw into a ``Fraction`` vector for
 callers that want one.
 """
@@ -38,11 +38,11 @@ from math import lcm
 from typing import Mapping
 
 from .analysis import (
+    _view_value,
     admission_threshold,
     check_sample_count,
     local_estimate,
     price_scaled,
-    view_values,
 )
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
@@ -90,7 +90,7 @@ def _decide(
     local: int | Fraction,
     exact: int | Fraction,
     threshold: Fraction | None,
-    den: int = 1,
+    den: int,
 ) -> tuple[bool, str]:
     """The admission decision and its classification for one demand
     vector, from its largest 1-hop value local / den and its exact
@@ -117,11 +117,7 @@ def run_admission(
     thr = Fraction(threshold)
     if thr <= 0:
         raise GraphError("threshold must be positive")
-    views = view_values(g, scaled, den, cap)
-    oracle_value = Fraction(scaled_duration(gc, scaled, den, cap), den)
-    all_admit, classification = _decide(
-        max((value for _, value in views), default=Fraction(0)), oracle_value, thr
-    )
+    exact = scaled_duration(gc, scaled, den, cap)
 
     incident: dict[str, list[tuple[Link, Fraction]]] = {v: [] for v in g.vertices}
     for link, k in zip(g.links, scaled):
@@ -138,27 +134,35 @@ def run_admission(
             inbox[receiver].append(payload)
 
     nodes = []
-    for v, (subgraph, value) in zip(g.vertices, views):
+    local: int | Fraction = 0
+    for v, view in zip(g.vertices, g.view_links):
         reach = {v, *g.neighbors(v)}
         known: dict[Link, Fraction] = dict(incident[v])
         for payload in inbox[v]:
             for link, link_value in payload:
                 if link[0] in reach and link[1] in reach:
                     known[link] = link_value
-        if set(known) != set(subgraph.links):
+        links = tuple(sorted(known))
+        idx = tuple([gc.index(link) for link in links])
+        if idx != view:
             raise AssertionError(
                 f"node {v!r} reconstructed a link set other than its 1-hop view"
             )
+        value = _view_value(gc, idx, scaled, den, cap)
+        local = max(local, value)
+        local_value = Fraction(value, den)
         nodes.append(
             NodeView(
                 center=v,
-                subgraph=subgraph,
-                demands=tuple(sorted(known.items())),
-                local_value=value,
-                admit=value <= thr,
+                subgraph=NetworkGraph(tuple(sorted(reach)), links),
+                demands=tuple([(link, known[link]) for link in links]),
+                local_value=local_value,
+                admit=local_value <= thr,
             )
         )
 
+    all_admit, classification = _decide(local, exact, thr, den)
+    oracle_value = Fraction(exact, den)
     return SimTrace(
         threshold=thr,
         messages=tuple(messages),

@@ -989,8 +989,8 @@ def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
     first vertex whose view attains it (None when no view has a link)."""
     best = 0
     where = None
-    for v, view in zip(g.vertices, g.views):
-        size, _ = max_interfering_matching(view, cap)
+    for v in g.vertices:
+        size, _ = max_interfering_matching(one_hop_subgraph(g, v), cap)
         if size > best:
             best = size
             where = v

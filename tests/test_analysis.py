@@ -33,6 +33,7 @@ from hopadmit import (
     uncovered_cycle_order,
 )
 from hopadmit.analysis import ring_ratio_exact
+from hopadmit.graphs import induced_conflict
 from hopadmit.simulate import run_admission, sample_demands
 
 
@@ -149,19 +150,22 @@ def test_views_of_one_or_two_demanded_links_build_no_conflict_graph():
     it."""
     from unittest import mock
 
-    from hopadmit.analysis import view_values
-    from hopadmit.scheduling import scale_demands
-
     g = cycle_graph(30)
-    gc = conflict_graph(g, 2)
+    conflict_graph(g, 2)
     demands = {
         make_link(f"v{i}", f"v{i % 30 + 1}"): Fraction(1, 3) for i in range(1, 31) if i % 3
     }
-    scaled, den = scale_demands(gc, demands)
-    with mock.patch("hopadmit.scheduling.induced_conflict") as built:
-        values = view_values(g, scaled, den, 1000)
-    assert not built.called
-    assert sorted({value for _, value in values}) == [Fraction(1, 3), Fraction(2, 3)]
+    with mock.patch(
+        "hopadmit.scheduling.induced_conflict", wraps=induced_conflict
+    ) as built:
+        values = [value for _, value in local_views(g, demands, 1000)]
+        assert not built.called
+        trace = run_admission(g, demands, Fraction(1), 1000)
+    # The protocol's views build none either: the one conflict graph built
+    # is the oracle's, for the whole support, which is one component.
+    assert [len(call.args[1]) for call in built.call_args_list] == [len(demands)]
+    assert sorted(set(values)) == [Fraction(1, 3), Fraction(2, 3)]
+    assert [view.local_value for view in trace.views] == values
 
 
 def test_durations_scale_with_demand(seed=47, count=12):

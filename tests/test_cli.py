@@ -328,11 +328,13 @@ def test_demand_naming_one_link_twice_exits_2(capsys):
 
 
 def test_commands_build_one_conflict_graph_and_no_view(capsys, monkeypatch, tmp_path):
-    """beta, invariants, threshold and simulate read each 1-hop view as
-    link indices of the graph's radius-2 conflict graph: each command
-    builds that conflict graph once and no view as a graph."""
+    """beta, invariants, threshold, simulate and admit --mode distributed
+    read each 1-hop view as link indices of the graph's radius-2 conflict
+    graph: each command builds that conflict graph once and no view as a
+    graph."""
     import hopadmit.graphs as graphs
     from corpus import NON_CHORDAL_VIEW
+    from hopadmit.jsonio import link_id
 
     path = tmp_path / "non_chordal_view.json"
     path.write_text(json.dumps(graph_to_obj(NON_CHORDAL_VIEW)))
@@ -350,11 +352,14 @@ def test_commands_build_one_conflict_graph_and_no_view(capsys, monkeypatch, tmp_
     monkeypatch.setattr(graphs, "_build_conflict_graph", counting_build)
     monkeypatch.setattr(graphs, "one_hop_subgraph", counting_view)
     for spec in ("cycle:10", "star:12", "circulant:9:1,3", str(path)):
+        g = NON_CHORDAL_VIEW if spec == str(path) else hopadmit.generate(spec)
+        demands = json.dumps({link_id(link): "1/5" for link in g.links})
         for argv in (
             ["beta", spec],
             ["invariants", spec],
             ["threshold", spec],
             ["simulate", spec, "--samples", "20", "--seed", "1"],
+            ["admit", spec, "--mode", "distributed", "--demands", demands],
         ):
             builds.clear()
             views.clear()
@@ -482,6 +487,7 @@ def test_console_script_smoke():
         [sys.executable, "-m", "hopadmit.cli", "beta", "cycle:6"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     envelope = json.loads(proc.stdout)

@@ -28,6 +28,7 @@ from hopadmit import (
     conflict_graph,
     cycle_graph,
     fractional_chromatic,
+    one_hop_subgraph,
     sample_demands,
     star_graph,
 )
@@ -93,7 +94,7 @@ def components():
             entry[0].add(name)
 
     for i, g in enumerate(_acceptance_graphs()):
-        views = [conflict_graph(view, 2) for view in g.views]
+        views = [conflict_graph(one_hop_subgraph(g, v), 2) for v in g.vertices]
         for tau in _demands(g, 1000 + i):
             add("acceptance", conflict_graph(g, 2), tau)
             for gc in views:

@@ -309,3 +309,29 @@ def test_support_components_induced_from_gc(seed=71, trials=30):
                 comp_gc = induced_conflict(sub, comp)
                 want.append((comp_gc, [scaled[gc.index(link)] for link in comp_gc.links]))
         assert _support_components(gc, scaled) == want
+
+
+def test_multi_component_schedules_print_pinned_bytes(capsys):
+    """At radius 1 the alternate links of cycle:12 are six one-link
+    support components, and two pairs of adjacent links and a lone link
+    are three components with up to two entries each. The merged schedules
+    print exactly what the timeline cut at every entry boundary printed
+    (their sha256 below)."""
+    import hashlib
+    import json
+
+    from hopadmit.cli import main
+
+    cases = {
+        "7e4d76dbeed9781fe0ffdd92300cb51f0358ae946183cde163c53221de399c6f": {
+            f"v{i}-v{i + 1}": f"1/{i + 1}" for i in range(1, 12, 2)
+        },
+        "d87e3d2e3b3b09bc0a86bb87e674fbfc972fa2627698bd45eb59e1db396a6948": {
+            "v1-v2": "1/2", "v2-v3": "1/3", "v5-v6": "1/5", "v6-v7": "1/4", "v9-v10": "2/7",
+        },
+    }
+    for digest, demands in cases.items():
+        code = main(["chif", "cycle:12", "--schedule", "--k", "1", "--demands", json.dumps(demands)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

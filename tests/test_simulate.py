@@ -444,3 +444,45 @@ def test_co_chordal_conflict_graph_is_priced_without_the_lp(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5c1535fb2b19d011d61950e8b3dcdd69e95916531fe8999ff3b5a94a38307e78"
     )
+
+
+# sha256 of what admit --mode distributed printed, in a directory holding
+# NON_CHORDAL_VIEW as non_chordal_view.json, when each node's value came
+# from a graph-shaped copy of its view: the protocol prices the view each
+# node rebuilt from its inbox, as link indices, and prints the same bytes.
+ADMIT_DIGESTS = {
+    ("cycle:10", "auto"): "7b7526265beb6e5bd44609e982695880738cd3d8cd0701fc07f1ad9242b8f5e5",
+    ("cycle:10", "1/2"): "e957b98632d26a950ad67d6d4356115ccdd21377e9119b325eeb99f84a13836a",
+    ("star:12", "auto"): "21de760d98829b689231754d654c49274ef7283bb9924e7e471a0b4e70117bb3",
+    ("star:12", "1/2"): "84c105eff326541013fdbe1ce2eef1807727730803d7b1899cc4b35e9afe6e13",
+    ("circulant:9:1,3", "auto"): "f26d7c4522d2d78194cf0421387daa4ee17d5a800db43baa2933d0b386a7ca01",
+    ("circulant:9:1,3", "1/2"): "93b41149ca5d3f9b062313e1810c7ab52fee4486749035a555f1088e13056eca",
+    ("clique_pendant:4", "auto"): "39fd4a6426511c0c1d0190e5541df669e313696b6dfcc130853a8b16064f0232",
+    ("clique_pendant:4", "1/2"): "12a76ebe0c5b9ae9aa5587789f3a8bd5dad2250a987f8026af4d24228e1eedf2",
+    ("non_chordal_view.json", "auto"): "ae7c2e08b10f081680367649b69f12549c2bf4f72e6926d630f6e311e6927bfe",
+    ("non_chordal_view.json", "1/2"): "2175baff8ec577c1623d9072b2ad7118cc2f5364dfd0d150374c60c6d4051567",
+}
+
+
+def test_distributed_admit_prints_pinned_bytes(capsys, monkeypatch, tmp_path):
+    """Link i of each graph gets demand (i % 3) / (12 + i % 5), which gives
+    true admits, true rejects and false rejects across these runs."""
+    import hashlib
+    import json
+
+    from hopadmit import generate
+    from hopadmit.cli import main
+    from hopadmit.jsonio import graph_to_obj, link_id
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "non_chordal_view.json").write_text(json.dumps(graph_to_obj(NON_CHORDAL_VIEW)))
+    for (spec, threshold), digest in ADMIT_DIGESTS.items():
+        g = NON_CHORDAL_VIEW if spec.endswith(".json") else generate(spec)
+        demands = {link_id(link): f"{i % 3}/{12 + i % 5}" for i, link in enumerate(g.links)}
+        code = main([
+            "admit", spec, "--mode", "distributed", "--threshold", threshold,
+            "--demands", json.dumps(demands),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, spec
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, threshold)

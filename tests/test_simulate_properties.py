@@ -89,7 +89,8 @@ def test_clique_table_is_maximal_and_covers_the_views(instance):
     assert len(set(members)) == len(members)
     for a in members:
         assert not any(a < b for b in members)
-    view_links = [frozenset(gc.index(link) for link in sub.links) for sub in g.views]
+    views = [one_hop_subgraph(g, v) for v in g.vertices]
+    view_links = [frozenset(gc.index(link) for link in sub.links) for sub in views]
     for clique in table.cliques:
         assert list(clique) == sorted(clique)
         assert any(set(clique) <= links for links in view_links)
@@ -97,7 +98,7 @@ def test_clique_table_is_maximal_and_covers_the_views(instance):
     scaled = list(range(1, len(gc.links) + 1))
     for clique, read in zip(table.cliques, table.readers):
         assert sum(read(scaled)) == sum(scaled[i] for i in clique)
-    for sub in g.views:
+    for sub in views:
         own = conflict_graph(sub, 2)
         elim = elimination(len(own.links), own.adj)
         if elim is None:
@@ -126,9 +127,9 @@ def test_view_values_and_oracle_equal_the_lp(instance):
     local_max, oracle_value = Fraction(local, den), Fraction(exact, den)
     assert local_max == local_estimate(g, tau)
     assert local_max == max(
-        _lp_value(conflict_graph(sub, 2), tau) for sub in g.views
+        _lp_value(conflict_graph(one_hop_subgraph(g, v), 2), tau) for v in g.vertices
     )
     assert local_max == max(value for _, value in views)
     assert oracle_value == _lp_value(conflict_graph(g, 2), tau)
-    admit, _ = _decide(local_max, oracle_value, None)
+    admit, _ = _decide(local_max, oracle_value, None, 1)
     assert admit == (oracle_value <= 1)
