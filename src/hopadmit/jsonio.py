@@ -8,7 +8,9 @@ reruns stay byte-identical.
 `write_json` is the one JSON writer: a recursive encoder whose text is
 exactly json.dumps(obj, sort_keys=True, indent=2) plus a newline, handed
 to a write function in chunks at element boundaries, so a large result is
-never held as one string. `canonical_json` returns the same text whole.
+never held as one string. A list of flat dicts that share one key set,
+such as the rows of `simulate`, is written through one %-template per
+list, built from the first dict's sorted keys.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 
 def format_fraction(value: Fraction) -> str:
+    """value in lowest terms as "p/q", or "p" when q is 1: str of a
+    Fraction spells exactly that."""
     if type(value) is not Fraction:
         value = Fraction(value)
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     except ValueError as exc:  # an int past the interpreter's digit limit
         raise ResourceLimitError("a rational result has too many digits to print") from exc
 
@@ -283,6 +285,47 @@ _SCALARS = {
 }
 
 
+def _row_template(first, newline: str):
+    """A writer for the dicts of a list shaped like its first element, or
+    None unless first is a non-empty dict with str keys and scalar values.
+
+    The writer returns the text of a dict with first's key set and scalar
+    values, starting on a line with indent newline, through one %-template
+    of the sorted keys; for any other element it returns None, and
+    _encode writes that element (or raises TypeError) as usual.
+    """
+    if type(first) is not dict or not first:
+        return None
+    if not all(type(key) is str for key in first):
+        return None
+    if not all(type(value) in _SCALARS for value in first.values()):
+        return None
+    keys = sorted(first)
+    shape = first.keys()
+    inner = newline + "  "
+    template = (
+        "{"
+        + inner
+        + ("," + inner).join([_quote(key).replace("%", "%%") + ": %s" for key in keys])
+        + newline
+        + "}"
+    )
+
+    def write(value) -> str | None:
+        if type(value) is not dict or value.keys() != shape:
+            return None
+        texts = []
+        for key in keys:
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                return None
+            texts.append(scalar(item))
+        return template % tuple(texts)
+
+    return write
+
+
 def _encode(obj, parts: list[str], newline: str, flush) -> None:
     """Append the pieces of obj's canonical JSON to parts.
 
@@ -320,13 +363,18 @@ def _encode(obj, parts: list[str], newline: str, flush) -> None:
             return
         inner = newline + "  "
         sep = "[" + inner
+        row = _row_template(obj[0], inner)
         for value in obj:
             scalar = _SCALARS.get(type(value))
-            if scalar is None:
-                parts.append(sep)
-                _encode(value, parts, inner, flush)
-            else:
+            if scalar is not None:
                 parts.append(sep + scalar(value))
+            else:
+                text = None if row is None else row(value)
+                if text is None:
+                    parts.append(sep)
+                    _encode(value, parts, inner, flush)
+                else:
+                    parts.append(sep + text)
             if len(parts) >= FLUSH_PIECES:
                 flush()
             sep = "," + inner
@@ -340,7 +388,14 @@ FLUSH_PIECES = 4096
 
 
 def write_json(obj, write) -> None:
-    """Write canonical_json(obj) through write(text), a chunk at a time.
+    """Write obj as JSON with sorted keys and an indent of 2, plus a
+    newline, through write(text), a chunk at a time.
+
+    obj may nest dicts with str keys, lists, tuples, str, int, bool and
+    None; for those the text is exactly
+    json.dumps(obj, sort_keys=True, indent=2) + "\n". Anything else,
+    floats and subclasses of str or int other than bool included, and
+    keys other than str raise TypeError.
 
     The pieces are joined and written whenever FLUSH_PIECES of them have
     gathered at the end of a list or dict element, so the whole text is
@@ -355,20 +410,6 @@ def write_json(obj, write) -> None:
     _encode(obj, parts, "\n", flush)
     parts.append("\n")
     flush()
-
-
-def canonical_json(obj) -> str:
-    """obj as JSON with sorted keys and an indent of 2, plus a newline.
-
-    obj may nest dicts with str keys, lists, tuples, str, int, bool and
-    None; for those the text is exactly
-    json.dumps(obj, sort_keys=True, indent=2) + "\n". Anything else,
-    floats and subclasses of str or int other than bool included, and
-    keys other than str raise TypeError.
-    """
-    parts: list[str] = []
-    write_json(obj, parts.append)
-    return "".join(parts)
 
 
 def input_digest(obj) -> str:

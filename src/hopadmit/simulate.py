@@ -20,7 +20,11 @@ and stays in integers from the draw to the decision: ``_draw_demands``
 draws a raw vector as integer numerators over one denominator, with the
 local value it is to be rescaled to, through ``rng.getrandbits`` with
 CPython's rejection rule for ``Random.randint`` inlined, so the vector
-and the generator state are those of ``randint``.
+and the generator state are those of ``randint``. That value is picked
+by ``rng.choice`` from a goal table, the target times each rescale
+factor, which ``_goal_table`` builds once per sweep; ``choice`` reads
+only the table's length, so the pick is the one a choice among the
+factors would make.
 ``analysis.price_scaled`` prices those integers in one pass. A rescaled
 sample is decided over the denominator ``local * goal.denominator``,
 because every value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``),
@@ -177,16 +181,26 @@ def run_admission(
 _RESCALE_FACTORS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3))
 
 
+def _goal_table(target) -> tuple[Fraction, ...] | None:
+    """The largest 1-hop values a sample may be rescaled to: target times
+    each of _RESCALE_FACTORS, in that order, or None for no rescale."""
+    if target is None:
+        return None
+    target = Fraction(target)
+    return tuple([factor * target for factor in _RESCALE_FACTORS])
+
+
 def _draw_demands(
     g: NetworkGraph,
     rng: random.Random,
     denom_max: int = 4,
-    target: Fraction | None = None,
+    goals: tuple[Fraction, ...] | None = None,
 ) -> tuple[list[int], int, Fraction | None]:
     """The random part of `sample_demands`: a raw vector as integer
     numerators indexed like g.links over den = lcm(1, ..., denom_max),
-    and the largest 1-hop value it is to be rescaled to (None to keep it
-    as drawn). Returns (scaled, den, goal).
+    and the largest 1-hop value it is to be rescaled to, one of goals
+    (`_goal_table`), or None to keep it as drawn. Returns (scaled, den,
+    goal).
 
     A drawn link gets k / d with 1 <= k <= d <= denom_max, which is
     k * (den // d) over den. The raw vector is nonzero, so its largest
@@ -216,8 +230,10 @@ def _draw_demands(
     if not any(scaled):
         scaled[rng.randrange(len(scaled))] = den // denom_max
     goal = None
-    if target is not None and uniform() < 0.6:
-        goal = rng.choice(_RESCALE_FACTORS) * Fraction(target)
+    if goals is not None and uniform() < 0.6:
+        # choice reads only len(goals), so the generator moves as it would
+        # choosing from _RESCALE_FACTORS.
+        goal = rng.choice(goals)
     return scaled, den, goal
 
 
@@ -235,7 +251,7 @@ def sample_demands(
     near the target, which makes both admissions and near-miss rejections
     common.
     """
-    scaled, den, goal = _draw_demands(g, rng, denom_max, target)
+    scaled, den, goal = _draw_demands(g, rng, denom_max, _goal_table(target))
     tau = {link: Fraction(k, den) for link, k in zip(g.links, scaled) if k}
     if goal is None:
         return tau
@@ -281,9 +297,9 @@ def evaluate_policy(
         "true-reject": 0,
         "false-reject": 0,
     }
-    target = threshold or Fraction(1)
+    goals = _goal_table(threshold or Fraction(1))
     for sample_id in range(samples):
-        scaled, den, goal = _draw_demands(g, rng, target=target)
+        scaled, den, goal = _draw_demands(g, rng, goals=goals)
         local, exact = price_scaled(g, scaled, den, cap)
         if goal is None:
             local_max = Fraction(local, den)

@@ -3,9 +3,10 @@
 Everything here recomputes results from first principles (subset scans,
 Gaussian elimination, memoized search, dense primal and dual tableau
 simplex solvers) without touching the package's solvers, so agreement is
-meaningful evidence of correctness. The one exception, pivot_trace,
-records the package simplex's pivots so tests can compare them with
-reference_pivot's.
+meaningful evidence of correctness. Two exceptions wrap the package:
+pivot_trace records the package simplex's pivots so tests can compare
+them with reference_pivot's, and canonical_json joins the chunks of the
+package's JSON writer so tests can compare them with json.dumps.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hopadmit.analysis import (
 from hopadmit.errors import GraphError, ResourceLimitError
 from hopadmit.graphs import NetworkGraph, conflict_graph, one_hop_subgraph
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
+from hopadmit.jsonio import write_json
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP, maximal_cliques
 from hopadmit.simplex import LPInfeasibleError, LPSolution
@@ -1138,3 +1140,12 @@ def subgraph_view_values(g, tau, cap=DEFAULT_SET_CAP):
         sub_tau = {link: d for link, d in tau.items() if sub.has_link(link)}
         out.append((sub, fractional_chromatic(conflict_graph(sub, 2), sub_tau, cap)))
     return out
+
+
+def canonical_json(obj) -> str:
+    """The whole text jsonio.write_json writes for obj, as one string: the
+    writer's bytes, which must equal
+    json.dumps(obj, sort_keys=True, indent=2) + "\n"."""
+    parts: list[str] = []
+    write_json(obj, parts.append)
+    return "".join(parts)

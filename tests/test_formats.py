@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import canonical_json
 from hopadmit import GraphError, build_graph, conflict_graph, cycle_graph, make_link
 from hopadmit.cli import main
 from hopadmit.jsonio import (
     METRIC_COLUMNS,
-    canonical_json,
     conflict_to_obj,
     demands_from_obj,
     demands_to_obj,

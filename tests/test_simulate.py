@@ -156,7 +156,7 @@ def test_oracle_policy_never_misclassifies():
 def test_false_rejects_happen(monkeypatch):
     """A feasible demand above the local threshold is turned away."""
 
-    def heavy_single_link(g, rng, target=None):
+    def heavy_single_link(g, rng, goals=None):
         return [1] + [0] * (len(g.links) - 1), 2, None
 
     monkeypatch.setattr(simulate, "_draw_demands", heavy_single_link)
@@ -176,7 +176,7 @@ def test_pendant_ray_is_exactly_tight(monkeypatch):
     g = clique_pendant_graph(4)
     pendants = [make_link(f"x{i}", f"y{i}") for i in range(1, 5)]
 
-    def pendant_ray(graph, rng, target=None):
+    def pendant_ray(graph, rng, goals=None):
         c = rng.randint(1, 8)
         return [c if link in pendants else 0 for link in graph.links], 8, None
 
@@ -195,7 +195,7 @@ def test_clique_link_demands_show_conservatism(monkeypatch):
     g = clique_pendant_graph(4)
     clique_link = make_link("x1", "x2")
 
-    def single_clique_link(graph, rng, target=None):
+    def single_clique_link(graph, rng, goals=None):
         c = rng.randint(3, 8)
         return [c if link == clique_link else 0 for link in graph.links], 8, None
 
@@ -241,6 +241,49 @@ def test_sweep_scales_each_sample_once(monkeypatch):
         calls.clear()
         assert evaluate_policy(g, 60, seed=21, policy=policy) == expected[policy]
         assert calls == ["price_scaled"] * 60, policy
+
+
+def test_sweep_builds_its_goal_table_once(monkeypatch):
+    """The rescale goals, the target times each rescale factor, are built
+    once per sweep and not for each rescaled sample: every draw reads the
+    same table, and a sweep of 120 samples multiplies as many Fractions as
+    a sweep of one."""
+    g = cycle_graph(6)
+    real_draw = simulate._draw_demands
+    real_mul, real_rmul = Fraction.__mul__, Fraction.__rmul__
+    tables = []
+    products = []
+
+    def recording_draw(graph, rng, denom_max=4, goals=None):
+        tables.append(goals)
+        return real_draw(graph, rng, denom_max, goals)
+
+    def counting(real):
+        def wrapper(a, b):
+            products.append(1)
+            return real(a, b)
+
+        return wrapper
+
+    for policy in ("theorem3", "oracle-exact"):
+        expected = evaluate_policy(g, 120, seed=4, policy=policy)
+        target = expected["summary"]["threshold"] or Fraction(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_draw_demands", recording_draw)
+            patch.setattr(Fraction, "__mul__", counting(real_mul))
+            patch.setattr(Fraction, "__rmul__", counting(real_rmul))
+            counts = []
+            for samples in (1, 120):
+                tables.clear()
+                products.clear()
+                outcome = evaluate_policy(g, samples, seed=4, policy=policy)
+                counts.append(len(products))
+                assert len(tables) == samples
+                assert all(table is tables[0] for table in tables)
+            assert outcome == expected
+        assert counts[0] == counts[1], policy
+        assert tables[0] == tuple(f * target for f in simulate._RESCALE_FACTORS)
+        assert sum(row["local_max"] in tables[0] for row in outcome["rows"]) > 30
 
 
 @pytest.mark.parametrize("g", [cycle_graph(10), NON_CHORDAL_VIEW], ids=["cycle:10", "non-chordal-view"])
@@ -303,7 +346,7 @@ def test_draw_keeps_the_fraction_draw(seed=19):
     for g in graphs:
         for target in (None, Fraction(2, 5)):
             state = rng.getstate()
-            scaled, den, goal = simulate._draw_demands(g, rng, target=target)
+            scaled, den, goal = simulate._draw_demands(g, rng, goals=simulate._goal_table(target))
             after = rng.getstate()
             rng.setstate(state)
             tau, expected_goal = fraction_draw(g, rng, target=target)
@@ -333,7 +376,9 @@ def test_inline_draw_matches_randint():
             for seed in range(2000):
                 target = Fraction(2, 5) if seed % 2 else None
                 rng = random.Random(seed)
-                scaled, got_den, goal = simulate._draw_demands(g, rng, denom_max, target)
+                scaled, got_den, goal = simulate._draw_demands(
+                    g, rng, denom_max, simulate._goal_table(target)
+                )
                 ref = random.Random(seed)
                 tau, expected_goal = fraction_draw(g, ref, denom_max, target)
                 assert rng.getstate() == ref.getstate(), (len(g.links), denom_max, seed)
@@ -486,3 +531,64 @@ def test_distributed_admit_prints_pinned_bytes(capsys, monkeypatch, tmp_path):
         out = capsys.readouterr().out
         assert code == 0, spec
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, threshold)
+
+
+# Two admission_sweep graphs with the seed the benchmark runs them at:
+# adm/8/47, whose conflict graph is neither chordal nor co-chordal, so
+# every sample solves the covering LP, and adm/12/5, which is chordal.
+SWEEP_GRAPHS = {
+    "adm_8_47.json": (
+        622607,
+        ["v1-v2", "v1-v7", "v2-v3", "v2-v6", "v3-v4", "v4-v5", "v5-v8", "v7-v8"],
+    ),
+    "adm_12_5.json": (
+        39877,
+        [
+            "v1-v2", "v1-v3", "v1-v4", "v1-v5", "v1-v8", "v3-v5",
+            "v3-v7", "v4-v5", "v5-v6", "v5-v7", "v6-v7", "v7-v8",
+        ],
+    ),
+}
+
+# sha256 of what simulate --samples 100 printed for those graphs when
+# each rescaled sample built its goal as a product of Fractions and every
+# row went through the general JSON encoder.
+SWEEP_DIGESTS = {
+    ("adm_8_47.json", "theorem3", "json"): "de2488f3221007d9ecb91b43e1ae034a6f43f14c86fa20f2e42edd25e45979dc",
+    ("adm_8_47.json", "theorem3", "csv"): "4874041cb91feba79cca922b86d046e31ed2826b3baa854043e09e9ff520362e",
+    ("adm_8_47.json", "oracle-exact", "json"): "11e125f903adae65e93c06942436f806e2a904dc619bfbe99f8822b0190170ef",
+    ("adm_8_47.json", "oracle-exact", "csv"): "9606e5c51dcafcef1f76c05c3923f8a61546638a6d97e67dcccec0455f49b77a",
+    ("adm_12_5.json", "theorem3", "json"): "e31c518d074efa40422bd19cd38381ac0394f974aa7d88d180cc19a183466884",
+    ("adm_12_5.json", "theorem3", "csv"): "fe352561c84e09930062074964b23ef05f9f85e23b70d204b739d07d298fa8df",
+    ("adm_12_5.json", "oracle-exact", "json"): "7613aa08ef20f16d2a6ce8fc8754e5f27f1ac7eadf0f8f8fb2ebd5068b7dc5fa",
+    ("adm_12_5.json", "oracle-exact", "csv"): "c816fd61cd8fe1a652ed0f019822bf9ec6340ddb2b0b3fc945483866e6cedb32",
+}
+
+
+def test_sweep_prints_pinned_bytes(capsys, monkeypatch, tmp_path):
+    """Rows drawn with the goal table and written through the row template
+    print the bytes pinned above, and about 60% of them are rescaled."""
+    import hashlib
+    import json
+
+    from hopadmit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    for name, (seed, links) in SWEEP_GRAPHS.items():
+        edges = [link.split("-") for link in links]
+        vertices = sorted({v for edge in edges for v in edge})
+        (tmp_path / name).write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        g = build_graph(vertices, edges)
+        for policy in ("theorem3", "oracle-exact"):
+            outcome = evaluate_policy(g, 100, seed, policy=policy)
+            goals = simulate._goal_table(outcome["summary"]["threshold"] or Fraction(1))
+            assert sum(row["local_max"] in goals for row in outcome["rows"]) > 50
+    for (name, policy, fmt), digest in SWEEP_DIGESTS.items():
+        seed = SWEEP_GRAPHS[name][0]
+        code = main([
+            "simulate", name, "--policy", policy, "--samples", "100",
+            "--seed", str(seed), "--format", fmt,
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, policy, fmt)
