@@ -13,11 +13,17 @@ call (`scheduling.scale_demands`), and every price then comes from
 `scheduling.scaled_duration` in those integers. A view is its link
 indices (`NetworkGraph.view_links`), priced by `_view_value` on the whole
 radius-2 conflict graph from the view's own support, so a view costs
-nothing per link outside it. `price_scaled` gives the largest view value
-(`_view_max`), the heaviest clique of the graph's table of maximal view
-cliques (`NetworkGraph.view_clique_table`) or the value of a non-chordal
-view, and the network-wide duration, on a chordal or co-chordal conflict
-graph its heaviest maximal clique (`ConflictGraph.clique_readers`).
+nothing per link outside it. `price_scaled` is the batch pricer: given a
+list of such integer vectors over one denominator, it returns each
+vector's largest view value and its network-wide duration. It reads each
+clique of the graph's table of maximal view cliques
+(`NetworkGraph.view_clique_table`) and, on a chordal or co-chordal
+conflict graph, each maximal clique of the whole graph
+(`ConflictGraph.clique_readers`) once across all vectors, a column of
+clique sums per clique, and takes each vector's largest (`_heaviest`).
+Only a non-chordal view, or a conflict graph with no readers, is priced
+vector by vector. `duration_ratio` prices a batch of one, and
+`local_estimate` the view values of a batch of one (`_view_maxima`).
 `local_views` and the protocol trace (`simulate.run_admission`) price each
 view on its own by `_view_value`.
 """
@@ -50,9 +56,12 @@ from .scheduling import scale_demands, scaled_duration
 from .search import DEFAULT_SET_CAP, iter_induced_cycles
 
 # Random demand samples per run, for beta --empirical and simulate
-# --samples. Each kept sample costs about 1.75 KB, so the limit keeps a
-# run under about 200 MB; a larger count raises ResourceLimitError before
-# any sample is drawn.
+# --samples. Each sample a sweep keeps, its row and its output, costs
+# about 0.8 KB of peak memory on any graph (simulate complete:5 at 100,000
+# samples and star:999 at 10,000, Python 3.11), since its raw vector is
+# dropped once its batch is priced; so the limit adds at most about 80 MB
+# to a run. A larger count raises ResourceLimitError before any sample is
+# drawn.
 SAMPLE_LIMIT = 100_000
 
 
@@ -75,34 +84,71 @@ def _view_value(gc: ConflictGraph, idx, scaled: list[int], den: int, cap: int) -
     return scaled_duration(gc, scaled, den, cap, [i for i in idx if scaled[i]])
 
 
-def _view_max(g: NetworkGraph, scaled: list[int], den: int, cap: int) -> int | Fraction:
-    """Largest 1-hop view value of the demands scaled / den, times den.
+def _heaviest(readers, vectors: list[list[int]]) -> list[int]:
+    """The heaviest clique sum of each vector (0 with no reader).
+
+    A batch reads each clique's entries once across all vectors: one
+    column of sums per reader, then the largest entry of each vector's
+    row, which is faster than reading each vector reader by reader. A
+    lone vector, as from `duration_ratio`, is read reader by reader, as
+    `scaled_duration` reads it, since a column of one sum per reader
+    costs more than that read.
+    """
+    if len(vectors) == 1:
+        (scaled,) = vectors
+        return [max([sum(read(scaled)) for read in readers], default=0)]
+    if not readers:
+        return [0] * len(vectors)
+    columns = [list(map(sum, map(read, vectors))) for read in readers]
+    return list(map(max, zip(*columns)))
+
+
+def _view_maxima(
+    g: NetworkGraph, vectors: list[list[int]], den: int, cap: int
+) -> list[int | Fraction]:
+    """Largest 1-hop view value of each demand vector in vectors, over
+    den, times den.
 
     Every chordal view is priced at once, by the heaviest clique of
     g.view_clique_table, an integer; a view whose conflict graph is not
-    chordal is priced by `_view_value`.
+    chordal is priced by `_view_value`, vector by vector.
     """
     table = g.view_clique_table
-    values = [sum(read(scaled)) for read in table.readers]
+    maxima = _heaviest(table.readers, vectors)
     if table.non_chordal:
         gc = conflict_graph(g, 2)
-        values += [_view_value(gc, idx, scaled, den, cap) for idx in table.non_chordal]
-    return max(values, default=0)
+        for idx in table.non_chordal:
+            maxima = [
+                max(value, _view_value(gc, idx, scaled, den, cap))
+                for value, scaled in zip(maxima, vectors)
+            ]
+    return maxima
 
 
 def price_scaled(
-    g: NetworkGraph, scaled: list[int], den: int, cap: int = DEFAULT_SET_CAP
-) -> tuple[int | Fraction, int | Fraction]:
+    g: NetworkGraph, vectors: list[list[int]], den: int, cap: int = DEFAULT_SET_CAP
+) -> tuple[list[int | Fraction], list[int | Fraction]]:
     """The largest 1-hop view value and the exact network-wide duration of
-    the demands scaled / den, both times den.
+    each demand vector in vectors, over den, both times den, as two lists
+    in the order of vectors.
 
-    scaled is indexed like g.links, which are the links of
+    Each vector is indexed like g.links, which are the links of
     conflict_graph(g, 2), and holds nonnegative integers, as from
-    `scale_demands`. Both values are ints unless the covering LP prices a
+    `scale_demands`. On a chordal or co-chordal conflict graph each
+    vector's duration is its heaviest maximal clique
+    (`ConflictGraph.clique_readers`). Those cliques, and the view table's,
+    are read once across all vectors (`_heaviest`); otherwise
+    `scaled_duration` prices each vector, as `_view_value` does each
+    non-chordal view. Values are ints unless the covering LP prices a
     support component of a view or of the whole conflict graph.
     """
-    exact = scaled_duration(conflict_graph(g, 2), scaled, den, cap)
-    return _view_max(g, scaled, den, cap), exact
+    gc = conflict_graph(g, 2)
+    readers = gc.clique_readers
+    if readers is None:
+        exact = [scaled_duration(gc, scaled, den, cap) for scaled in vectors]
+    else:
+        exact = _heaviest(readers, vectors)
+    return _view_maxima(g, vectors, den, cap), exact
 
 
 def local_views(
@@ -125,7 +171,8 @@ def local_views(
 def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
     """Largest minimum schedule duration over all 1-hop views."""
     scaled, den = scale_demands(conflict_graph(g, 2), tau)
-    return Fraction(_view_max(g, scaled, den, cap), den)
+    (local,) = _view_maxima(g, [scaled], den, cap)
+    return Fraction(local, den)
 
 
 def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
@@ -133,7 +180,7 @@ def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) ->
     scaled, den = scale_demands(conflict_graph(g, 2), tau)
     if not any(scaled):
         raise GraphError("duration ratio needs a nonzero demand vector")
-    local, exact = price_scaled(g, scaled, den, cap)
+    (local,), (exact,) = price_scaled(g, [scaled], den, cap)
     return Fraction(exact, local)
 
 

@@ -120,9 +120,6 @@ class NetworkGraph:
     def has_link(self, e: Link) -> bool:
         return e in self._link_set
 
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
-
 
 @dataclass(frozen=True)
 class ViewCliqueTable:

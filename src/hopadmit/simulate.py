@@ -25,8 +25,13 @@ by ``rng.choice`` from a goal table, the target times each rescale
 factor, which ``_goal_table`` builds once per sweep; ``choice`` reads
 only the table's length, so the pick is the one a choice among the
 factors would make.
-``analysis.price_scaled`` prices those integers in one pass. A rescaled
-sample is decided over the denominator ``local * goal.denominator``,
+A sweep runs in three phases: it draws its samples, prices them all in
+one ``analysis.price_scaled`` call, and decides each one and builds its
+row in one loop. Pricing draws nothing, so the generator sequence is the
+one that drawing and pricing sample by sample would give. A sweep whose
+raw vectors would hold more than ``_BATCH_ENTRIES`` integers runs these
+phases batch by batch, which keeps its memory that of its rows. A
+rescaled sample is decided over the denominator ``local * goal.denominator``,
 because every value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``),
 and ``Fraction``s are built only for the two values in the row.
 ``sample_demands`` turns the same draw into a ``Fraction`` vector for
@@ -38,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Mapping
 
@@ -180,6 +186,12 @@ def run_admission(
 
 _RESCALE_FACTORS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3))
 
+# A sweep draws and prices its samples in batches of at most this many
+# vector entries (samples times links), so the raw vectors kept for
+# pricing stay small next to the rows on any graph: every sweep of up to
+# 5,461 samples on at most 12 links is one batch.
+_BATCH_ENTRIES = 1 << 16
+
 
 def _goal_table(target) -> tuple[Fraction, ...] | None:
     """The largest 1-hop values a sample may be rescaled to: target times
@@ -298,33 +310,41 @@ def evaluate_policy(
         "false-reject": 0,
     }
     goals = _goal_table(threshold or Fraction(1))
-    for sample_id in range(samples):
-        scaled, den, goal = _draw_demands(g, rng, goals=goals)
-        local, exact = price_scaled(g, scaled, den, cap)
-        if goal is None:
-            local_max = Fraction(local, den)
-        else:
-            # Every value is homogeneous in the demands, so rescaling the
-            # raw vector to a largest view value of goal scales the
-            # duration by goal / local, and den cancels: over the new den,
-            # local * goal.denominator, the view value is goal.
-            local, exact, den = (
-                goal.numerator * local, goal.numerator * exact, goal.denominator * local
+    batch = max(1, _BATCH_ENTRIES // len(g.links))
+    for start in range(0, samples, batch):
+        # Pricing draws nothing, so drawing a batch before pricing it
+        # leaves the generator sequence, and so every vector and goal, as
+        # it was. Every raw vector of a sweep is over the same den.
+        draws = [_draw_demands(g, rng, goals=goals) for _ in range(min(batch, samples - start))]
+        den = draws[0][1]
+        local_values, exact_values = price_scaled(g, [scaled for scaled, _, _ in draws], den, cap)
+        for sample_id, local, exact, (_, _, goal) in zip(
+            count(start), local_values, exact_values, draws
+        ):
+            sample_den = den
+            if goal is None:
+                local_max = Fraction(local, den)
+            else:
+                # Every value is homogeneous in the demands, so rescaling
+                # the raw vector to a largest view value of goal scales the
+                # duration by goal / local, and den cancels: over the new
+                # den, local * goal.denominator, the view value is goal.
+                local, exact, sample_den = (
+                    goal.numerator * local, goal.numerator * exact, goal.denominator * local
+                )
+                local_max = goal
+            admit, classification = _decide(local, exact, threshold, sample_den)
+            tally[classification] += 1
+            rows.append(
+                {
+                    "sample_id": sample_id,
+                    "seed": seed,
+                    "local_max": local_max,
+                    "oracle_chif": Fraction(exact, sample_den),
+                    "decision": "admit" if admit else "reject",
+                    "classification": classification,
+                }
             )
-            local_max = goal
-        admit, classification = _decide(local, exact, threshold, den)
-        oracle_value = Fraction(exact, den)
-        tally[classification] += 1
-        rows.append(
-            {
-                "sample_id": sample_id,
-                "seed": seed,
-                "local_max": local_max,
-                "oracle_chif": oracle_value,
-                "decision": "admit" if admit else "reject",
-                "classification": classification,
-            }
-        )
 
     feasible_total = tally["true-admit"] + tally["false-reject"]
     summary = {

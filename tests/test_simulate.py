@@ -208,10 +208,11 @@ def test_clique_link_demands_show_conservatism(monkeypatch):
 
 
 def test_sweep_scales_each_sample_once(monkeypatch):
-    """The sweep draws each sample as integers and prices it in them once:
-    one price_scaled call per sample, never a normalization or rescale of
+    """The sweep draws each sample as integers and prices them all in
+    them in one price_scaled call, holding every vector of the sweep over
+    the denominator the draws returned; it never normalizes or rescales
     demands, and on a chordal conflict graph (so every view's is chordal
-    too) no covering LP."""
+    too) solves no covering LP."""
     from hopadmit import analysis, scheduling
 
     g = clique_pendant_graph(4)
@@ -219,6 +220,7 @@ def test_sweep_scales_each_sample_once(monkeypatch):
     policies = ("theorem3", "oracle-exact")
     expected = {policy: evaluate_policy(g, 60, seed=21, policy=policy) for policy in policies}
     calls = []
+    batches = []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -230,17 +232,49 @@ def test_sweep_scales_each_sample_once(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("a covering LP was solved")
 
+    real_price = simulate.price_scaled
+
+    def recording_price(graph, vectors, den, cap):
+        batches.append((len(vectors), den))
+        return real_price(graph, vectors, den, cap)
+
     for name in ("integer_weights", "normalize_demands"):
         real = getattr(scheduling, name)
         for module in (analysis, scheduling, simulate):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(scheduling, "solve_min_ge", no_lp)
-    monkeypatch.setattr(simulate, "price_scaled", counting("price_scaled", simulate.price_scaled))
+    monkeypatch.setattr(simulate, "price_scaled", counting("price_scaled", recording_price))
     for policy in policies:
         calls.clear()
+        batches.clear()
         assert evaluate_policy(g, 60, seed=21, policy=policy) == expected[policy]
-        assert calls == ["price_scaled"] * 60, policy
+        assert calls == ["price_scaled"], policy
+        assert batches == [(60, 12)], policy
+
+
+def test_sweep_prices_batches_of_bounded_size(monkeypatch):
+    """A sweep whose vectors would hold more than _BATCH_ENTRIES entries
+    is drawn and priced in batches of at most that many, and prints what
+    one batch prints: the samples, their ids and the generator sequence
+    run on across batches."""
+    g = clique_pendant_graph(4)
+    expected = evaluate_policy(g, 25, seed=5)
+    real_price = simulate.price_scaled
+    sizes = []
+
+    def recording_price(graph, vectors, den, cap):
+        sizes.append(len(vectors))
+        return real_price(graph, vectors, den, cap)
+
+    monkeypatch.setattr(simulate, "price_scaled", recording_price)
+    monkeypatch.setattr(simulate, "_BATCH_ENTRIES", 4 * len(g.links) + 1)
+    assert evaluate_policy(g, 25, seed=5) == expected
+    assert sizes == [4] * 6 + [1]
+    sizes.clear()
+    monkeypatch.setattr(simulate, "_BATCH_ENTRIES", 1)
+    assert evaluate_policy(g, 3, seed=5)["rows"] == expected["rows"][:3]
+    assert sizes == [1] * 3
 
 
 def test_sweep_builds_its_goal_table_once(monkeypatch):
@@ -489,6 +523,30 @@ def test_co_chordal_conflict_graph_is_priced_without_the_lp(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5c1535fb2b19d011d61950e8b3dcdd69e95916531fe8999ff3b5a94a38307e78"
     )
+
+
+# sha256 of what simulate cycle:6 --seed 7 printed at --samples 0 and 1
+# when each sample was priced on its own, before pricing took the whole
+# sweep as one batch.
+EDGE_DIGESTS = {
+    ("0", "json"): "798a62e41ff88be3475b59dff2115727ea66f53153572a41ddb57dd890fea64a",
+    ("0", "csv"): "4773a5b0f3fdf1d5616df340ad9f30c15734408dab466bcf9860a57876aaa270",
+    ("1", "json"): "cf8c85792daf6950e2c57608a86c5e27659f1e13ad8ebf099c5ee27edf295321",
+    ("1", "csv"): "9e1deaf5210c07e99ff1d83f3d1872ffaa947c28de44a6f9738a6047a8997fd3",
+}
+
+
+@pytest.mark.parametrize("samples,fmt", sorted(EDGE_DIGESTS))
+def test_sweep_of_no_sample_or_one_prints_pinned_bytes(capsys, samples, fmt):
+    import hashlib
+
+    from hopadmit.cli import main
+
+    code = main(["simulate", "cycle:6", "--samples", samples, "--seed", "7", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == EDGE_DIGESTS[samples, fmt]
 
 
 # sha256 of what admit --mode distributed printed, in a directory holding

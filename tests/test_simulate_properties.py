@@ -8,11 +8,14 @@ largest of them and the admission oracle equal the covering LP over
 brute-force maximal independent sets, whether they were read from the
 graph's clique table or not. The clique table itself holds cliques of
 the views' links, none inside another, that cover every clique of every
-chordal view.
+chordal view. The batch pricer gives each vector of a batch, also of none
+or one, the values the per-vector pricers give it, also on graphs with no
+clique readers or with a non-chordal view.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,11 +23,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from corpus import NON_CHORDAL_VIEW  # noqa: E402
+from corpus import NON_CHORDAL_VIEW, random_connected_graph  # noqa: E402
 from oracles import elimination, tableau_chif  # noqa: E402
-from hopadmit import build_graph, conflict_graph, one_hop_subgraph  # noqa: E402
-from hopadmit.analysis import local_estimate, local_views, price_scaled  # noqa: E402
-from hopadmit.scheduling import scale_demands  # noqa: E402
+from hopadmit import build_graph, conflict_graph, cycle_graph, one_hop_subgraph  # noqa: E402
+from hopadmit.analysis import _view_value, local_estimate, local_views, price_scaled  # noqa: E402
+from hopadmit.scheduling import scale_demands, scaled_duration  # noqa: E402
+from hopadmit.search import DEFAULT_SET_CAP  # noqa: E402
 from hopadmit.simulate import _decide, run_admission  # noqa: E402
 
 THRESHOLD = Fraction(1, 2)
@@ -123,7 +127,7 @@ def test_view_values_and_oracle_equal_the_lp(instance):
     for sub, value in views:
         assert value == _lp_value(conflict_graph(sub, 2), tau)
     scaled, den = scale_demands(conflict_graph(g, 2), tau)
-    local, exact = price_scaled(g, scaled, den)
+    (local,), (exact,) = price_scaled(g, [scaled], den)
     local_max, oracle_value = Fraction(local, den), Fraction(exact, den)
     assert local_max == local_estimate(g, tau)
     assert local_max == max(
@@ -133,3 +137,56 @@ def test_view_values_and_oracle_equal_the_lp(instance):
     assert oracle_value == _lp_value(conflict_graph(g, 2), tau)
     admit, _ = _decide(local_max, oracle_value, None, 1)
     assert admit == (oracle_value <= 1)
+
+
+# The admission_sweep graph adm/8/47: its conflict graph is neither chordal
+# nor co-chordal, so it has no clique readers and the sweep prices every
+# sample's duration by the covering LP.
+ADM_8_47 = build_graph(
+    [f"v{i}" for i in range(1, 9)],
+    [
+        ("v1", "v2"), ("v1", "v7"), ("v2", "v3"), ("v2", "v6"),
+        ("v3", "v4"), ("v4", "v5"), ("v5", "v8"), ("v7", "v8"),
+    ],
+)
+
+
+@st.composite
+def batches(draw):
+    """A seeded random graph of the sweep's size, a batch of integer
+    demand vectors indexed like its links, and their denominator."""
+    g = random_connected_graph(random.Random(draw(st.integers(0, 10**6))))
+    vector = st.lists(st.integers(0, 12), min_size=len(g.links), max_size=len(g.links))
+    return g, draw(st.lists(vector, max_size=5)), draw(st.sampled_from((1, 8, 12)))
+
+
+def _pattern(g, count):
+    return [[(i * 7 + j * 5) % 13 for i in range(len(g.links))] for j in range(count)]
+
+
+def test_batch_examples_take_the_fallback_paths():
+    assert conflict_graph(cycle_graph(7), 2).clique_readers is None
+    assert conflict_graph(ADM_8_47, 2).clique_readers is None
+    assert NON_CHORDAL_VIEW.view_clique_table.non_chordal
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(batches())
+@hypothesis.example((cycle_graph(7), _pattern(cycle_graph(7), 4), 12))
+@hypothesis.example((ADM_8_47, _pattern(ADM_8_47, 4), 12))
+@hypothesis.example((NON_CHORDAL_VIEW, _pattern(NON_CHORDAL_VIEW, 4), 12))
+@hypothesis.example((NON_CHORDAL_VIEW, _pattern(NON_CHORDAL_VIEW, 1), 12))
+@hypothesis.example((NON_CHORDAL_VIEW, [], 12))
+@hypothesis.example((ADM_8_47, _pattern(ADM_8_47, 1), 8))
+@hypothesis.example((ADM_8_47, [], 8))
+@hypothesis.example((build_graph(["v1", "v2"], []), [[], []], 12))
+def test_batch_pricer_equals_pricing_each_vector(batch):
+    """Each vector of a batch gets the largest of its view values and its
+    duration on the whole conflict graph, priced on their own."""
+    g, vectors, den = batch
+    gc = conflict_graph(g, 2)
+    local, exact = price_scaled(g, vectors, den)
+    assert len(local) == len(exact) == len(vectors)
+    for scaled, value, duration in zip(vectors, local, exact):
+        assert value == max(_view_value(gc, idx, scaled, den, DEFAULT_SET_CAP) for idx in g.view_links)
+        assert duration == scaled_duration(gc, scaled, den)
