@@ -57,11 +57,12 @@ from .search import DEFAULT_SET_CAP, iter_induced_cycles
 
 # Random demand samples per run, for beta --empirical and simulate
 # --samples. Each sample a sweep keeps, its row and its output, costs
-# about 0.8 KB of peak memory on any graph (simulate complete:5 at 100,000
-# samples and star:999 at 10,000, Python 3.11), since its raw vector is
-# dropped once its batch is priced; so the limit adds at most about 80 MB
-# to a run. A larger count raises ResourceLimitError before any sample is
-# drawn.
+# about 0.8 KB of peak memory on any graph (0.79 KB for simulate
+# complete:5 at 100,000 samples and 0.74 KB for star:999 at 10,000, each
+# against 0 samples, Python 3.11), since its raw vector is dropped once its
+# batch is priced and its output is written a chunk of rows at a time; so
+# the limit adds at most about 80 MB to a run. A larger count raises
+# ResourceLimitError before any sample is drawn.
 SAMPLE_LIMIT = 100_000
 
 

@@ -8,9 +8,11 @@ reruns stay byte-identical.
 `write_json` is the one JSON writer: a recursive encoder whose text is
 exactly json.dumps(obj, sort_keys=True, indent=2) plus a newline, handed
 to a write function in chunks at element boundaries, so a large result is
-never held as one string. A list of flat dicts that share one key set,
-such as the rows of `simulate`, is written through one %-template per
-list, built from the first dict's sorted keys.
+never held as one string. A list whose first element is a flat dict of
+scalars, such as the rows of `simulate`, is written FLUSH_PIECES elements
+at a time, column by column (`_row_writer`): a chunk of dicts with the
+first one's keys and one exact scalar type per key goes out through one
+%-template map and one write; any other chunk goes element by element.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Mapping
 
 from .analysis import RatioBounds
@@ -285,14 +288,17 @@ _SCALARS = {
 }
 
 
-def _row_template(first, newline: str):
-    """A writer for the dicts of a list shaped like its first element, or
+def _row_writer(first, newline: str):
+    """A writer for the chunks of a list shaped like its first element, or
     None unless first is a non-empty dict with str keys and scalar values.
 
-    The writer returns the text of a dict with first's key set and scalar
-    values, starting on a line with indent newline, through one %-template
-    of the sorted keys; for any other element it returns None, and
-    _encode writes that element (or raises TypeError) as usual.
+    The writer takes a chunk of the list's elements and the separator
+    before it, and returns that separator and the elements' texts, each
+    starting on a line with indent newline and joined by "," and newline,
+    or None unless every element is a dict with first's keys and each
+    key's values are of one exact scalar type. It reads each column with
+    one itemgetter map, converts it with one map of its type's text, and
+    fills one %-template of the sorted keys per row.
     """
     if type(first) is not dict or not first:
         return None
@@ -301,8 +307,10 @@ def _row_template(first, newline: str):
     if not all(type(value) in _SCALARS for value in first.values()):
         return None
     keys = sorted(first)
-    shape = first.keys()
+    width = len(keys)
+    getters = [itemgetter(key) for key in keys]
     inner = newline + "  "
+    joiner = "," + newline
     template = (
         "{"
         + inner
@@ -311,17 +319,25 @@ def _row_template(first, newline: str):
         + "}"
     )
 
-    def write(value) -> str | None:
-        if type(value) is not dict or value.keys() != shape:
+    def write(chunk, sep: str) -> str | None:
+        if set(map(type, chunk)) != {dict} or set(map(len, chunk)) != {width}:
+            return None
+        try:
+            columns = [list(map(get, chunk)) for get in getters]
+        except KeyError:
             return None
         texts = []
-        for key in keys:
-            item = value[key]
-            scalar = _SCALARS.get(type(item))
+        for column in columns:
+            types = set(map(type, column))
+            if len(types) != 1:
+                return None
+            scalar = _SCALARS.get(types.pop())
             if scalar is None:
                 return None
-            texts.append(scalar(item))
-        return template % tuple(texts)
+            texts.append(map(scalar, column))
+        rows = list(map(template.__mod__, zip(*texts)))
+        rows[0] = sep + rows[0]
+        return joiner.join(rows)
 
     return write
 
@@ -331,8 +347,9 @@ def _encode(obj, parts: list[str], newline: str, flush) -> None:
 
     newline is a line break plus the indent of the line obj starts on.
     flush is called after an element of a list or dict once parts holds
-    FLUSH_PIECES pieces, and is to empty parts. A scalar element goes out
-    in one piece with the separator before it.
+    FLUSH_PIECES pieces, and after each chunk of a list the row writer
+    wrote, and is to empty parts. A scalar element goes out in one piece
+    with the separator before it.
     """
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
@@ -362,28 +379,43 @@ def _encode(obj, parts: list[str], newline: str, flush) -> None:
             parts.append("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
-        row = _row_template(obj[0], inner)
-        for value in obj:
-            scalar = _SCALARS.get(type(value))
-            if scalar is not None:
-                parts.append(sep + scalar(value))
-            else:
-                text = None if row is None else row(value)
+        write_rows = _row_writer(obj[0], inner)
+        if write_rows is None:
+            _encode_items(obj, parts, "[" + inner, inner, flush)
+        else:
+            sep = "[" + inner
+            for start in range(0, len(obj), FLUSH_PIECES):
+                chunk = obj[start : start + FLUSH_PIECES]
+                text = write_rows(chunk, sep)
                 if text is None:
-                    parts.append(sep)
-                    _encode(value, parts, inner, flush)
+                    _encode_items(chunk, parts, sep, inner, flush)
                 else:
-                    parts.append(sep + text)
-            if len(parts) >= FLUSH_PIECES:
-                flush()
-            sep = "," + inner
+                    parts.append(text)
+                    flush()
+                sep = "," + inner
         parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# Pieces _encode collects before write_json passes them on as one string.
+def _encode_items(values, parts: list[str], sep: str, inner: str, flush) -> None:
+    """Append the pieces of the list elements values to parts, one by one,
+    the first after sep and each later one after "," and inner, flushing
+    as _encode does."""
+    for value in values:
+        scalar = _SCALARS.get(type(value))
+        if scalar is None:
+            parts.append(sep)
+            _encode(value, parts, inner, flush)
+        else:
+            parts.append(sep + scalar(value))
+        if len(parts) >= FLUSH_PIECES:
+            flush()
+        sep = "," + inner
+
+
+# Pieces _encode collects before write_json passes them on as one string,
+# and list elements the row writer takes as one chunk.
 FLUSH_PIECES = 4096
 
 
@@ -398,8 +430,9 @@ def write_json(obj, write) -> None:
     keys other than str raise TypeError.
 
     The pieces are joined and written whenever FLUSH_PIECES of them have
-    gathered at the end of a list or dict element, so the whole text is
-    never held at once.
+    gathered at the end of a list or dict element, and after each chunk of
+    at most FLUSH_PIECES flat rows, so the whole text is never held at
+    once.
     """
     parts: list[str] = []
 

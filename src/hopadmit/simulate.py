@@ -16,26 +16,27 @@ oracle and the view each node rebuilt from its inbox, after checking
 that view against ``NetworkGraph.view_links``, and wraps the decision in
 the full protocol trace (messages and rebuilt views), which
 ``admit --mode distributed`` prints. ``evaluate_policy`` builds no trace
-and stays in integers from the draw to the decision: ``_draw_demands``
-draws a raw vector as integer numerators over one denominator, with the
-local value it is to be rescaled to, through ``rng.getrandbits`` with
-CPython's rejection rule for ``Random.randint`` inlined, so the vector
-and the generator state are those of ``randint``. That value is picked
-by ``rng.choice`` from a goal table, the target times each rescale
-factor, which ``_goal_table`` builds once per sweep; ``choice`` reads
-only the table's length, so the pick is the one a choice among the
-factors would make.
-A sweep runs in three phases: it draws its samples, prices them all in
-one ``analysis.price_scaled`` call, and decides each one and builds its
-row in one loop. Pricing draws nothing, so the generator sequence is the
-one that drawing and pricing sample by sample would give. A sweep whose
-raw vectors would hold more than ``_BATCH_ENTRIES`` integers runs these
-phases batch by batch, which keeps its memory that of its rows. A
-rescaled sample is decided over the denominator ``local * goal.denominator``,
-because every value is homogeneous (``chi_f(c * tau) == c * chi_f(tau)``),
-and ``Fraction``s are built only for the two values in the row.
-``sample_demands`` turns the same draw into a ``Fraction`` vector for
-callers that want one.
+and stays in integers from the draw to the decision: ``_draw_samples``
+draws a batch of raw vectors in one call, each as integer numerators over
+one denominator, with the local value it is to be rescaled to, through
+``rng.getrandbits`` with CPython's rejection rule for ``Random.randint``
+inlined, so every vector and the generator state are those of
+``randint``. That value is picked by ``rng.choice`` from a goal table, the
+target times each rescale factor, which ``_goal_table`` builds once per
+sweep; ``choice`` reads only the table's length, so the pick is the one a
+choice among the factors would make.
+A sweep runs in three phases: it draws its samples in one
+``_draw_samples`` call, prices them all in one ``analysis.price_scaled``
+call, and decides each one and builds its row in one loop. Pricing draws
+nothing, so the generator sequence is the one that drawing and pricing
+sample by sample would give. A sweep whose raw vectors would hold more
+than ``_BATCH_ENTRIES`` integers runs these phases batch by batch, which
+keeps its memory that of its rows. A rescaled sample is decided over the
+denominator ``local * goal.denominator``, because every value is
+homogeneous (``chi_f(c * tau) == c * chi_f(tau)``), and ``Fraction``s are
+built only for the two values in the row.
+``sample_demands`` draws a batch of one and turns it into a ``Fraction``
+vector for callers that want one.
 """
 
 from __future__ import annotations
@@ -202,51 +203,61 @@ def _goal_table(target) -> tuple[Fraction, ...] | None:
     return tuple([factor * target for factor in _RESCALE_FACTORS])
 
 
-def _draw_demands(
+def _draw_samples(
     g: NetworkGraph,
     rng: random.Random,
+    count: int,
     denom_max: int = 4,
     goals: tuple[Fraction, ...] | None = None,
-) -> tuple[list[int], int, Fraction | None]:
-    """The random part of `sample_demands`: a raw vector as integer
-    numerators indexed like g.links over den = lcm(1, ..., denom_max),
-    and the largest 1-hop value it is to be rescaled to, one of goals
-    (`_goal_table`), or None to keep it as drawn. Returns (scaled, den,
-    goal).
+) -> tuple[int, list[tuple[list[int], Fraction | None]]]:
+    """The random part of `sample_demands`, for count samples in one call.
+    Returns (den, [(scaled, goal), ...]) with den = lcm(1, ..., denom_max):
+    each scaled is a raw vector as integer numerators over den indexed
+    like g.links, and each goal the largest 1-hop value it is to be
+    rescaled to, one of goals (`_goal_table`), or None to keep it as drawn.
 
     A drawn link gets k / d with 1 <= k <= d <= denom_max, which is
-    k * (den // d) over den. The raw vector is nonzero, so its largest
-    1-hop value is positive and the rescale is always defined.
+    k * (den // d) over den. A raw vector is nonzero, so its largest 1-hop
+    value is positive and the rescale is always defined. The samples are
+    those of count successive draws of one sample.
     """
     den = lcm(*range(1, denom_max + 1))
     # rng.randint(1, n) is 1 plus CPython's _randbelow_with_getrandbits(n):
     # getrandbits(n.bit_length()), drawn again until it is below n. That
-    # rule is inlined here, drawing d - 1 and then k - 1, so the vector
+    # rule is inlined here, drawing d - 1 and then k - 1, so the vectors
     # and the generator state afterwards are those of
     # rng.randint(1, denom_max) and rng.randint(1, d); a test checks this
-    # on the running interpreter.
+    # on the running interpreter. The tables are indexed by d - 1: the bit
+    # width of d, and k * (den // d) for k = 1, ..., d.
     uniform, getrandbits = rng.random, rng.getrandbits
+    randrange, choice = rng.randrange, rng.choice
     bits = denom_max.bit_length()
-    scaled = [0] * len(g.links)
-    for i in range(len(scaled)):
-        if uniform() < 0.6:
-            d = getrandbits(bits)
-            while d >= denom_max:
+    widths = [d.bit_length() for d in range(1, denom_max + 1)]
+    values = [[k * (den // d) for k in range(1, d + 1)] for d in range(1, denom_max + 1)]
+    fallback = den // denom_max
+    m = len(g.links)
+    samples = []
+    for _ in range(count):
+        scaled = [0] * m
+        for i in range(m):
+            if uniform() < 0.6:
                 d = getrandbits(bits)
-            d += 1
-            d_bits = d.bit_length()
-            k = getrandbits(d_bits)
-            while k >= d:
-                k = getrandbits(d_bits)
-            scaled[i] = (k + 1) * (den // d)
-    if not any(scaled):
-        scaled[rng.randrange(len(scaled))] = den // denom_max
-    goal = None
-    if goals is not None and uniform() < 0.6:
-        # choice reads only len(goals), so the generator moves as it would
-        # choosing from _RESCALE_FACTORS.
-        goal = rng.choice(goals)
-    return scaled, den, goal
+                while d >= denom_max:
+                    d = getrandbits(bits)
+                width = widths[d]
+                k = getrandbits(width)
+                while k > d:
+                    k = getrandbits(width)
+                scaled[i] = values[d][k]
+        if not any(scaled):
+            scaled[randrange(m)] = fallback
+        goal = None
+        if goals is not None and uniform() < 0.6:
+            # choice reads only len(goals), so the generator moves as it
+            # would choosing from _RESCALE_FACTORS.
+            goal = choice(goals)
+        samples.append((scaled, goal))
+    return den, samples
 
 
 def sample_demands(
@@ -263,7 +274,7 @@ def sample_demands(
     near the target, which makes both admissions and near-miss rejections
     common.
     """
-    scaled, den, goal = _draw_demands(g, rng, denom_max, _goal_table(target))
+    den, [(scaled, goal)] = _draw_samples(g, rng, 1, denom_max, _goal_table(target))
     tau = {link: Fraction(k, den) for link, k in zip(g.links, scaled) if k}
     if goal is None:
         return tau
@@ -315,10 +326,9 @@ def evaluate_policy(
         # Pricing draws nothing, so drawing a batch before pricing it
         # leaves the generator sequence, and so every vector and goal, as
         # it was. Every raw vector of a sweep is over the same den.
-        draws = [_draw_demands(g, rng, goals=goals) for _ in range(min(batch, samples - start))]
-        den = draws[0][1]
-        local_values, exact_values = price_scaled(g, [scaled for scaled, _, _ in draws], den, cap)
-        for sample_id, local, exact, (_, _, goal) in zip(
+        den, draws = _draw_samples(g, rng, min(batch, samples - start), goals=goals)
+        local_values, exact_values = price_scaled(g, [scaled for scaled, _ in draws], den, cap)
+        for sample_id, local, exact, (_, goal) in zip(
             count(start), local_values, exact_values, draws
         ):
             sample_den = den

@@ -1,15 +1,19 @@
-"""The benchmark's correctness gate replays outputs through the package.
+"""The benchmark harness reads the package by name.
 
 `bench/run.py` hands `check.py` the functions it replays witnesses and
 schedules with, from `_load_library`. Each must be the package's own
 function, bound under the same name, so a rename or a stray wrapper in
-the package fails here rather than in a benchmark run.
+the package fails here rather than in a benchmark run. Likewise every
+per-layer metric of `BENCHMARK.json` must read a function the package
+still has, or a traced run reports it as absent, with a null value.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
@@ -45,3 +49,20 @@ def test_gate_library_is_the_package(monkeypatch):
         assert getattr(module, name) is fn, name
         if name in hopadmit.__all__:
             assert getattr(hopadmit, name) is fn, name
+
+
+def test_no_per_layer_metric_is_absent(monkeypatch):
+    """The absent list is built as tracer.install builds it, without
+    installing the tracer: each METRIC_FUNCTIONS key whose function is not
+    a callable attribute of its hopadmit module."""
+    run = _load_run(monkeypatch)
+    absent = [
+        key
+        for key, (layer, name) in run.tracer.METRIC_FUNCTIONS.items()
+        if not callable(getattr(importlib.import_module(f"hopadmit.{layer}"), name, None))
+    ]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        per_layer = json.load(fh)["per_layer"]
+    assert per_layer
+    for metric in per_layer:
+        assert not run._is_absent(metric["name"], absent), metric["name"]

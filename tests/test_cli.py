@@ -248,7 +248,7 @@ def test_sample_counts_above_limit_exit_3(capsys, monkeypatch):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(analysis, "_empirical_demands", no_draw)
-    monkeypatch.setattr(simulate, "_draw_demands", no_draw)
+    monkeypatch.setattr(simulate, "_draw_samples", no_draw)
     over = str(SAMPLE_LIMIT + 1)
     assert over == "100001"
     for argv in (

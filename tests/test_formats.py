@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import canonical_json
-from hopadmit import GraphError, build_graph, conflict_graph, cycle_graph, make_link
+from hopadmit import GraphError, build_graph, conflict_graph, cycle_graph, jsonio, make_link
 from hopadmit.cli import main
 from hopadmit.jsonio import (
     METRIC_COLUMNS,
@@ -207,6 +207,85 @@ def test_default_streaming_writes_large_output_in_chunks():
     assert max(map(len, chunks)) < len(_dumps(obj)) // 4
 
 
+def test_flat_rows_are_streamed_in_chunks():
+    """A list of flat rows goes out at most FLUSH_PIECES rows at a time."""
+    rows = [
+        {"sample_id": i, "local_max": f"{i}/7", "admit": i % 3 == 0, "note": None}
+        for i in range(20000)
+    ]
+    chunks = []
+    write_json(rows, chunks.append)
+    assert "".join(chunks) == _dumps(rows)
+    assert len(chunks) > 1
+    assert max(map(len, chunks)) < len(_dumps(rows)) // 4
+
+
+class _Name(str):
+    pass
+
+
+def _retype_id(rows):
+    rows[4]["id"] = None
+
+
+def _retype_chunk(rows):
+    for row in rows[3:6]:
+        row["id"] = None
+
+
+def _drop_key(rows):
+    del rows[4]["name"]
+
+
+def _add_key(rows):
+    rows[4]["extra"] = 1
+
+
+def _not_a_dict(rows):
+    rows[4] = [4, "r4"]
+
+
+def _scalar(rows):
+    rows[4] = 4
+
+
+def _str_subclass(rows):
+    rows[4]["name"] = _Name("r4")
+
+
+@pytest.mark.parametrize(
+    "change, refused",
+    [
+        (_retype_id, False),
+        (_retype_chunk, False),
+        (_drop_key, False),
+        (_add_key, False),
+        (_not_a_dict, False),
+        (_scalar, False),
+        (_str_subclass, True),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_later_row_chunk_off_the_first_rows_shape(monkeypatch, change, refused):
+    """Seven flat rows in chunks of three, where the second chunk holds a
+    column of int then None, a whole chunk of None in that column, a
+    missing or an added key, an element that is not a dict, or a str
+    subclass: the text is json.dumps's, or TypeError for the str
+    subclass, as it is row by row."""
+    monkeypatch.setattr(jsonio, "FLUSH_PIECES", 3)
+    rows = [{"id": i, "name": f"r{i}", "ok": i % 2 == 0, "note": None} for i in range(7)]
+    change(rows)
+    for obj in (rows, {"rows": rows, "n": 7}, [rows, {}]):
+        chunks = []
+        if refused:
+            with pytest.raises(TypeError):
+                write_json(obj, chunks.append)
+            continue
+        write_json(obj, chunks.append)
+        assert "".join(chunks) == _dumps(obj)
+        assert len(chunks) > 1
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -223,10 +302,6 @@ def test_writer_raises_type_error_where_json_dumps_does(obj):
         canonical_json(obj)
     with pytest.raises(TypeError):
         write_json(obj, lambda text: None)
-
-
-class _Name(str):
-    pass
 
 
 @pytest.mark.parametrize(

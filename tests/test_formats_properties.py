@@ -6,9 +6,10 @@ negative ints and empty containers, canonical_json gives exactly
 json.dumps(obj, sort_keys=True, indent=2) plus a newline, and
 write_json's chunks join to that text when every element boundary
 flushes. Lists of flat dicts that share one key set, which the writer
-puts through one template, are checked the same way with rows of
-another key set, nested values and empty dicts mixed in, and a later row
-the writer must refuse still raises TypeError.
+writes a chunk at a time, column by column, are checked the same way
+with rows of other column types or another key set, nested values and
+empty dicts mixed in, and a later row the writer must refuse still
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -97,21 +98,34 @@ _KEY = st.text(st.sampled_from('a%s"\\\n\u00e9') | st.characters(), max_size=4)
 _KEY_SETS = st.lists(_KEY, min_size=1, max_size=4, unique=True)
 
 
+# One strategy per scalar type, for columns of one type.
+_KINDS = [st.none(), st.booleans(), st.integers(-(10**40), 10**40), _TEXT]
+
+
 def _flat(keys):
     return st.fixed_dictionaries({key: _SCALAR for key in keys})
+
+
+def _typed(draw, keys):
+    """Flat rows of keys whose every column holds one drawn scalar type."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=len(keys), max_size=len(keys)))
+    return st.fixed_dictionaries(dict(zip(keys, kinds)))
 
 
 @st.composite
 def _row_lists(draw):
     """A list (or tuple) whose first element is a flat dict, followed by
-    rows of the same key set, rows of another key set, rows of the same
-    key set holding nested values, empty dicts and other values, placed
-    at the top level, in a dict or in a list."""
+    rows of the same key set with the first row's column types or with
+    other ones, rows of another key set, rows of the same key set holding
+    nested values, empty dicts and other values, placed at the top level,
+    in a dict or in a list."""
     keys, other = draw(_KEY_SETS), draw(_KEY_SETS)
-    row = _flat(keys)
+    row = _typed(draw, keys)
     rest = st.one_of(
         row,
         row,
+        _typed(draw, keys),
+        _flat(keys),
         _flat(other),
         st.fixed_dictionaries({key: JSON_VALUES for key in keys}),
         st.just({}),
@@ -130,7 +144,8 @@ def _row_lists(draw):
 def test_rows_of_one_key_set_equal_json_dumps(obj):
     expected = _dumps(obj)
     assert canonical_json(obj) == expected
-    assert "".join(_chunks(obj, 1)) == expected
+    for flush_pieces in (1, 3):
+        assert "".join(_chunks(obj, flush_pieces)) == expected
 
 
 class _Name(str):

@@ -156,10 +156,10 @@ def test_oracle_policy_never_misclassifies():
 def test_false_rejects_happen(monkeypatch):
     """A feasible demand above the local threshold is turned away."""
 
-    def heavy_single_link(g, rng, goals=None):
-        return [1] + [0] * (len(g.links) - 1), 2, None
+    def heavy_single_link(g, rng, count, goals=None):
+        return 2, [([1] + [0] * (len(g.links) - 1), None) for _ in range(count)]
 
-    monkeypatch.setattr(simulate, "_draw_demands", heavy_single_link)
+    monkeypatch.setattr(simulate, "_draw_samples", heavy_single_link)
     result = evaluate_policy(cycle_graph(10), 10, seed=0)
     summary = result["summary"]
     assert summary["false_reject"] == 10
@@ -176,11 +176,11 @@ def test_pendant_ray_is_exactly_tight(monkeypatch):
     g = clique_pendant_graph(4)
     pendants = [make_link(f"x{i}", f"y{i}") for i in range(1, 5)]
 
-    def pendant_ray(graph, rng, goals=None):
-        c = rng.randint(1, 8)
-        return [c if link in pendants else 0 for link in graph.links], 8, None
+    def pendant_ray(graph, rng, count, goals=None):
+        scales = [rng.randint(1, 8) for _ in range(count)]
+        return 8, [([c if link in pendants else 0 for link in graph.links], None) for c in scales]
 
-    monkeypatch.setattr(simulate, "_draw_demands", pendant_ray)
+    monkeypatch.setattr(simulate, "_draw_samples", pendant_ray)
     result = evaluate_policy(g, 40, seed=6)
     summary = result["summary"]
     assert summary["threshold"] == Fraction(1, 4)
@@ -195,11 +195,12 @@ def test_clique_link_demands_show_conservatism(monkeypatch):
     g = clique_pendant_graph(4)
     clique_link = make_link("x1", "x2")
 
-    def single_clique_link(graph, rng, goals=None):
-        c = rng.randint(3, 8)
-        return [c if link == clique_link else 0 for link in graph.links], 8, None
+    def single_clique_link(graph, rng, count, goals=None):
+        scales = [rng.randint(3, 8) for _ in range(count)]
+        vectors = [[c if link == clique_link else 0 for link in graph.links] for c in scales]
+        return 8, [(vector, None) for vector in vectors]
 
-    monkeypatch.setattr(simulate, "_draw_demands", single_clique_link)
+    monkeypatch.setattr(simulate, "_draw_samples", single_clique_link)
     result = evaluate_policy(g, 30, seed=8)
     summary = result["summary"]
     assert summary["false_admit"] == 0
@@ -255,42 +256,57 @@ def test_sweep_scales_each_sample_once(monkeypatch):
 
 def test_sweep_prices_batches_of_bounded_size(monkeypatch):
     """A sweep whose vectors would hold more than _BATCH_ENTRIES entries
-    is drawn and priced in batches of at most that many, and prints what
-    one batch prints: the samples, their ids and the generator sequence
-    run on across batches."""
+    is drawn and priced in batches of at most that many, one draw call
+    and one pricing call per batch, and prints what one batch prints: the
+    samples, their ids and the generator sequence run on across batches."""
     g = clique_pendant_graph(4)
-    expected = evaluate_policy(g, 25, seed=5)
-    real_price = simulate.price_scaled
+    policies = ("theorem3", "oracle-exact")
+    real_price, real_draw = simulate.price_scaled, simulate._draw_samples
     sizes = []
+    draws = []
 
     def recording_price(graph, vectors, den, cap):
         sizes.append(len(vectors))
         return real_price(graph, vectors, den, cap)
 
+    def recording_draw(graph, rng, count, denom_max=4, goals=None):
+        draws.append(count)
+        return real_draw(graph, rng, count, denom_max, goals)
+
     monkeypatch.setattr(simulate, "price_scaled", recording_price)
-    monkeypatch.setattr(simulate, "_BATCH_ENTRIES", 4 * len(g.links) + 1)
-    assert evaluate_policy(g, 25, seed=5) == expected
-    assert sizes == [4] * 6 + [1]
-    sizes.clear()
-    monkeypatch.setattr(simulate, "_BATCH_ENTRIES", 1)
-    assert evaluate_policy(g, 3, seed=5)["rows"] == expected["rows"][:3]
-    assert sizes == [1] * 3
+    monkeypatch.setattr(simulate, "_draw_samples", recording_draw)
+    for policy in policies:
+        sizes.clear()
+        draws.clear()
+        expected = evaluate_policy(g, 25, seed=5, policy=policy)
+        assert sizes == draws == [25], policy
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_BATCH_ENTRIES", 4 * len(g.links) + 1)
+            sizes.clear()
+            draws.clear()
+            assert evaluate_policy(g, 25, seed=5, policy=policy) == expected
+            assert sizes == draws == [4] * 6 + [1], policy
+            patch.setattr(simulate, "_BATCH_ENTRIES", 1)
+            sizes.clear()
+            draws.clear()
+            assert evaluate_policy(g, 3, seed=5, policy=policy)["rows"] == expected["rows"][:3]
+            assert sizes == draws == [1] * 3, policy
 
 
 def test_sweep_builds_its_goal_table_once(monkeypatch):
     """The rescale goals, the target times each rescale factor, are built
-    once per sweep and not for each rescaled sample: every draw reads the
-    same table, and a sweep of 120 samples multiplies as many Fractions as
-    a sweep of one."""
+    once per sweep and not for each batch or rescaled sample: every batch
+    draw reads the same table, and a sweep of 120 samples in batches of 7
+    multiplies as many Fractions as a sweep of one."""
     g = cycle_graph(6)
-    real_draw = simulate._draw_demands
+    real_draw = simulate._draw_samples
     real_mul, real_rmul = Fraction.__mul__, Fraction.__rmul__
     tables = []
     products = []
 
-    def recording_draw(graph, rng, denom_max=4, goals=None):
+    def recording_draw(graph, rng, count, denom_max=4, goals=None):
         tables.append(goals)
-        return real_draw(graph, rng, denom_max, goals)
+        return real_draw(graph, rng, count, denom_max, goals)
 
     def counting(real):
         def wrapper(a, b):
@@ -303,7 +319,8 @@ def test_sweep_builds_its_goal_table_once(monkeypatch):
         expected = evaluate_policy(g, 120, seed=4, policy=policy)
         target = expected["summary"]["threshold"] or Fraction(1)
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_draw_demands", recording_draw)
+            patch.setattr(simulate, "_draw_samples", recording_draw)
+            patch.setattr(simulate, "_BATCH_ENTRIES", 7 * len(g.links))
             patch.setattr(Fraction, "__mul__", counting(real_mul))
             patch.setattr(Fraction, "__rmul__", counting(real_rmul))
             counts = []
@@ -312,7 +329,7 @@ def test_sweep_builds_its_goal_table_once(monkeypatch):
                 products.clear()
                 outcome = evaluate_policy(g, samples, seed=4, policy=policy)
                 counts.append(len(products))
-                assert len(tables) == samples
+                assert len(tables) == -(-samples // 7)
                 assert all(table is tables[0] for table in tables)
             assert outcome == expected
         assert counts[0] == counts[1], policy
@@ -380,7 +397,9 @@ def test_draw_keeps_the_fraction_draw(seed=19):
     for g in graphs:
         for target in (None, Fraction(2, 5)):
             state = rng.getstate()
-            scaled, den, goal = simulate._draw_demands(g, rng, goals=simulate._goal_table(target))
+            den, [(scaled, goal)] = simulate._draw_samples(
+                g, rng, 1, goals=simulate._goal_table(target)
+            )
             after = rng.getstate()
             rng.setstate(state)
             tau, expected_goal = fraction_draw(g, rng, target=target)
@@ -410,8 +429,8 @@ def test_inline_draw_matches_randint():
             for seed in range(2000):
                 target = Fraction(2, 5) if seed % 2 else None
                 rng = random.Random(seed)
-                scaled, got_den, goal = simulate._draw_demands(
-                    g, rng, denom_max, simulate._goal_table(target)
+                got_den, [(scaled, goal)] = simulate._draw_samples(
+                    g, rng, 1, denom_max, simulate._goal_table(target)
                 )
                 ref = random.Random(seed)
                 tau, expected_goal = fraction_draw(g, ref, denom_max, target)
@@ -419,6 +438,34 @@ def test_inline_draw_matches_randint():
                 assert got_den == den
                 assert scaled == [tau[link] * den if link in tau else 0 for link in g.links]
                 assert goal == expected_goal
+
+
+def test_batch_draw_is_successive_fraction_draws():
+    """A batch of 0, 1 or 7 samples is that many successive draws of one
+    sample in Fractions, and leaves the generator where they leave it."""
+    from math import lcm
+
+    from oracles import fraction_draw
+
+    graphs = [build_graph("ab", [("a", "b")]), cycle_graph(5), clique_pendant_graph(3)]
+    for g in graphs:
+        for denom_max in range(1, 7):
+            den = lcm(*range(1, denom_max + 1))
+            for target in (None, Fraction(2, 5)):
+                goals = simulate._goal_table(target)
+                for count in (0, 1, 7):
+                    for seed in range(20):
+                        rng, ref = random.Random(seed), random.Random(seed)
+                        got_den, samples = simulate._draw_samples(g, rng, count, denom_max, goals)
+                        expected = [fraction_draw(g, ref, denom_max, target) for _ in range(count)]
+                        where = (len(g.links), denom_max, count, seed)
+                        assert rng.getstate() == ref.getstate(), where
+                        assert got_den == den
+                        got = [
+                            ({l: Fraction(k, den) for l, k in zip(g.links, scaled) if k}, goal)
+                            for scaled, goal in samples
+                        ]
+                        assert got == expected
 
 
 def test_sampler_output_shape(seed=17):
