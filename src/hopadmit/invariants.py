@@ -14,23 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .chordal import chordality_certificate
 from .errors import GraphError
-from .graphs import (
-    ConflictGraph,
-    Link,
-    NetworkGraph,
-    conflict_graph,
-    induced_conflict,
-)
+from .graphs import ConflictGraph, Link, NetworkGraph, conflict_graph
 from .qstab import qstab_vertices
 from .scheduling import fractional_chromatic, weighted_clique_number
 from .search import (
     DEFAULT_SET_CAP,
     exact_set_cover,
+    greedy_set_cover,
     is_bipartite,
     iter_induced_cycles,
     max_clique,
@@ -81,8 +77,17 @@ def neighborhood_cover_number(
 ) -> tuple[int, tuple[Link, ...], tuple[str, ...]]:
     """Worst maximal conflict clique, measured in 1-hop views needed to see it.
 
-    Returns (count, clique links, covering vertices) for a clique attaining
-    the maximum. Graphs without links return (0, (), ()).
+    Returns (count, clique links, covering vertices) for the first maximal
+    clique, in `maximal_cliques` order, attaining the maximum. Graphs
+    without links return (0, (), ()).
+
+    Each clique's covering sets are the distinct nonempty traces of the
+    1-hop views on it, in vertex order. The best moves only on a strictly
+    larger minimum cover, which is what keeps the first of tied cliques.
+    So a clique whose greedy cover (`greedy_set_cover`) has at most `best`
+    sets cannot move it, and its exact cover is never searched: only the
+    first clique and those whose greedy cover exceeds the best so far
+    reach `exact_set_cover`.
     """
     gc = conflict_graph(g, 2)
     if not gc.links:
@@ -101,6 +106,8 @@ def neighborhood_cover_number(
                 seen[part] = v
                 sets.append(part)
                 owners.append(v)
+        if best and len(greedy_set_cover(len(clique), sets)) <= best:
+            continue
         chosen = exact_set_cover(len(clique), sets)
         if len(chosen) > best:
             best = len(chosen)
@@ -269,7 +276,12 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
     vertices and every pair deletion leaves a chordal graph. Each vertex
     then appears in all but one of the p chordal subgraphs, so stacking
     their clique-tight schedules proves chi_f/omega <= p/(p-1). The bound
-    is only returned once every deletion's chordality has been verified.
+    is only returned once every deletion's chordality has been verified:
+    deleting the pair order[2t], order[2t + 1] leaves the path order[2t +
+    2], ..., order[2t + m - 1], which is replayed as a perfect elimination
+    ordering, each vertex's later kept neighbours checked pairwise
+    adjacent. That is O(m) set operations per pair, and no subgraph is
+    built.
     """
     m = len(gc.links)
     if m < 10 or m % 4 != 2:
@@ -304,14 +316,14 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
         }
         if gc.adj[v] != frozenset(expected):
             return None
-    pairs = [
-        (order[2 * t], order[2 * t + 1]) for t in range(m // 2)
-    ]
-    for a, b in pairs:
-        keep = [i for i in range(m) if i not in (a, b)]
-        sub = induced_conflict(gc, keep)
-        if sub.cliques is None:
-            return None
+    for first in range(2, m + 2, 2):
+        # Path positions run from 0 at order[first]; the deleted pair sits
+        # at m - 2 and m - 1.
+        for k in range(m - 2):
+            v = order[(first + k) % m]
+            later = [w for w in gc.adj[v] if k < (pos[w] - first) % m < m - 2]
+            if any(b not in gc.adj[a] for a, b in combinations(later, 2)):
+                return None
     p = m // 2
     return Fraction(p, p - 1)
 

@@ -138,14 +138,40 @@ def max_clique(
     return tuple(sorted(best))
 
 
+def greedy_set_cover(
+    universe: int,
+    sets: Sequence[frozenset[int]],
+    candidates: Sequence[int] | None = None,
+) -> tuple[int, ...]:
+    """Greedy cover of range(universe): indices in the order picked.
+
+    Each step takes the candidate set (every set by default) that covers
+    the most elements still uncovered, ties to the smallest index. Raises
+    ValueError once no candidate covers a remaining element.
+    """
+    pool = range(len(sets)) if candidates is None else candidates
+    picked: tuple[int, ...] = ()
+    left = set(range(universe))
+    while left:
+        pick = max(pool, key=lambda i: (len(sets[i] & left), -i), default=None)
+        if pick is None or not sets[pick] & left:
+            raise ValueError("sets do not cover the universe")
+        picked += (pick,)
+        left -= sets[pick]
+    return picked
+
+
 def exact_set_cover(universe: int, sets: Sequence[frozenset[int]]) -> tuple[int, ...]:
     """Indices of a minimum subfamily covering range(universe).
 
-    Requires the union of the sets to cover the universe. Starts from the
-    greedy cover and branches on the element with the fewest remaining
-    candidate sets, in ascending set order, keeping a cover only when it
-    is strictly smaller. The search runs on an explicit stack of partial
-    covers, so a large cover costs no Python recursion depth.
+    Requires the union of the sets to cover the universe, checked first.
+    Drops every set contained in another (or equal to an earlier one),
+    starts from the greedy cover of the sets left (`greedy_set_cover`) and
+    branches on the element with the fewest remaining candidate sets, in
+    ascending set order, keeping a cover only when it is strictly smaller,
+    so the greedy cover is returned, sorted, whenever none is smaller. The
+    search runs on an explicit stack of partial covers, so a large cover
+    costs no Python recursion depth.
     """
     if universe == 0:
         return ()
@@ -166,12 +192,7 @@ def exact_set_cover(universe: int, sets: Sequence[frozenset[int]]) -> tuple[int,
         e: [i for i in live if e in sets[i]] for e in range(universe)
     }
 
-    best: tuple[int, ...] = ()
-    left = set(full)
-    while left:
-        pick = max(live, key=lambda i: (len(sets[i] & left), -i))
-        best += (pick,)
-        left -= sets[pick]
+    best = greedy_set_cover(universe, sets, live)
 
     # (chosen sets, elements they leave uncovered); the branches of a
     # partial cover are pushed in reverse, so they are taken in ascending

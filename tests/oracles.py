@@ -27,11 +27,16 @@ from hopadmit.analysis import (
     local_views,
 )
 from hopadmit.errors import GraphError, ResourceLimitError
-from hopadmit.graphs import NetworkGraph, conflict_graph, one_hop_subgraph
+from hopadmit.graphs import (
+    NetworkGraph,
+    conflict_graph,
+    induced_conflict,
+    one_hop_subgraph,
+)
 from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
 from hopadmit.jsonio import write_json
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
-from hopadmit.search import DEFAULT_SET_CAP, maximal_cliques
+from hopadmit.search import DEFAULT_SET_CAP, exact_set_cover, maximal_cliques
 from hopadmit.simplex import LPInfeasibleError, LPSolution
 from hopadmit.simulate import _classify, run_admission, sample_demands
 
@@ -997,6 +1002,81 @@ def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
             best = size
             where = v
     return best, where
+
+
+# ---------------------------------------------------------------------------
+# The two certificate routes without their pruning: every maximal clique's
+# exact cover, and every pair deletion of the ring scheme built as an
+# induced subgraph and tested for chordality. They call the package's
+# clique search, set cover and chordality test.
+
+
+def scan_cover_number(g, cap=DEFAULT_SET_CAP):
+    """invariants.neighborhood_cover_number running exact_set_cover on
+    every maximal conflict clique."""
+    gc = conflict_graph(g, 2)
+    if not gc.links:
+        return 0, (), ()
+    best = 0
+    best_links = ()
+    best_vertices = ()
+    for clique in maximal_cliques(len(gc.links), gc.adj, cap):
+        members = {link_idx: pos for pos, link_idx in enumerate(clique)}
+        owners = []
+        seen = {}
+        sets = []
+        for v, view in zip(g.vertices, g.view_links):
+            part = frozenset(members[i] for i in view if i in members)
+            if part and part not in seen:
+                seen[part] = v
+                sets.append(part)
+                owners.append(v)
+        chosen = exact_set_cover(len(clique), sets)
+        if len(chosen) > best:
+            best = len(chosen)
+            best_links = tuple(gc.links[i] for i in clique)
+            best_vertices = tuple(sorted(owners[i] for i in chosen))
+    return best, best_links, best_vertices
+
+
+def reference_ring_scheme_bound(gc):
+    """invariants._ring_scheme_bound testing each pair deletion's induced
+    subgraph for chordality (a perfect elimination ordering by MCS)."""
+    m = len(gc.links)
+    if m < 10 or m % 4 != 2:
+        return None
+    if any(len(a) != 4 for a in gc.adj):
+        return None
+    ring_adj = [[] for _ in range(m)]
+    for i in range(m):
+        for j in gc.adj[i]:
+            if j > i and len(gc.adj[i] & gc.adj[j]) == 2:
+                ring_adj[i].append(j)
+                ring_adj[j].append(i)
+    if any(len(nb) != 2 for nb in ring_adj):
+        return None
+    order = [0, min(ring_adj[0])]
+    while len(order) < m:
+        prev, cur = order[-2], order[-1]
+        nxt = next((w for w in ring_adj[cur] if w != prev), None)
+        if nxt is None or nxt in order:
+            return None
+        order.append(nxt)
+    if order[-1] not in ring_adj[0]:
+        return None
+    pos = {v: i for i, v in enumerate(order)}
+    for v in range(m):
+        p = pos[v]
+        expected = {order[(p + d) % m] for d in (-2, -1, 1, 2)}
+        if gc.adj[v] != frozenset(expected):
+            return None
+    for t in range(m // 2):
+        pair = (order[2 * t], order[2 * t + 1])
+        sub = induced_conflict(gc, [i for i in range(m) if i not in pair])
+        if sub.cliques is None:
+            return None
+    p = m // 2
+    return Fraction(p, p - 1)
 
 
 # ---------------------------------------------------------------------------

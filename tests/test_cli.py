@@ -642,6 +642,26 @@ BETA_CAP_THRESHOLDS = {
 }
 
 
+# The same for `threshold`, over the same caps. circulant:8:1,2 is left
+# out: from cap 21 on it exits 2, as no imperfection certificate applies.
+THRESHOLD_CAP_THRESHOLDS = {
+    "cycle:5": 1,
+    "cycle:7": 8,
+    "cycle:9": 13,
+    "complete:4": 1,
+    "complete:5": 1,
+    "clique_pendant:3": 1,
+    "clique_pendant:4": 1,
+    "star:5": 1,
+    "star:8": 1,
+    "circulant:9:1,3": 1,
+    "cycle:10": 13,
+    "cycle:14": 21,
+    "cycle:18": 21,
+    "cycle:22": 55,
+}
+
+
 def _check_cap_thresholds(capsys, command, thresholds):
     for spec, threshold in thresholds.items():
         for cap in INVARIANT_CAPS:
@@ -656,6 +676,10 @@ def test_invariants_cap_sets_exit_codes(capsys):
 
 def test_beta_cap_sets_exit_codes(capsys):
     _check_cap_thresholds(capsys, "beta", BETA_CAP_THRESHOLDS)
+
+
+def test_threshold_cap_sets_exit_codes(capsys):
+    _check_cap_thresholds(capsys, "threshold", THRESHOLD_CAP_THRESHOLDS)
 
 
 def test_python_dash_m_matches_main(capsys):

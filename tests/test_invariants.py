@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -16,6 +17,8 @@ from oracles import (
     full_mask_imperfection_lower_bound,
     max_local_interfering_matching,
     priced_polytope_witness,
+    reference_ring_scheme_bound,
+    scan_cover_number,
     verify_hole,
     verify_peo,
     without_links,
@@ -40,6 +43,9 @@ from hopadmit import (
     star_graph,
     weighted_clique_number,
 )
+from hopadmit import graphs as graphs_module
+from hopadmit import invariants, search
+from hopadmit.graphs import ConflictGraph
 from hopadmit.qstab import qstab_vertices
 
 
@@ -152,6 +158,29 @@ def test_cover_number_matches_brute(seed=83, trials=10):
         assert count == brute_cover_number(g)
 
 
+def test_cover_number_matches_the_full_scan(seed=107, trials=300):
+    """Count, clique and covering vertices equal those of the scan that
+    solves every clique's cover exactly. cycle:10 (ten triangles) and
+    clique_pendant:3 and :4 have several cliques tied at the maximum, so
+    the first of them must be kept."""
+    rng = random.Random(seed)
+    graphs = [g for _, g in family_graphs()]
+    graphs += [random_connected_graph(rng) for _ in range(trials)]
+    for g in graphs:
+        assert neighborhood_cover_number(g) == scan_cover_number(g), g.links
+
+
+def test_cover_number_solves_only_cliques_that_could_raise_it():
+    """On cycle:22 every one of the 22 triangles has cover 2, so once the
+    first is solved the greedy cover of each other one rules it out."""
+    with mock.patch.object(
+        invariants, "exact_set_cover", wraps=search.exact_set_cover
+    ) as spy:
+        count, _, _ = neighborhood_cover_number(cycle_graph(22))
+    assert count == 2
+    assert spy.call_count == 1
+
+
 def test_chordal_tree_and_square():
     tree = build_graph("abcd", [("a", "b"), ("b", "c"), ("b", "d")])
     ok, order = is_chordal(tree)
@@ -231,7 +260,6 @@ def test_imp_lower_reaches_polytope_value_on_two_7_rings():
 def test_report_enumerates_each_polytope_once(monkeypatch):
     """On two disjoint 7-rings the report enumerates each component's clique
     polytope once: the lower bound reuses the upper route's witness."""
-    from hopadmit import invariants
 
     verts = [f"{side}{i}" for side in "ab" for i in range(7)]
     edges = [(f"{side}{i}", f"{side}{(i + 1) % 7}") for side in "ab" for i in range(7)]
@@ -258,7 +286,6 @@ def _small_enumerated_components():
     of the certify families and 4k+2 rings at radius 2, of the test
     families at radius 1 and 2, and of 150 seeded random graphs of at most
     12 links."""
-    from hopadmit import invariants
 
     graphs = [
         conflict_graph(g, 2)
@@ -288,7 +315,6 @@ def _small_enumerated_components():
 def test_polytope_witness_skips_only_unbeatable_vertices():
     """Skipping the integral vertices gives the (ratio, witness) of pricing
     every vertex of the reference enumeration."""
-    from hopadmit import invariants
 
     comps = _small_enumerated_components()
     assert {5, 7, 12} <= {len(comp.links) for comp in comps}
@@ -347,7 +373,6 @@ def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
     """Upper bound 1 on a perfect graph: the start, ratio 1 with the first
     link's indicator, is returned with no candidate replayed, and neither
     the hole search nor the polytope enumeration runs."""
-    from hopadmit import invariants
 
     gc = conflict_graph(clique_pendant_graph(3), 2)
     assert imperfection_upper_bound(gc) == (1, "perfect")
@@ -384,6 +409,45 @@ def test_imp_upper_certificates():
     assert tag == "polytope-enumeration"
     kc = conflict_graph(complete_graph(5), 2)
     assert imperfection_upper_bound(kc) == (1, "perfect")
+
+
+def _rewired(gc, drop, add):
+    adj = [set(a) for a in gc.adj]
+    for u, v in drop:
+        adj[u].discard(v)
+        adj[v].discard(u)
+    for u, v in add:
+        adj[u].add(v)
+        adj[v].add(u)
+    return ConflictGraph(gc.links, tuple(frozenset(a) for a in adj), gc.k)
+
+
+def _rewired_ring_squares(m):
+    """C_m squared with one edge moved to a far vertex, and with two
+    edges swapped so that every degree stays 4."""
+    gc = conflict_graph(cycle_graph(m), 2)
+    u = 0
+    v = min(gc.adj[u])
+    far = min(set(range(m)) - gc.adj[u] - gc.adj[v] - {u, v})
+    x = min(w for w in gc.adj[far] if w not in gc.adj[v])
+    yield _rewired(gc, [(u, v)], [(u, far)])
+    yield _rewired(gc, [(u, v), (far, x)], [(u, far), (v, x)])
+
+
+def test_ring_scheme_matches_the_induced_subgraph_reference():
+    graphs = [conflict_graph(cycle_graph(n), 2) for n in range(4, 47)]
+    graphs += [conflict_graph(circulant_graph(m, (1, 3)), 2) for m in range(7, 31)]
+    for m in (10, 14, 18, 22, 26):
+        graphs += _rewired_ring_squares(m)
+    expected = [reference_ring_scheme_bound(gc) for gc in graphs]
+    assert sum(value is not None for value in expected) == 10
+    built = mock.Mock(side_effect=AssertionError("a deletion was built as a subgraph"))
+    with mock.patch.object(graphs_module, "induced_conflict", built), mock.patch.object(
+        invariants, "induced_conflict", built, create=True
+    ):
+        found = [invariants._ring_scheme_bound(gc) for gc in graphs]
+    assert found == expected
+    assert built.call_count == 0
 
 
 def test_imp_upper_unavailable_on_large_odd_ring():

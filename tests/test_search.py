@@ -170,6 +170,37 @@ def test_exact_set_cover_is_a_minimum_cover(seed=79, trials=300):
         assert len(chosen) == brute_set_cover_size(universe, sets), (universe, sets)
 
 
+def test_greedy_set_cover_picks_the_widest_set_first(seed=101, trials=300):
+    """Each pick covers the most uncovered elements, ties to the smallest
+    index; without candidates every set is one. No exact cover is larger
+    than the greedy one."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        universe, sets = _random_family(rng)
+        picked = search.greedy_set_cover(universe, sets)
+        left = set(range(universe))
+        for pick in picked:
+            gains = [len(s & left) for s in sets]
+            assert pick == gains.index(max(gains)) and gains[pick] > 0
+            left -= sets[pick]
+        assert not left
+        chosen = search.exact_set_cover(universe, sets)
+        assert len(chosen) <= len(picked)
+
+
+def test_set_covers_refuse_an_uncovered_universe():
+    """An element no set holds raises instead of looping, for the greedy
+    and for the exact cover, which checks before its greedy start."""
+    sets = [frozenset({0}), frozenset({0, 1})]
+    for candidates in (None, [0], []):
+        with pytest.raises(ValueError, match="do not cover"):
+            search.greedy_set_cover(3, sets, candidates)
+    with mock.patch.object(search, "greedy_set_cover", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="do not cover"):
+            search.exact_set_cover(3, sets)
+    assert search.greedy_set_cover(0, []) == ()
+
+
 def test_exact_set_cover_leaves_no_cyclic_garbage(seed=83, trials=50):
     rng = random.Random(seed)
     families = [_random_family(rng) for _ in range(trials)]
