@@ -53,7 +53,7 @@ from .invariants import (
     neighborhood_cover_number,
 )
 from .scheduling import scale_demands, scaled_duration
-from .search import DEFAULT_SET_CAP, iter_induced_cycles
+from .search import iter_induced_cycles
 
 # Random demand samples per run, for beta --empirical and simulate
 # --samples. Each sample a sweep keeps, its row and its output, costs
@@ -74,15 +74,15 @@ def check_sample_count(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {count} exceeds the limit of {SAMPLE_LIMIT}")
 
 
-def _view_value(gc: ConflictGraph, idx, scaled: list[int], den: int, cap: int) -> int | Fraction:
+def _view_value(gc: ConflictGraph, idx, scaled: list[int], den: int) -> int | Fraction:
     """Duration of the demands scaled / den on the view of link indices
     idx, times den. At radius 2 the view's conflict graph is gc restricted
     to idx, so this is `scaled_duration` on gc priced from the view's own
     support, its indices with nonzero demand, or on all of gc when the
     view holds every link."""
     if len(idx) == len(scaled):
-        return scaled_duration(gc, scaled, den, cap)
-    return scaled_duration(gc, scaled, den, cap, [i for i in idx if scaled[i]])
+        return scaled_duration(gc, scaled, den)
+    return scaled_duration(gc, scaled, den, [i for i in idx if scaled[i]])
 
 
 def _heaviest(readers, vectors: list[list[int]]) -> list[int]:
@@ -104,9 +104,7 @@ def _heaviest(readers, vectors: list[list[int]]) -> list[int]:
     return list(map(max, zip(*columns)))
 
 
-def _view_maxima(
-    g: NetworkGraph, vectors: list[list[int]], den: int, cap: int
-) -> list[int | Fraction]:
+def _view_maxima(g: NetworkGraph, vectors: list[list[int]], den: int) -> list[int | Fraction]:
     """Largest 1-hop view value of each demand vector in vectors, over
     den, times den.
 
@@ -120,14 +118,14 @@ def _view_maxima(
         gc = conflict_graph(g, 2)
         for idx in table.non_chordal:
             maxima = [
-                max(value, _view_value(gc, idx, scaled, den, cap))
+                max(value, _view_value(gc, idx, scaled, den))
                 for value, scaled in zip(maxima, vectors)
             ]
     return maxima
 
 
 def price_scaled(
-    g: NetworkGraph, vectors: list[list[int]], den: int, cap: int = DEFAULT_SET_CAP
+    g: NetworkGraph, vectors: list[list[int]], den: int
 ) -> tuple[list[int | Fraction], list[int | Fraction]]:
     """The largest 1-hop view value and the exact network-wide duration of
     each demand vector in vectors, over den, both times den, as two lists
@@ -146,15 +144,13 @@ def price_scaled(
     gc = conflict_graph(g, 2)
     readers = gc.clique_readers
     if readers is None:
-        exact = [scaled_duration(gc, scaled, den, cap) for scaled in vectors]
+        exact = [scaled_duration(gc, scaled, den) for scaled in vectors]
     else:
         exact = _heaviest(readers, vectors)
-    return _view_maxima(g, vectors, den, cap), exact
+    return _view_maxima(g, vectors, den), exact
 
 
-def local_views(
-    g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
-) -> list[tuple[NetworkGraph, Fraction]]:
+def local_views(g: NetworkGraph, tau: Mapping) -> list[tuple[NetworkGraph, Fraction]]:
     """Each vertex's 1-hop view and the duration it certifies, in vertex order.
 
     A view is the subgraph induced by the vertex's closed neighborhood; its
@@ -164,30 +160,28 @@ def local_views(
     gc = conflict_graph(g, 2)
     scaled, den = scale_demands(gc, tau)
     return [
-        (one_hop_subgraph(g, v), Fraction(_view_value(gc, idx, scaled, den, cap), den))
+        (one_hop_subgraph(g, v), Fraction(_view_value(gc, idx, scaled, den), den))
         for v, idx in zip(g.vertices, g.view_links)
     ]
 
 
-def local_estimate(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
+def local_estimate(g: NetworkGraph, tau: Mapping) -> Fraction:
     """Largest minimum schedule duration over all 1-hop views."""
     scaled, den = scale_demands(conflict_graph(g, 2), tau)
-    (local,) = _view_maxima(g, [scaled], den, cap)
+    (local,) = _view_maxima(g, [scaled], den)
     return Fraction(local, den)
 
 
-def duration_ratio(g: NetworkGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> Fraction:
+def duration_ratio(g: NetworkGraph, tau: Mapping) -> Fraction:
     """Exact network-wide duration divided by the best local estimate."""
     scaled, den = scale_demands(conflict_graph(g, 2), tau)
     if not any(scaled):
         raise GraphError("duration ratio needs a nonzero demand vector")
-    (local,), (exact,) = price_scaled(g, [scaled], den, cap)
+    (local,), (exact,) = price_scaled(g, [scaled], den)
     return Fraction(exact, local)
 
 
-def uncovered_cycle_order(
-    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
-) -> tuple[int | float, tuple[str, ...] | None]:
+def uncovered_cycle_order(g: NetworkGraph) -> tuple[int | float, tuple[str, ...] | None]:
     """Smallest k >= 2 such that some chordless (4k+2)-cycle fits in no
     1-hop view.
 
@@ -202,7 +196,7 @@ def uncovered_cycle_order(
     )
     closed = [adj[i] | {i} for i in range(n)]
     for length in range(10, n + 1, 4):
-        for cycle in iter_induced_cycles(n, adj, length, cap):
+        for cycle in iter_induced_cycles(n, adj, length):
             members = set(cycle)
             if not any(members <= closed[i] for i in range(n)):
                 return (length - 2) // 4, tuple(verts[i] for i in cycle)
@@ -236,9 +230,7 @@ def _alternate_link_demand(
     return {link: Fraction(1) for link in links}
 
 
-def _empirical_demands(
-    g: NetworkGraph, count: int, seed: int, cap: int
-) -> Iterator[dict[Link, Fraction]]:
+def _empirical_demands(g: NetworkGraph, count: int, seed: int) -> Iterator[dict[Link, Fraction]]:
     rng = random.Random(seed)
     gc = conflict_graph(g, 2)
     n = len(gc.links)
@@ -269,15 +261,15 @@ def _check_ratio_input(g: NetworkGraph, empirical_samples: int) -> None:
 
 
 def _ratio_candidates(
-    g: NetworkGraph, empirical_samples: int, seed: int, cap: int
+    g: NetworkGraph, empirical_samples: int, seed: int
 ) -> Iterator[tuple[str, dict[Link, Fraction]]]:
-    size, matching = max_interfering_matching(g, cap)
+    size, matching = max_interfering_matching(g)
     if size >= 1:
         yield "nu-ratio", {link: Fraction(1) for link in matching}
-    _, cycle = uncovered_cycle_order(g, cap)
+    _, cycle = uncovered_cycle_order(g)
     if cycle is not None:
         yield "odd-cycle", _alternate_link_demand(g, cycle)
-    for tau in _empirical_demands(g, empirical_samples, seed, cap):
+    for tau in _empirical_demands(g, empirical_samples, seed):
         yield "empirical", tau
 
 
@@ -285,7 +277,6 @@ def ratio_lower_bound(
     g: NetworkGraph,
     empirical_samples: int = 0,
     seed: int = 0,
-    cap: int = DEFAULT_SET_CAP,
     upper: Fraction | None = None,
 ) -> tuple[Fraction, dict[Link, Fraction], str]:
     """Best certified ratio over witness demands, each replayed exactly.
@@ -306,8 +297,8 @@ def ratio_lower_bound(
     best = Fraction(0)
     witness: dict[Link, Fraction] = {}
     source = "nu-ratio"
-    for src, tau in _ratio_candidates(g, empirical_samples, seed, cap):
-        ratio = duration_ratio(g, tau, cap)
+    for src, tau in _ratio_candidates(g, empirical_samples, seed):
+        ratio = duration_ratio(g, tau)
         if ratio > best:
             best = ratio
             witness = tau
@@ -317,17 +308,15 @@ def ratio_lower_bound(
     return best, witness, source
 
 
-def ratio_upper_bound(
-    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
-) -> tuple[Fraction | None, Fraction | None, str, int]:
+def ratio_upper_bound(g: NetworkGraph) -> tuple[Fraction | None, Fraction | None, str, int]:
     """Imperfection bound times cover number; None when no route certifies.
 
     Returns (upper, imperfection upper, certificate tag, cover number).
     """
     if not g.links:
         raise GraphError("ratio bounds need at least one link")
-    imp, tag = imperfection_upper_bound(conflict_graph(g, 2), cap)
-    cover, _, _ = neighborhood_cover_number(g, cap)
+    imp, tag = imperfection_upper_bound(conflict_graph(g, 2))
+    cover, _, _ = neighborhood_cover_number(g)
     upper = None if imp is None else imp * cover
     return upper, imp, tag, cover
 
@@ -336,7 +325,6 @@ def ratio_bounds(
     g: NetworkGraph,
     empirical_samples: int = 0,
     seed: int = 0,
-    cap: int = DEFAULT_SET_CAP,
 ) -> RatioBounds:
     """Certified two-sided bounds; exact is set when the sides meet.
 
@@ -345,10 +333,8 @@ def ratio_bounds(
     ones the full replay gives.
     """
     _check_ratio_input(g, empirical_samples)
-    upper, imp, tag, cover = ratio_upper_bound(g, cap)
-    lower, witness, source = ratio_lower_bound(
-        g, empirical_samples, seed, cap, upper=upper
-    )
+    upper, imp, tag, cover = ratio_upper_bound(g)
+    lower, witness, source = ratio_lower_bound(g, empirical_samples, seed, upper=upper)
     if upper is not None and lower > upper:
         raise RuntimeError(
             f"certified bounds crossed: lower {lower} > upper {upper}"
@@ -387,7 +373,6 @@ def ring_ratio_exact(n: int) -> Fraction:
 def admission_threshold(
     g: NetworkGraph,
     user_bound=None,
-    cap: int = DEFAULT_SET_CAP,
 ) -> tuple[Fraction, dict]:
     """Local-value threshold under which admission is always safe.
 
@@ -402,7 +387,7 @@ def admission_threshold(
         bound = Fraction(user_bound)
         if bound <= 0:
             raise GraphError("user ratio bound must be positive")
-        lower, _, _ = ratio_lower_bound(g, cap=cap)
+        lower, _, _ = ratio_lower_bound(g)
         if bound < lower:
             warnings.warn(
                 f"user ratio bound {bound} is below the certified lower "
@@ -411,7 +396,7 @@ def admission_threshold(
                 stacklevel=2,
             )
         return Fraction(1) / bound, {"source": "user", "ratio_bound": bound}
-    upper, imp, tag, cover = ratio_upper_bound(g, cap)
+    upper, imp, tag, cover = ratio_upper_bound(g)
     if upper is None:
         raise BoundUnavailableError(
             "no imperfection certificate applies to this conflict graph"

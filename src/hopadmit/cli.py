@@ -38,7 +38,7 @@ from .jsonio import (
     write_json,
 )
 from .scheduling import fractional_chromatic, min_schedule
-from .search import DEFAULT_SET_CAP
+from .search import DEFAULT_SET_CAP, set_cap
 from .simulate import evaluate_policy, run_admission
 
 
@@ -78,7 +78,7 @@ def _emit(report: dict | str, out: str | None) -> None:
         else:
             write_json(report, write)
 
-    if not out:
+    if out is None:
         send(sys.stdout.write)
         return
     try:
@@ -118,10 +118,10 @@ def _cmd_chif(args) -> dict:
     gc = conflict_graph(g, args.k)
     tau = _resolve_demands(args.demands, g)
     if args.schedule:
-        schedule = min_schedule(gc, tau, args.cap_sets)
+        schedule = min_schedule(gc, tau)
         value = schedule.duration
     else:
-        value = fractional_chromatic(gc, tau, args.cap_sets)
+        value = fractional_chromatic(gc, tau)
     result = {
         "chi_f": format_fraction(value),
         "feasible": value <= 1,
@@ -141,7 +141,7 @@ def _cmd_admit(args) -> dict:
         if args.threshold is not None:
             raise GraphError("--threshold applies to --mode distributed only")
         gc = conflict_graph(g, args.k)
-        value = fractional_chromatic(gc, tau, args.cap_sets)
+        value = fractional_chromatic(gc, tau)
         result = {
             "admit": value <= 1,
             "chi_f": format_fraction(value),
@@ -153,16 +153,16 @@ def _cmd_admit(args) -> dict:
             f"distributed admission runs at interference radius 2 only, got --k {args.k}"
         )
     if args.threshold in (None, "auto"):
-        threshold, _ = admission_threshold(g, cap=args.cap_sets)
+        threshold, _ = admission_threshold(g)
     else:
         threshold = parse_fraction(args.threshold)
-    trace = run_admission(g, tau, threshold, args.cap_sets)
+    trace = run_admission(g, tau, threshold)
     return _envelope(args, "admit", _graph_input(args, g, extra), trace_to_obj(trace))
 
 
 def _cmd_invariants(args) -> dict:
     g = _resolve_graph(args.graph)
-    report = invariant_report(g, cap=args.cap_sets)
+    report = invariant_report(g)
     return _envelope(
         args, "invariants", _graph_input(args, g), invariant_report_to_obj(report)
     )
@@ -170,9 +170,7 @@ def _cmd_invariants(args) -> dict:
 
 def _cmd_beta(args) -> dict:
     g = _resolve_graph(args.graph)
-    bounds = ratio_bounds(
-        g, empirical_samples=args.empirical, seed=args.seed, cap=args.cap_sets
-    )
+    bounds = ratio_bounds(g, empirical_samples=args.empirical, seed=args.seed)
     return _envelope(
         args,
         "beta",
@@ -184,8 +182,8 @@ def _cmd_beta(args) -> dict:
 
 def _cmd_threshold(args) -> dict:
     g = _resolve_graph(args.graph)
-    user = parse_fraction(args.user_b) if args.user_b else None
-    threshold, meta = admission_threshold(g, user_bound=user, cap=args.cap_sets)
+    user = None if args.user_b is None else parse_fraction(args.user_b)
+    threshold, meta = admission_threshold(g, user_bound=user)
     result = {"threshold": format_fraction(threshold)}
     for key, value in meta.items():
         result[key] = format_fraction(value) if isinstance(value, Fraction) else value
@@ -196,14 +194,9 @@ def _cmd_simulate(args):
     if args.user_b is not None and args.policy != "user":
         raise GraphError("--user-b applies to --policy user only")
     g = _resolve_graph(args.graph)
-    user = parse_fraction(args.user_b) if args.user_b else None
+    user = None if args.user_b is None else parse_fraction(args.user_b)
     outcome = evaluate_policy(
-        g,
-        samples=args.samples,
-        seed=args.seed,
-        policy=args.policy,
-        user_bound=user,
-        cap=args.cap_sets,
+        g, samples=args.samples, seed=args.seed, policy=args.policy, user_bound=user
     )
     if args.format == "csv":
         return metrics_to_csv(outcome["rows"])
@@ -316,7 +309,9 @@ def main(argv=None) -> int:
         try:
             if args.cap_sets < 1:
                 raise GraphError(f"--cap-sets must be at least 1, got {args.cap_sets}")
-            _emit(args.run(args), args.out)
+            with set_cap(args.cap_sets):
+                report = args.run(args)
+            _emit(report, args.out)
         except (GraphError, BoundUnavailableError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -24,7 +24,7 @@ from .graphs import ConflictGraph, Link, NetworkGraph, conflict_graph
 from .qstab import qstab_vertices
 from .scheduling import fractional_chromatic, weighted_clique_number
 from .search import (
-    DEFAULT_SET_CAP,
+    _SET_CAP,
     exact_set_cover,
     greedy_set_cover,
     is_bipartite,
@@ -52,19 +52,16 @@ def _unit_distance_adjacency(g: NetworkGraph) -> tuple[frozenset[int], ...]:
     )
 
 
-def max_interfering_matching(
-    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
-) -> tuple[int, tuple[Link, ...]]:
+def max_interfering_matching(g: NetworkGraph) -> tuple[int, tuple[Link, ...]]:
     """Largest set of links pairwise at distance exactly one, with witness.
 
     Such links are disjoint yet mutually conflicting under radius 2, so any
-    schedule must serialize them all. The cap bounds the clique search's
-    branches.
+    schedule must serialize them all.
     """
     if not g.links:
         return 0, ()
     adj = _unit_distance_adjacency(g)
-    clique = max_clique(len(g.links), adj, cap)
+    clique = max_clique(len(g.links), adj)
     return len(clique), tuple(g.links[i] for i in clique)
 
 
@@ -72,9 +69,7 @@ def max_interfering_matching(
 # Neighborhood covers of conflict cliques.
 
 
-def neighborhood_cover_number(
-    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
-) -> tuple[int, tuple[Link, ...], tuple[str, ...]]:
+def neighborhood_cover_number(g: NetworkGraph) -> tuple[int, tuple[Link, ...], tuple[str, ...]]:
     """Worst maximal conflict clique, measured in 1-hop views needed to see it.
 
     Returns (count, clique links, covering vertices) for the first maximal
@@ -95,7 +90,7 @@ def neighborhood_cover_number(
     best = 0
     best_links: tuple[Link, ...] = ()
     best_vertices: tuple[str, ...] = ()
-    for clique in maximal_cliques(len(gc.links), gc.adj, cap):
+    for clique in maximal_cliques(len(gc.links), gc.adj):
         members = {link_idx: pos for pos, link_idx in enumerate(clique)}
         owners: list[str] = []
         seen: dict[frozenset[int], str] = {}
@@ -146,15 +141,13 @@ def is_chordal(
 # Imperfection ratio bounds.
 
 
-def _odd_hole_candidates(
-    gc: ConflictGraph, cap: int, most: int = 128
-) -> Iterator[dict[Link, Fraction]]:
+def _odd_hole_candidates(gc: ConflictGraph, most: int = 128) -> Iterator[dict[Link, Fraction]]:
     """Indicators of the chordless odd cycles of the shortest odd length
     from 5 to 13 that has any, at most `most` of them, found lazily."""
     n = len(gc.links)
     for length in range(5, min(n, 13) + 1, 2):
         found = 0
-        for cycle in iter_induced_cycles(n, gc.adj, length, cap):
+        for cycle in iter_induced_cycles(n, gc.adj, length):
             yield {gc.links[i]: Fraction(1) for i in cycle}
             found += 1
             if found >= most:
@@ -168,9 +161,7 @@ def _is_perfect(comp: ConflictGraph) -> bool:
     return comp.cliques is not None or is_bipartite(len(comp.links), comp.adj)
 
 
-def _polytope_witness(
-    comp: ConflictGraph, cap: int
-) -> tuple[Fraction, dict[Link, Fraction]]:
+def _polytope_witness(comp: ConflictGraph) -> tuple[Fraction, dict[Link, Fraction]]:
     """Exact imperfection ratio of a component, with a vertex attaining it.
 
     The ratio is the largest chi_f over the vertices of the clique polytope
@@ -179,29 +170,28 @@ def _polytope_witness(
     witness is that vertex scaled to its primitive integer vector, or empty
     when no vertex beats 1.
 
-    The result is kept in the component's memo, per cap: the upper and the
-    lower bound of one report walk the same cached components
-    (`ConflictGraph.components`), so each is enumerated once.
+    The result is kept in the component's memo, keyed by the search limit
+    in force: the upper and the lower bound of one report walk the same
+    cached components (`ConflictGraph.components`), so each is enumerated
+    once, and a smaller limit still raises where it would without the memo.
     """
-    key = ("polytope-witness", cap)
+    key = ("polytope-witness", _SET_CAP.get())
     if key not in comp.memo:
-        comp.memo[key] = _enumerate_polytope(comp, cap)
+        comp.memo[key] = _enumerate_polytope(comp)
     return comp.memo[key]
 
 
-def _enumerate_polytope(
-    comp: ConflictGraph, cap: int
-) -> tuple[Fraction, dict[Link, Fraction]]:
+def _enumerate_polytope(comp: ConflictGraph) -> tuple[Fraction, dict[Link, Fraction]]:
     m = len(comp.links)
     best = Fraction(1)
     witness: dict[Link, Fraction] = {}
-    for vertex in qstab_vertices(m, maximal_cliques(m, comp.adj, cap)):
+    for vertex in qstab_vertices(m, maximal_cliques(m, comp.adj)):
         # An integral vertex is a stable set's indicator, of chi_f at most
         # 1, so it cannot beat the starting best.
         if all(x.denominator == 1 for x in vertex):
             continue
         tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
-        value = fractional_chromatic(comp, tau, cap)
+        value = fractional_chromatic(comp, tau)
         if value > best:
             best = value
             witness = tau
@@ -214,22 +204,19 @@ def _enumerate_polytope(
     return best, witness
 
 
-def _imperfection_candidates(
-    gc: ConflictGraph, cap: int
-) -> Iterator[dict[Link, Fraction]]:
-    yield from _odd_hole_candidates(gc, cap)
+def _imperfection_candidates(gc: ConflictGraph) -> Iterator[dict[Link, Fraction]]:
+    yield from _odd_hole_candidates(gc)
     for comp in gc.components:
         if len(comp.links) > POLYTOPE_VERTEX_LIMIT:
             continue
         if not _is_perfect(comp):
-            _, witness = _polytope_witness(comp, cap)
+            _, witness = _polytope_witness(comp)
             if witness:
                 yield witness
 
 
 def imperfection_lower_bound(
     gc: ConflictGraph,
-    cap: int = DEFAULT_SET_CAP,
     upper: Fraction | None = None,
 ) -> tuple[Fraction, dict[Link, Fraction]]:
     """Best LP-to-clique-bound gap over a candidate demand family.
@@ -241,7 +228,7 @@ def imperfection_lower_bound(
     clique polytope vertex of largest chi_f, scaled to integers. That
     vertex attains the component's imperfection ratio, so the result equals
     the true ratio whenever every imperfect component is that small, and
-    it is always sound as a lower bound. The cap bounds every search.
+    it is always sound as a lower bound.
 
     Candidates are built one at a time. With a certified upper bound on
     the ratio (`upper`, as from `imperfection_upper_bound`), the replay
@@ -256,11 +243,11 @@ def imperfection_lower_bound(
     witness: dict[Link, Fraction] = {gc.links[0]: Fraction(1)}
     if upper is not None and best >= upper:
         return best, witness
-    for tau in _imperfection_candidates(gc, cap):
-        clique = weighted_clique_number(gc, tau, cap)
+    for tau in _imperfection_candidates(gc):
+        clique = weighted_clique_number(gc, tau)
         if clique == 0:
             continue
-        ratio = fractional_chromatic(gc, tau, cap) / clique
+        ratio = fractional_chromatic(gc, tau) / clique
         if ratio > best:
             best = ratio
             witness = tau
@@ -328,7 +315,7 @@ def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
     return Fraction(p, p - 1)
 
 
-def _component_imp_upper(comp: ConflictGraph, cap: int) -> tuple[Fraction | None, str]:
+def _component_imp_upper(comp: ConflictGraph) -> tuple[Fraction | None, str]:
     m = len(comp.links)
     if _is_perfect(comp):
         return Fraction(1), "perfect"
@@ -336,15 +323,13 @@ def _component_imp_upper(comp: ConflictGraph, cap: int) -> tuple[Fraction | None
     if ring is not None:
         return ring, "ring-formula"
     if m <= POLYTOPE_VERTEX_LIMIT:
-        return _polytope_witness(comp, cap)[0], "polytope-enumeration"
+        return _polytope_witness(comp)[0], "polytope-enumeration"
     if m % 2 == 1 and all(len(a) == 2 for a in comp.adj):
         return Fraction(m, m - 1), "odd-cycle-family"
     return None, "unavailable"
 
 
-def imperfection_upper_bound(
-    gc: ConflictGraph, cap: int = DEFAULT_SET_CAP
-) -> tuple[Fraction | None, str]:
+def imperfection_upper_bound(gc: ConflictGraph) -> tuple[Fraction | None, str]:
     """Certified upper bound on the imperfection ratio, with its route.
 
     Routes per connected component: perfection by chordality or
@@ -358,7 +343,7 @@ def imperfection_upper_bound(
     best = Fraction(0)
     tag = "perfect"
     for comp in gc.components:
-        value, route = _component_imp_upper(comp, cap)
+        value, route = _component_imp_upper(comp)
         if value is None:
             return None, "unavailable"
         if value > best:
@@ -384,16 +369,14 @@ class InvariantReport:
     imp_upper_certificate: str
 
 
-def invariant_report(
-    g: NetworkGraph, cap: int = DEFAULT_SET_CAP
-) -> InvariantReport:
+def invariant_report(g: NetworkGraph) -> InvariantReport:
     """Compute every invariant of the conflict graph of g at radius 2."""
     gc = conflict_graph(g, 2)
-    nu, nu_wit = max_interfering_matching(g, cap)
-    lam, lam_links, lam_verts = neighborhood_cover_number(g, cap)
-    imp_hi, cert = imperfection_upper_bound(gc, cap)
+    nu, nu_wit = max_interfering_matching(g)
+    lam, lam_links, lam_verts = neighborhood_cover_number(g)
+    imp_hi, cert = imperfection_upper_bound(gc)
     if gc.links:
-        imp_lo, imp_wit = imperfection_lower_bound(gc, cap=cap, upper=imp_hi)
+        imp_lo, imp_wit = imperfection_lower_bound(gc, upper=imp_hi)
     else:
         imp_lo, imp_wit = Fraction(1), {}
     return InvariantReport(

@@ -37,7 +37,6 @@ from typing import Mapping, Sequence
 
 from .errors import GraphError
 from .graphs import ConflictGraph, Link, conflict_components, induced_conflict
-from .search import DEFAULT_SET_CAP
 from .search import maximal_cliques as _maximal_cliques_idx
 from .search import maximal_independent_sets as _mis_idx
 from .simplex import solve_min_ge
@@ -60,22 +59,20 @@ def normalize_demands(gc: ConflictGraph, tau: Mapping) -> dict[Link, Fraction]:
     return out
 
 
-def maximal_independent_sets(
-    gc: ConflictGraph, cap: int = DEFAULT_SET_CAP
-) -> list[tuple[Link, ...]]:
+def maximal_independent_sets(gc: ConflictGraph) -> list[tuple[Link, ...]]:
     """All maximal sets of pairwise non-conflicting links, sorted."""
-    return [tuple(gc.links[i] for i in s) for s in _mis_idx(len(gc.links), gc.adj, cap)]
+    return [tuple(gc.links[i] for i in s) for s in _mis_idx(len(gc.links), gc.adj)]
 
 
 def _component_lp(
-    comp: ConflictGraph, weights: Sequence[Fraction], cap: int
+    comp: ConflictGraph, weights: Sequence[Fraction]
 ) -> tuple[Fraction, list[tuple[tuple[int, ...], Fraction]]]:
     """Solve the covering LP on one connected support component.
 
     Returns the optimal duration and the positive-duration entries as
     (independent index set, duration) pairs.
     """
-    sets = _mis_idx(len(comp.links), comp.adj, cap)
+    sets = _mis_idx(len(comp.links), comp.adj)
     sol = solve_min_ge(sets, weights)
     # x >= 0, so its nonzero entries are the positive ones.
     entries = [(sets[j], dur) for j, dur in enumerate(sol.x) if dur]
@@ -123,7 +120,6 @@ def scaled_duration(
     gc: ConflictGraph,
     scaled: Sequence[int],
     den: int,
-    cap: int = DEFAULT_SET_CAP,
     support: Sequence[int] | None = None,
 ) -> int | Fraction:
     """Minimum schedule duration of the demands scaled / den, times den.
@@ -156,20 +152,18 @@ def scaled_duration(
             if cliques is not None:
                 value = max([sum([weights[i] for i in c]) for c in cliques])
             else:
-                lp, _ = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
+                lp, _ = _component_lp(comp, [Fraction(w, den) for w in weights])
                 value = lp * den
         if value > best:
             best = value
     return best
 
 
-def fractional_chromatic(
-    gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
-) -> Fraction:
+def fractional_chromatic(gc: ConflictGraph, tau: Mapping) -> Fraction:
     """Minimum total schedule duration meeting the demand vector, exactly,
     from `scaled_duration`. Demands restricted to zero give duration 0."""
     scaled, den = scale_demands(gc, tau)
-    return Fraction(scaled_duration(gc, scaled, den, cap), den)
+    return Fraction(scaled_duration(gc, scaled, den), den)
 
 
 @dataclass(frozen=True)
@@ -199,9 +193,7 @@ class Schedule:
         )
 
 
-def min_schedule(
-    gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
-) -> Schedule:
+def min_schedule(gc: ConflictGraph, tau: Mapping) -> Schedule:
     """A shortest schedule meeting the demands.
 
     Per-component optimal schedules run in parallel, which is sound
@@ -217,7 +209,7 @@ def min_schedule(
     scaled, den = scale_demands(gc, tau)
     stacks = []
     for comp, weights in _support_components(gc, scaled):
-        _, entries = _component_lp(comp, [Fraction(w, den) for w in weights], cap)
+        _, entries = _component_lp(comp, [Fraction(w, den) for w in weights])
         stacks.append([[frozenset(comp.links[i] for i in idx_set), dur]
                        for idx_set, dur in reversed(entries)])
     merged = []
@@ -235,9 +227,7 @@ def min_schedule(
     return schedule
 
 
-def weighted_clique_number(
-    gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP
-) -> Fraction:
+def weighted_clique_number(gc: ConflictGraph, tau: Mapping) -> Fraction:
     """Largest total demand on a set of pairwise conflicting links.
 
     When gc has clique readers (it is chordal or co-chordal, so perfect)
@@ -246,7 +236,7 @@ def weighted_clique_number(
     """
     scaled, den = scale_demands(gc, tau)
     if gc.clique_readers is not None:
-        return Fraction(scaled_duration(gc, scaled, den, cap), den)
+        return Fraction(scaled_duration(gc, scaled, den), den)
     support = [i for i, w in enumerate(scaled) if w]
     if not support:
         return Fraction(0)
@@ -254,13 +244,13 @@ def weighted_clique_number(
     best = max(
         (
             sum([scaled[support[i]] for i in clique])
-            for clique in _maximal_cliques_idx(len(sub.links), sub.adj, cap)
+            for clique in _maximal_cliques_idx(len(sub.links), sub.adj)
         ),
         default=0,
     )
     return Fraction(best, den)
 
 
-def is_feasible(gc: ConflictGraph, tau: Mapping, cap: int = DEFAULT_SET_CAP) -> bool:
+def is_feasible(gc: ConflictGraph, tau: Mapping) -> bool:
     """Whether the demands fit in one unit of time."""
-    return fractional_chromatic(gc, tau, cap) <= 1
+    return fractional_chromatic(gc, tau) <= 1

@@ -3,15 +3,38 @@
 All functions take a vertex count and a sequence of neighbor sets
 (vertex i's neighbors as a set of indices) and run deterministically:
 candidates are always visited in ascending index order.
+
+The searches whose work has no fixed bound (`maximal_cliques`,
+`maximal_independent_sets`, `max_clique` and `iter_induced_cycles`)
+raise ResourceLimitError past a cap. This module is the one place that
+holds it: a search given no cap reads the one `set_cap` put in force,
+DEFAULT_SET_CAP outside any `set_cap` block, and `cli.main` puts the
+--cap-sets value in force for one command. An explicit cap is for a
+caller with a bound of its own.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 
 DEFAULT_SET_CAP = 10**6
+
+_SET_CAP: ContextVar[int] = ContextVar("set_cap", default=DEFAULT_SET_CAP)
+
+
+@contextmanager
+def set_cap(n: int) -> Iterator[None]:
+    """Make n the cap of every search started in the block that is given
+    none, restoring the cap before it on leaving the block."""
+    token = _SET_CAP.set(n)
+    try:
+        yield
+    finally:
+        _SET_CAP.reset(token)
 
 
 def _clique_pivot(p: set[int], x: set[int], adj: Sequence[frozenset[int]]) -> int:
@@ -31,14 +54,17 @@ def _clique_pivot(p: set[int], x: set[int], adj: Sequence[frozenset[int]]) -> in
 
 
 def maximal_cliques(
-    n: int, adj: Sequence[frozenset[int]], cap: int = DEFAULT_SET_CAP
+    n: int, adj: Sequence[frozenset[int]], cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """All maximal cliques via Bron-Kerbosch with pivoting.
 
     The search runs on an explicit stack, one frame per clique under
     extension, so a large clique costs no Python recursion depth.
-    Raises ResourceLimitError once more than cap cliques have been found.
+    Raises ResourceLimitError once more than cap cliques have been found;
+    a cap of None is the one `set_cap` put in force.
     """
+    if cap is None:
+        cap = _SET_CAP.get()
     out: list[tuple[int, ...]] = []
     # (r, p, x, the vertices of p still to branch on) for each clique r
     # under extension, innermost last.
@@ -71,7 +97,7 @@ def maximal_cliques(
 
 
 def maximal_independent_sets(
-    n: int, adj: Sequence[frozenset[int]], cap: int = DEFAULT_SET_CAP
+    n: int, adj: Sequence[frozenset[int]], cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """All maximal independent sets: maximal cliques of the complement."""
     everything = frozenset(range(n))
@@ -80,14 +106,17 @@ def maximal_independent_sets(
 
 
 def max_clique(
-    n: int, adj: Sequence[frozenset[int]], cap: int = DEFAULT_SET_CAP
+    n: int, adj: Sequence[frozenset[int]], cap: int | None = None
 ) -> tuple[int, ...]:
     """One maximum clique, by branch and bound with a greedy coloring bound.
 
-    The cap bounds the number of branches taken.
+    The cap, by default the one `set_cap` put in force, bounds the number
+    of branches taken.
     """
     if n == 0:
         return ()
+    if cap is None:
+        cap = _SET_CAP.get()
     best: list[int] = []
     budget = cap
 
@@ -219,7 +248,7 @@ def iter_induced_cycles(
     n: int,
     adj: Sequence[frozenset[int]],
     length: int,
-    cap: int = DEFAULT_SET_CAP,
+    cap: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield each chordless cycle of exactly the given length once.
 
@@ -229,12 +258,15 @@ def iter_induced_cycles(
     interior path vertex, counted per vertex as the path grows and shrinks,
     is never added, and neither is a neighbour of the start before the
     closing step. The search runs on an explicit stack, one frame per path
-    vertex, so a long cycle costs no Python recursion depth. The cap bounds
+    vertex, so a long cycle costs no Python recursion depth. The cap, by
+    default the one `set_cap` put in force when the search starts, bounds
     the number of path extensions, each admissible vertex appended to a
     path counting once, the closing vertex of a full-length path included.
     """
     if length < 3 or n < length:
         return
+    if cap is None:
+        cap = _SET_CAP.get()
     budget = cap
     ordered = [sorted(a) for a in adj]
     on_path = [False] * n

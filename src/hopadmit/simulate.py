@@ -58,7 +58,6 @@ from .analysis import (
 from .errors import GraphError
 from .graphs import Link, NetworkGraph, conflict_graph
 from .scheduling import scale_demands, scaled_duration
-from .search import DEFAULT_SET_CAP
 
 
 @dataclass(frozen=True)
@@ -116,19 +115,14 @@ def _decide(
     return admit, _classify(admit, feasible)
 
 
-def run_admission(
-    g: NetworkGraph,
-    tau: Mapping,
-    threshold,
-    cap: int = DEFAULT_SET_CAP,
-) -> SimTrace:
+def run_admission(g: NetworkGraph, tau: Mapping, threshold) -> SimTrace:
     """Execute the 2-round protocol and check it against the oracle."""
     gc = conflict_graph(g, 2)
     scaled, den = scale_demands(gc, tau)
     thr = Fraction(threshold)
     if thr <= 0:
         raise GraphError("threshold must be positive")
-    exact = scaled_duration(gc, scaled, den, cap)
+    exact = scaled_duration(gc, scaled, den)
 
     incident: dict[str, list[tuple[Link, Fraction]]] = {v: [] for v in g.vertices}
     for link, k in zip(g.links, scaled):
@@ -159,7 +153,7 @@ def run_admission(
             raise AssertionError(
                 f"node {v!r} reconstructed a link set other than its 1-hop view"
             )
-        value = _view_value(gc, idx, scaled, den, cap)
+        value = _view_value(gc, idx, scaled, den)
         local = max(local, value)
         local_value = Fraction(value, den)
         nodes.append(
@@ -265,7 +259,6 @@ def sample_demands(
     rng: random.Random,
     denom_max: int = 4,
     target: Fraction | None = None,
-    cap: int = DEFAULT_SET_CAP,
 ) -> dict[Link, Fraction]:
     """One random demand vector, biased toward the decision boundary.
 
@@ -278,7 +271,7 @@ def sample_demands(
     tau = {link: Fraction(k, den) for link, k in zip(g.links, scaled) if k}
     if goal is None:
         return tau
-    scale = goal / local_estimate(g, tau, cap)
+    scale = goal / local_estimate(g, tau)
     return {link: value * scale for link, value in tau.items()}
 
 
@@ -288,7 +281,6 @@ def evaluate_policy(
     seed: int,
     policy: str = "theorem3",
     user_bound=None,
-    cap: int = DEFAULT_SET_CAP,
 ) -> dict:
     """Run many random admission rounds and tally the outcomes.
 
@@ -302,11 +294,11 @@ def evaluate_policy(
     threshold: Fraction | None
     meta: dict = {}
     if policy == "theorem3":
-        threshold, meta = admission_threshold(g, cap=cap)
+        threshold, meta = admission_threshold(g)
     elif policy == "user":
         if user_bound is None:
             raise GraphError("user policy needs a ratio bound")
-        threshold, meta = admission_threshold(g, user_bound=user_bound, cap=cap)
+        threshold, meta = admission_threshold(g, user_bound=user_bound)
     elif policy == "oracle-exact":
         threshold = None
     else:
@@ -327,7 +319,7 @@ def evaluate_policy(
         # leaves the generator sequence, and so every vector and goal, as
         # it was. Every raw vector of a sweep is over the same den.
         den, draws = _draw_samples(g, rng, min(batch, samples - start), goals=goals)
-        local_values, exact_values = price_scaled(g, [scaled for scaled, _ in draws], den, cap)
+        local_values, exact_values = price_scaled(g, [scaled for scaled, _ in draws], den)
         for sample_id, local, exact, (_, goal) in zip(
             count(start), local_values, exact_values, draws
         ):

@@ -935,17 +935,17 @@ def generator_induced_cycles(n, adj, length, cap=DEFAULT_SET_CAP):
         yield from extend([start], {start})
 
 
-def priced_polytope_witness(comp, cap=DEFAULT_SET_CAP):
+def priced_polytope_witness(comp):
     """invariants._enumerate_polytope pricing every nonzero vertex of the
     reference enumeration, integral ones included."""
     m = len(comp.links)
     best = Fraction(1)
     witness = {}
-    for vertex in reference_qstab_vertices(m, maximal_cliques(m, comp.adj, cap)):
+    for vertex in reference_qstab_vertices(m, maximal_cliques(m, comp.adj)):
         tau = {comp.links[i]: x for i, x in enumerate(vertex) if x > 0}
         if not tau:
             continue
-        value = fractional_chromatic(comp, tau, cap)
+        value = fractional_chromatic(comp, tau)
         if value > best:
             best = value
             witness = tau
@@ -964,21 +964,21 @@ def priced_polytope_witness(comp, cap=DEFAULT_SET_CAP):
 # it is the reference for the lower bound's value and witness.
 
 
-def full_mask_imperfection_lower_bound(gc, cap=DEFAULT_SET_CAP, enumerate_limit=12):
+def full_mask_imperfection_lower_bound(gc, enumerate_limit=12):
     """imperfection_lower_bound with every nonzero 0/1 mask as a candidate."""
     n = len(gc.links)
     trial = [{link: Fraction(1)} for link in gc.links]
-    trial.extend(_odd_hole_candidates(gc, cap))
+    trial.extend(_odd_hole_candidates(gc))
     if n <= enumerate_limit:
         for mask in range(1, 1 << n):
             trial.append({gc.links[i]: Fraction(1) for i in range(n) if mask >> i & 1})
     best = Fraction(0)
     witness = {}
     for tau in trial:
-        clique = weighted_clique_number(gc, tau, cap)
+        clique = weighted_clique_number(gc, tau)
         if clique == 0:
             continue
-        ratio = fractional_chromatic(gc, tau, cap) / clique
+        ratio = fractional_chromatic(gc, tau) / clique
         if ratio > best:
             best = ratio
             witness = tau
@@ -991,13 +991,13 @@ def full_mask_imperfection_lower_bound(gc, cap=DEFAULT_SET_CAP, enumerate_limit=
 # package's maximum-clique search on each view.
 
 
-def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
+def max_local_interfering_matching(g):
     """Largest interfering matching inside any single 1-hop view, with the
     first vertex whose view attains it (None when no view has a link)."""
     best = 0
     where = None
     for v in g.vertices:
-        size, _ = max_interfering_matching(one_hop_subgraph(g, v), cap)
+        size, _ = max_interfering_matching(one_hop_subgraph(g, v))
         if size > best:
             best = size
             where = v
@@ -1011,7 +1011,7 @@ def max_local_interfering_matching(g, cap=DEFAULT_SET_CAP):
 # clique search, set cover and chordality test.
 
 
-def scan_cover_number(g, cap=DEFAULT_SET_CAP):
+def scan_cover_number(g):
     """invariants.neighborhood_cover_number running exact_set_cover on
     every maximal conflict clique."""
     gc = conflict_graph(g, 2)
@@ -1020,7 +1020,7 @@ def scan_cover_number(g, cap=DEFAULT_SET_CAP):
     best = 0
     best_links = ()
     best_vertices = ()
-    for clique in maximal_cliques(len(gc.links), gc.adj, cap):
+    for clique in maximal_cliques(len(gc.links), gc.adj):
         members = {link_idx: pos for pos, link_idx in enumerate(clique)}
         owners = []
         seen = {}
@@ -1083,7 +1083,7 @@ def reference_ring_scheme_bound(gc):
 # The policy sweep in two earlier forms. Both call the package's solvers.
 
 
-def _policy_sweep(g, samples, seed, policy, user_bound, cap, price):
+def _policy_sweep(g, samples, seed, policy, user_bound, price):
     """evaluate_policy's threshold, tally and summary around price(rng,
     threshold), which draws one sample and returns (local_max,
     oracle_value, admit, classification)."""
@@ -1092,11 +1092,11 @@ def _policy_sweep(g, samples, seed, policy, user_bound, cap, price):
         raise GraphError("policy evaluation needs at least one link")
     meta = {}
     if policy == "theorem3":
-        threshold, meta = admission_threshold(g, cap=cap)
+        threshold, meta = admission_threshold(g)
     elif policy == "user":
         if user_bound is None:
             raise GraphError("user policy needs a ratio bound")
-        threshold, meta = admission_threshold(g, user_bound=user_bound, cap=cap)
+        threshold, meta = admission_threshold(g, user_bound=user_bound)
     elif policy == "oracle-exact":
         threshold = None
     else:
@@ -1137,23 +1137,23 @@ def _policy_sweep(g, samples, seed, policy, user_bound, cap, price):
     return {"summary": summary, "rows": rows}
 
 
-def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None, cap=DEFAULT_SET_CAP):
+def traced_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None):
     """evaluate_policy through run_admission: the full 2-round protocol
     per sample for a threshold, local_estimate plus the oracle for
     "oracle-exact"."""
     gc = conflict_graph(g, 2)
 
     def price(rng, threshold):
-        tau = sample_demands(g, rng, target=threshold or Fraction(1), cap=cap)
+        tau = sample_demands(g, rng, target=threshold or Fraction(1))
         if threshold is None:
-            oracle_value = fractional_chromatic(gc, tau, cap)
+            oracle_value = fractional_chromatic(gc, tau)
             admit = oracle_value <= 1
-            return local_estimate(g, tau, cap), oracle_value, admit, _classify(admit, admit)
-        trace = run_admission(g, tau, threshold, cap)
+            return local_estimate(g, tau), oracle_value, admit, _classify(admit, admit)
+        trace = run_admission(g, tau, threshold)
         local_max = max(view.local_value for view in trace.views)
         return local_max, trace.oracle_value, trace.all_admit, trace.classification
 
-    return _policy_sweep(g, samples, seed, policy, user_bound, cap, price)
+    return _policy_sweep(g, samples, seed, policy, user_bound, price)
 
 
 RESCALE_FACTORS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3))
@@ -1177,7 +1177,7 @@ def fraction_draw(g, rng, denom_max=4, target=None):
     return tau, goal
 
 
-def reference_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None, cap=DEFAULT_SET_CAP):
+def reference_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=None):
     """evaluate_policy in Fractions: each sample drawn by fraction_draw,
     priced as the largest local_views value and fractional_chromatic on
     the whole conflict graph, and rescaled by multiplying both values by
@@ -1186,8 +1186,8 @@ def reference_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=No
 
     def price(rng, threshold):
         tau, goal = fraction_draw(g, rng, target=threshold or Fraction(1))
-        local_max = max(value for _, value in local_views(g, tau, cap))
-        oracle_value = fractional_chromatic(gc, tau, cap)
+        local_max = max(value for _, value in local_views(g, tau))
+        oracle_value = fractional_chromatic(gc, tau)
         if goal is not None:
             oracle_value *= goal / local_max
             local_max = goal
@@ -1195,7 +1195,7 @@ def reference_evaluate_policy(g, samples, seed, policy="theorem3", user_bound=No
         admit = feasible if threshold is None else local_max <= threshold
         return local_max, oracle_value, admit, _classify(admit, feasible)
 
-    return _policy_sweep(g, samples, seed, policy, user_bound, cap, price)
+    return _policy_sweep(g, samples, seed, policy, user_bound, price)
 
 
 def filter_one_hop_subgraph(g, v):
@@ -1210,7 +1210,7 @@ def filter_one_hop_subgraph(g, v):
     return NetworkGraph(tuple(sorted(keep)), tuple(links))
 
 
-def subgraph_view_values(g, tau, cap=DEFAULT_SET_CAP):
+def subgraph_view_values(g, tau):
     """Each vertex's 1-hop subgraph and the duration of the demands of its
     links, priced on the subgraph's own radius-2 conflict graph, in vertex
     order: every view built and priced as a graph of its own."""
@@ -1218,7 +1218,7 @@ def subgraph_view_values(g, tau, cap=DEFAULT_SET_CAP):
     for v in g.vertices:
         sub = one_hop_subgraph(g, v)
         sub_tau = {link: d for link, d in tau.items() if sub.has_link(link)}
-        out.append((sub, fractional_chromatic(conflict_graph(sub, 2), sub_tau, cap)))
+        out.append((sub, fractional_chromatic(conflict_graph(sub, 2), sub_tau)))
     return out
 
 

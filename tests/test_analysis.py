@@ -137,7 +137,7 @@ def test_view_value_reads_only_its_view(seed=59, trials=20):
                 continue
             demands = _RecordingList(scaled)
             demands.reads = set()
-            value = _view_value(gc, idx, demands, den, 1000)
+            value = _view_value(gc, idx, demands, den)
             assert demands.reads <= set(idx)
             alone = [scaled[i] if i in idx else 0 for i in range(len(scaled))]
             assert value == scaled_duration(gc, alone, den)
@@ -158,9 +158,9 @@ def test_views_of_one_or_two_demanded_links_build_no_conflict_graph():
     with mock.patch(
         "hopadmit.scheduling.induced_conflict", wraps=induced_conflict
     ) as built:
-        values = [value for _, value in local_views(g, demands, 1000)]
+        values = [value for _, value in local_views(g, demands)]
         assert not built.called
-        trace = run_admission(g, demands, Fraction(1), 1000)
+        trace = run_admission(g, demands, Fraction(1))
     # The protocol's views build none either: the one conflict graph built
     # is the oracle's, for the whole support, which is one component.
     assert [len(call.args[1]) for call in built.call_args_list] == [len(demands)]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hopadmit
-from hopadmit import __version__, cycle_graph
+from hopadmit import __version__, cycle_graph, invariant_report
 from hopadmit.cli import main
 from hopadmit.jsonio import METRIC_COLUMNS, graph_to_obj, input_digest
 
@@ -233,6 +233,22 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_empty_flag_values_exit_2(capsys):
+    """An empty --user-b is a malformed ratio bound and an empty --out a
+    path that cannot be written, not a flag left out."""
+    for argv in (
+        ("threshold", "cycle:10", "--user-b", ""),
+        ("simulate", "cycle:10", "--seed", "1", "--samples", "2", "--policy", "user",
+         "--user-b", ""),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: not a rational: ''\n", argv
+    code, out, err = _run(capsys, "threshold", "cycle:10", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ''")
+
+
 def test_negative_empirical_count_exits_2(capsys):
     code, out, err = _run(capsys, "beta", "cycle:6", "--empirical", "-3")
     assert code == 2
@@ -401,6 +417,13 @@ def test_tiny_cap_exits_3(capsys):
     )
     assert code == 3
     assert "resource limit" in err
+
+
+def test_cap_sets_holds_for_its_command_only(capsys):
+    code, out, err = _run(capsys, "invariants", "cycle:10", "--cap-sets", "1")
+    assert (code, out) == (3, ""), err
+    # The report that cap stopped runs under the default cap afterwards.
+    assert invariant_report(cycle_graph(10)).lam == 2
 
 
 def test_cap_sets_spares_chordal_components(capsys):

@@ -34,7 +34,6 @@ from hopadmit import (
 )
 from hopadmit.chordal import peo_cliques
 from hopadmit.scheduling import _component_lp, _support_components, scale_demands
-from hopadmit.search import DEFAULT_SET_CAP
 
 SAMPLES = 100
 BRUTE_LP_LINKS = 5
@@ -113,7 +112,7 @@ def components():
 def test_fast_path_equals_lp(components):
     kinds = {}
     for names, comp, weights, value in components:
-        lp_value, _ = _component_lp(comp, weights, DEFAULT_SET_CAP)
+        lp_value, _ = _component_lp(comp, weights)
         assert value == lp_value, (names, comp.links, weights)
         kinds.setdefault(_kind(comp.adj), set()).update(names)
     # Both routes are exercised, on the graphs named in the module doc.

@@ -32,7 +32,6 @@ from hopadmit.scheduling import (  # noqa: E402
     scale_demands,
     scaled_duration,
 )
-from hopadmit.search import DEFAULT_SET_CAP  # noqa: E402
 
 
 @st.composite
@@ -58,7 +57,7 @@ def test_fast_path_equals_lp(instance):
     components = _support_components(gc, scaled)
     lp_value = max(
         (
-            _component_lp(comp, [Fraction(w, den) for w in weights], DEFAULT_SET_CAP)[0]
+            _component_lp(comp, [Fraction(w, den) for w in weights])[0]
             for comp, weights in components
         ),
         default=Fraction(0),

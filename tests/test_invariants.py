@@ -40,6 +40,7 @@ from hopadmit import (
     max_interfering_matching,
     neighborhood_cover_number,
     one_hop_subgraph,
+    set_cap,
     star_graph,
     weighted_clique_number,
 )
@@ -89,8 +90,12 @@ def test_matching_matches_brute(seed=71, trials=15):
 
 
 def test_matching_guard():
+    """set_cap(1) stops the matching search, and the default cap is back
+    in force once the error has left the block."""
     with pytest.raises(ResourceLimitError):
-        max_interfering_matching(cycle_graph(5), cap=1)
+        with set_cap(1):
+            max_interfering_matching(cycle_graph(5))
+    assert max_interfering_matching(cycle_graph(5))[0] == 2
 
 
 def test_local_matching_examples():
@@ -320,7 +325,7 @@ def test_polytope_witness_skips_only_unbeatable_vertices():
     assert {5, 7, 12} <= {len(comp.links) for comp in comps}
     beaten = 0
     for comp in comps:
-        got = invariants._enumerate_polytope(comp, invariants.DEFAULT_SET_CAP)
+        got = invariants._enumerate_polytope(comp)
         assert got == priced_polytope_witness(comp)
         beaten += got[0] > 1
     # Most of these components have a fractional vertex beating 1; the
@@ -379,9 +384,9 @@ def test_imp_lower_stops_at_upper_on_perfect_graph(monkeypatch):
     expected = imperfection_lower_bound(gc)
     replayed = []
 
-    def counting(gc, tau, cap):
+    def counting(gc, tau):
         replayed.append(tau)
-        return fractional_chromatic(gc, tau, cap)
+        return fractional_chromatic(gc, tau)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("candidate built after the stop")

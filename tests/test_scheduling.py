@@ -32,6 +32,7 @@ from hopadmit import (
     min_schedule,
     normalize_demands,
     sample_demands,
+    set_cap,
     weighted_clique_number,
 )
 
@@ -97,8 +98,8 @@ def test_mis_matches_brute(seed=17, trials=20):
 
 def test_mis_cap_is_a_distinct_error():
     gc = conflict_graph(cycle_graph(12), 2)
-    with pytest.raises(ResourceLimitError):
-        maximal_independent_sets(gc, cap=2)
+    with set_cap(2), pytest.raises(ResourceLimitError):
+        maximal_independent_sets(gc)
 
 
 def test_chif_odd_cycles():

@@ -235,9 +235,9 @@ def test_sweep_scales_each_sample_once(monkeypatch):
 
     real_price = simulate.price_scaled
 
-    def recording_price(graph, vectors, den, cap):
+    def recording_price(graph, vectors, den):
         batches.append((len(vectors), den))
-        return real_price(graph, vectors, den, cap)
+        return real_price(graph, vectors, den)
 
     for name in ("integer_weights", "normalize_demands"):
         real = getattr(scheduling, name)
@@ -265,9 +265,9 @@ def test_sweep_prices_batches_of_bounded_size(monkeypatch):
     sizes = []
     draws = []
 
-    def recording_price(graph, vectors, den, cap):
+    def recording_price(graph, vectors, den):
         sizes.append(len(vectors))
-        return real_price(graph, vectors, den, cap)
+        return real_price(graph, vectors, den)
 
     def recording_draw(graph, rng, count, denom_max=4, goals=None):
         draws.append(count)

@@ -28,7 +28,6 @@ from oracles import elimination, tableau_chif  # noqa: E402
 from hopadmit import build_graph, conflict_graph, cycle_graph, one_hop_subgraph  # noqa: E402
 from hopadmit.analysis import _view_value, local_estimate, local_views, price_scaled  # noqa: E402
 from hopadmit.scheduling import scale_demands, scaled_duration  # noqa: E402
-from hopadmit.search import DEFAULT_SET_CAP  # noqa: E402
 from hopadmit.simulate import _decide, run_admission  # noqa: E402
 
 THRESHOLD = Fraction(1, 2)
@@ -188,5 +187,5 @@ def test_batch_pricer_equals_pricing_each_vector(batch):
     local, exact = price_scaled(g, vectors, den)
     assert len(local) == len(exact) == len(vectors)
     for scaled, value, duration in zip(vectors, local, exact):
-        assert value == max(_view_value(gc, idx, scaled, den, DEFAULT_SET_CAP) for idx in g.view_links)
+        assert value == max(_view_value(gc, idx, scaled, den) for idx in g.view_links)
         assert duration == scaled_duration(gc, scaled, den)
