@@ -24,7 +24,7 @@ from .graphs import ConflictGraph, Link, NetworkGraph, conflict_graph
 from .qstab import qstab_vertices
 from .scheduling import fractional_chromatic, weighted_clique_number
 from .search import (
-    _SET_CAP,
+    cap_in_force,
     exact_set_cover,
     greedy_set_cover,
     is_bipartite,
@@ -175,7 +175,7 @@ def _polytope_witness(comp: ConflictGraph) -> tuple[Fraction, dict[Link, Fractio
     cached components (`ConflictGraph.components`), so each is enumerated
     once, and a smaller limit still raises where it would without the memo.
     """
-    key = ("polytope-witness", _SET_CAP.get())
+    key = ("polytope-witness", cap_in_force())
     if key not in comp.memo:
         comp.memo[key] = _enumerate_polytope(comp)
     return comp.memo[key]

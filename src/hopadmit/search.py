@@ -7,10 +7,10 @@ candidates are always visited in ascending index order.
 The searches whose work has no fixed bound (`maximal_cliques`,
 `maximal_independent_sets`, `max_clique` and `iter_induced_cycles`)
 raise ResourceLimitError past a cap. This module is the one place that
-holds it: a search given no cap reads the one `set_cap` put in force,
-DEFAULT_SET_CAP outside any `set_cap` block, and `cli.main` puts the
---cap-sets value in force for one command. An explicit cap is for a
-caller with a bound of its own.
+holds it: each search reads the cap `set_cap` put in force when it
+starts, DEFAULT_SET_CAP outside any `set_cap` block, and `cli.main` puts
+the --cap-sets value in force for one command. Only `maximal_cliques`
+also takes an explicit cap, for a caller with a bound of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ def set_cap(n: int) -> Iterator[None]:
         _SET_CAP.reset(token)
 
 
+def cap_in_force() -> int:
+    """The cap a search started now would read."""
+    return _SET_CAP.get()
+
+
 def _clique_pivot(p: set[int], x: set[int], adj: Sequence[frozenset[int]]) -> int:
     """The first vertex of p | x, in ascending order, with the most
     neighbours in p. None has more than len(p), and none of p more than
@@ -61,7 +66,7 @@ def maximal_cliques(
     The search runs on an explicit stack, one frame per clique under
     extension, so a large clique costs no Python recursion depth.
     Raises ResourceLimitError once more than cap cliques have been found;
-    a cap of None is the one `set_cap` put in force.
+    a cap of None is the one in force.
     """
     if cap is None:
         cap = _SET_CAP.get()
@@ -97,28 +102,23 @@ def maximal_cliques(
 
 
 def maximal_independent_sets(
-    n: int, adj: Sequence[frozenset[int]], cap: int | None = None
+    n: int, adj: Sequence[frozenset[int]]
 ) -> list[tuple[int, ...]]:
     """All maximal independent sets: maximal cliques of the complement."""
     everything = frozenset(range(n))
     co_adj = [everything - adj[i] - {i} for i in range(n)]
-    return maximal_cliques(n, co_adj, cap)
+    return maximal_cliques(n, co_adj)
 
 
-def max_clique(
-    n: int, adj: Sequence[frozenset[int]], cap: int | None = None
-) -> tuple[int, ...]:
+def max_clique(n: int, adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
     """One maximum clique, by branch and bound with a greedy coloring bound.
 
-    The cap, by default the one `set_cap` put in force, bounds the number
-    of branches taken.
+    The cap in force bounds the number of branches taken.
     """
     if n == 0:
         return ()
-    if cap is None:
-        cap = _SET_CAP.get()
+    cap = budget = _SET_CAP.get()
     best: list[int] = []
-    budget = cap
 
     def coloring_order(p: list[int]) -> list[tuple[int, int]]:
         # Greedy color classes; a vertex's color number bounds the largest
@@ -248,7 +248,6 @@ def iter_induced_cycles(
     n: int,
     adj: Sequence[frozenset[int]],
     length: int,
-    cap: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield each chordless cycle of exactly the given length once.
 
@@ -258,16 +257,14 @@ def iter_induced_cycles(
     interior path vertex, counted per vertex as the path grows and shrinks,
     is never added, and neither is a neighbour of the start before the
     closing step. The search runs on an explicit stack, one frame per path
-    vertex, so a long cycle costs no Python recursion depth. The cap, by
-    default the one `set_cap` put in force when the search starts, bounds
-    the number of path extensions, each admissible vertex appended to a
-    path counting once, the closing vertex of a full-length path included.
+    vertex, so a long cycle costs no Python recursion depth. The cap in
+    force when the search starts bounds the number of path extensions,
+    each admissible vertex appended to a path counting once, the closing
+    vertex of a full-length path included.
     """
     if length < 3 or n < length:
         return
-    if cap is None:
-        cap = _SET_CAP.get()
-    budget = cap
+    cap = budget = _SET_CAP.get()
     ordered = [sorted(a) for a in adj]
     on_path = [False] * n
     # interior[w]: how many path vertices other than the first and the

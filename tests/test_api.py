@@ -14,11 +14,11 @@ import hopadmit
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_only_the_search_primitives_take_a_cap():
-    """The set cap is held in `search`: every other function of the
-    package, public or private, reads it through the searches it calls,
-    and only the four searches take it as an argument, for callers with a
-    bound of their own."""
+def test_only_the_clique_listing_takes_a_cap():
+    """The set cap is held in `search`: every function of the package,
+    public or private, reads it through the searches it calls, and only
+    `maximal_cliques` also takes it as an argument, for the co-chordal
+    clique listing's bound of its own."""
     takers = set()
     for info in pkgutil.iter_modules(hopadmit.__path__):
         module = importlib.import_module(f"hopadmit.{info.name}")
@@ -28,12 +28,7 @@ def test_only_the_search_primitives_take_a_cap():
                 continue
             if "cap" in inspect.signature(fn).parameters:
                 takers.add(f"{info.name}.{name}")
-    assert takers == {
-        "search.iter_induced_cycles",
-        "search.max_clique",
-        "search.maximal_cliques",
-        "search.maximal_independent_sets",
-    }
+    assert takers == {"search.maximal_cliques"}
 
 
 def test_readme_python_blocks_run():

@@ -104,11 +104,11 @@ def test_large_clique_costs_linear_lookups():
     assert adj.lookups <= 10 * n
 
 
-def _cycles_until_cap(search_fn, n, adj, length, cap):
+def _cycles_until_cap(cycles):
     """Every cycle yielded, then the error message if the cap ran out."""
     out = []
     try:
-        for cycle in search_fn(n, adj, length, cap):
+        for cycle in cycles:
             out.append(cycle)
     except ResourceLimitError as exc:
         out.append(str(exc))
@@ -123,8 +123,9 @@ def test_induced_cycles_equal_the_generator_search(seed=73, trials=400):
         adj = random_adjacency(rng, n, rng.choice((0.2, 0.3, 0.5, 0.8)))
         for length in range(2, n + 2):
             for cap in (1, 5, 20, 100, search.DEFAULT_SET_CAP):
-                got = _cycles_until_cap(search.iter_induced_cycles, n, adj, length, cap)
-                assert got == _cycles_until_cap(generator_induced_cycles, n, adj, length, cap)
+                with search.set_cap(cap):
+                    got = _cycles_until_cap(search.iter_induced_cycles(n, adj, length))
+                assert got == _cycles_until_cap(generator_induced_cycles(n, adj, length, cap))
                 stopped = bool(got) and isinstance(got[-1], str)
                 found += len(got) - stopped
                 raised += stopped
