@@ -2,7 +2,8 @@
 
 Every command prints a JSON envelope (sorted keys, stable across reruns)
 carrying the tool version, the input digest, and the command's result.
-Exit codes: 0 success, 2 bad input, 3 resource-guard abort or out of memory.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 bad input, 3
+resource-guard abort or out of memory.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def _emit(report: dict | str, out: str | None) -> None:
 
     if out is None:
         send(sys.stdout.write)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -312,6 +314,11 @@ def main(argv=None) -> int:
             with set_cap(args.cap_sets):
                 report = args.run(args)
             _emit(report, args.out)
+        except BrokenPipeError:
+            # The reader closed stdout: send what is left, and the flush at
+            # exit, to devnull, as the Python signal docs advise.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except (GraphError, BoundUnavailableError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

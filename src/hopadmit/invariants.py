@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
@@ -141,18 +140,15 @@ def is_chordal(
 # Imperfection ratio bounds.
 
 
-def _odd_hole_candidates(gc: ConflictGraph, most: int = 128) -> Iterator[dict[Link, Fraction]]:
-    """Indicators of the chordless odd cycles of the shortest odd length
-    from 5 to 13 that has any, at most `most` of them, found lazily."""
+def _odd_hole_candidates(gc: ConflictGraph) -> Iterator[dict[Link, Fraction]]:
+    """Indicator of the first chordless odd cycle of the shortest odd length
+    L from 5 to 13 that has any. Every such cycle has clique number 2 and
+    chi_f 2L/(L - 1), so a later one could only tie its ratio L/(L - 1),
+    and a tie keeps the earlier witness."""
     n = len(gc.links)
     for length in range(5, min(n, 13) + 1, 2):
-        found = 0
         for cycle in iter_induced_cycles(n, gc.adj, length):
             yield {gc.links[i]: Fraction(1) for i in cycle}
-            found += 1
-            if found >= most:
-                return
-        if found:
             return
 
 
@@ -257,60 +253,36 @@ def imperfection_lower_bound(
 
 
 def _ring_scheme_bound(gc: ConflictGraph) -> Fraction | None:
-    """Certified ratio bound from deleting spaced vertex pairs.
+    """Certified ratio bound p/(p - 1) when gc is C_m squared, m = 2p = 4k + 2 >= 10.
 
-    Looks for a cyclic layout where consecutive pairs partition the
-    vertices and every pair deletion leaves a chordal graph. Each vertex
-    then appears in all but one of the p chordal subgraphs, so stacking
-    their clique-tight schedules proves chi_f/omega <= p/(p-1). The bound
-    is only returned once every deletion's chordality has been verified:
-    deleting the pair order[2t], order[2t + 1] leaves the path order[2t +
-    2], ..., order[2t + m - 1], which is replayed as a perfect elimination
-    ordering, each vertex's later kept neighbours checked pairwise
-    adjacent. That is O(m) set operations per pair, and no subgraph is
-    built.
+    One walk from vertex 0 finds the ring order: the next vertex is the
+    smallest neighbour of the current one that shares exactly two
+    neighbours with it (vertices two apart share one) and is neither of
+    the last two in the order. The bound is returned only if the order
+    visits all m vertices and each order[q] is adjacent to exactly
+    order[q - 2], order[q - 1], order[q + 1] and order[q + 2], mod m.
+
+    Then deleting the pair order[2t], order[2t + 1] leaves the square of
+    the path order[2t + 2], ..., order[2t + m - 1], whose ends are three
+    apart on the ring. Along that path each vertex's later neighbours are
+    the next two vertices, which are adjacent, so each of the p deletions
+    is chordal. Each vertex lies in p - 1 of them, so stacking their
+    clique-tight schedules proves chi_f/omega <= p/(p - 1).
     """
     m = len(gc.links)
-    if m < 10 or m % 4 != 2:
+    if m < 10 or m % 4 != 2 or any(len(a) != 4 for a in gc.adj):
         return None
-    if any(len(a) != 4 for a in gc.adj):
-        return None
-    ring_adj: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in gc.adj[i]:
-            if j > i and len(gc.adj[i] & gc.adj[j]) == 2:
-                ring_adj[i].append(j)
-                ring_adj[j].append(i)
-    if any(len(nb) != 2 for nb in ring_adj):
-        return None
-    order = [0, min(ring_adj[0])]
+    order = [0]
     while len(order) < m:
-        prev, cur = order[-2], order[-1]
-        nxt = next((w for w in ring_adj[cur] if w != prev), None)
-        if nxt is None or nxt in order:
+        cur = gc.adj[order[-1]]
+        ring = [w for w in cur if w not in order[-2:] and len(cur & gc.adj[w]) == 2]
+        if not ring:
             return None
-        order.append(nxt)
-    if order[-1] not in ring_adj[0]:
+        order.append(min(ring))
+    if len(set(order)) != m or any(
+        gc.adj[v] != {order[(q + d) % m] for d in (-2, -1, 1, 2)} for q, v in enumerate(order)
+    ):
         return None
-    pos = {v: i for i, v in enumerate(order)}
-    for v in range(m):
-        p = pos[v]
-        expected = {
-            order[(p - 2) % m],
-            order[(p - 1) % m],
-            order[(p + 1) % m],
-            order[(p + 2) % m],
-        }
-        if gc.adj[v] != frozenset(expected):
-            return None
-    for first in range(2, m + 2, 2):
-        # Path positions run from 0 at order[first]; the deleted pair sits
-        # at m - 2 and m - 1.
-        for k in range(m - 2):
-            v = order[(first + k) % m]
-            later = [w for w in gc.adj[v] if k < (pos[w] - first) % m < m - 2]
-            if any(b not in gc.adj[a] for a, b in combinations(later, 2)):
-                return None
     p = m // 2
     return Fraction(p, p - 1)
 
@@ -333,7 +305,7 @@ def imperfection_upper_bound(gc: ConflictGraph) -> tuple[Fraction | None, str]:
     """Certified upper bound on the imperfection ratio, with its route.
 
     Routes per connected component: perfection by chordality or
-    bipartiteness, the verified pair-deletion scheme, exact polytope
+    bipartiteness, the ring formula on C_m squared, exact polytope
     vertex enumeration on small components, and the plain odd-cycle
     formula. Components combine by maximum. Returns (None, "unavailable")
     when any component has no route.

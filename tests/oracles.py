@@ -33,7 +33,7 @@ from hopadmit.graphs import (
     induced_conflict,
     one_hop_subgraph,
 )
-from hopadmit.invariants import _odd_hole_candidates, max_interfering_matching
+from hopadmit.invariants import max_interfering_matching
 from hopadmit.jsonio import write_json
 from hopadmit.scheduling import fractional_chromatic, weighted_clique_number
 from hopadmit.search import DEFAULT_SET_CAP, exact_set_cover, maximal_cliques
@@ -965,10 +965,16 @@ def priced_polytope_witness(comp):
 
 
 def full_mask_imperfection_lower_bound(gc, enumerate_limit=12):
-    """imperfection_lower_bound with every nonzero 0/1 mask as a candidate."""
+    """imperfection_lower_bound with every nonzero 0/1 mask as a candidate,
+    after every chordless odd cycle of the shortest odd length from 5 to 13
+    that has any, where the package replays only the first of them."""
     n = len(gc.links)
     trial = [{link: Fraction(1)} for link in gc.links]
-    trial.extend(_odd_hole_candidates(gc))
+    for length in range(5, min(n, 13) + 1, 2):
+        holes = list(generator_induced_cycles(n, gc.adj, length))
+        trial.extend({gc.links[i]: Fraction(1) for i in hole} for hole in holes)
+        if holes:
+            break
     if n <= enumerate_limit:
         for mask in range(1, 1 << n):
             trial.append({gc.links[i]: Fraction(1) for i in range(n) if mask >> i & 1})

@@ -705,6 +705,17 @@ def test_threshold_cap_sets_exit_codes(capsys):
     _check_cap_thresholds(capsys, "threshold", THRESHOLD_CAP_THRESHOLDS)
 
 
+def test_odd_hole_search_stops_at_the_first_hole(capsys):
+    """The lower bound replays one odd hole, so on circulant:10:1,2 the
+    hole search ends within these caps, which the listing of further
+    holes of the same length used to exceed (exit 3)."""
+    default = _run_json(capsys, "invariants", "circulant:10:1,2")
+    for cap in (100, 300):
+        envelope = _run_json(capsys, "invariants", "circulant:10:1,2", "--cap-sets", str(cap))
+        assert envelope["caps"] == {"sets": cap}
+        assert {**envelope, "caps": default["caps"]} == default
+
+
 def test_python_dash_m_matches_main(capsys):
     argv = ["chif", "cycle:6", "--demands", '{"v1-v2":"1","v3-v4":"1/2"}']
     code, out, _ = _run(capsys, *argv)
@@ -759,11 +770,37 @@ def test_oversized_exponents_exit_2(capsys):
 
 
 def test_result_past_digit_limit_exits_3(capsys):
+    """A sum of two short rationals, or a demand that parses but has more
+    digits than the interpreter prints, stops at printing."""
     big = 10**2200
-    demands = json.dumps({"v1-v2": f"1/{big + 1}", "v2-v3": f"1/{big + 3}"})
-    code, out, err = _run(capsys, "chif", "cycle:5", "--demands", demands)
-    assert (code, out) == (3, "")
-    assert err.startswith("resource limit:")
+    for demands in (
+        {"v1-v2": f"1/{big + 1}", "v2-v3": f"1/{big + 3}"},
+        {"v1-v2": "1e4300"},
+        {"v1-v2": "1e-4300"},
+    ):
+        code, out, err = _run(capsys, "chif", "cycle:5", "--demands", json.dumps(demands))
+        assert (code, out) == (3, ""), demands
+        assert err == "resource limit: a rational result has too many digits to print\n"
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that closes the pipe early ends the command with exit 1
+    and no traceback on stderr."""
+    for argv in (
+        ["simulate", "cycle:10", "--seed", "1", "--samples", "2000"],
+        ["conflict", "complete:45"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hopadmit", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_src_env(),
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b""), argv
 
 
 def test_oversized_json_integers_exit_2(capsys, tmp_path):

@@ -15,6 +15,7 @@ from oracles import (
     brute_is_chordal,
     brute_link_distance,
     full_mask_imperfection_lower_bound,
+    generator_induced_cycles,
     max_local_interfering_matching,
     priced_polytope_witness,
     reference_ring_scheme_bound,
@@ -439,6 +440,28 @@ def _rewired_ring_squares(m):
     yield _rewired(gc, [(u, v), (far, x)], [(u, far), (v, x)])
 
 
+def _relabelled(gc, rng):
+    """gc with its link indices shuffled."""
+    new = list(range(len(gc.links)))
+    rng.shuffle(new)
+    links = [None] * len(new)
+    adj = [None] * len(new)
+    for i, nbrs in enumerate(gc.adj):
+        links[new[i]] = gc.links[i]
+        adj[new[i]] = frozenset(new[j] for j in nbrs)
+    return ConflictGraph(tuple(links), tuple(adj), gc.k)
+
+
+def _two_ring_squares(n):
+    """Two disjoint copies of C_n squared: 4-regular, and every ring edge
+    shares two neighbours, but no single ring runs through all 2n links."""
+    verts = [f"{side}{i}" for side in "ab" for i in range(n)]
+    edges = [(f"{side}{i}", f"{side}{(i + 1) % n}") for side in "ab" for i in range(n)]
+    gc = conflict_graph(build_graph(verts, edges), 2)
+    assert len(gc.links) == 2 * n
+    return gc
+
+
 def test_ring_scheme_matches_the_induced_subgraph_reference():
     graphs = [conflict_graph(cycle_graph(n), 2) for n in range(4, 47)]
     graphs += [conflict_graph(circulant_graph(m, (1, 3)), 2) for m in range(7, 31)]
@@ -446,6 +469,16 @@ def test_ring_scheme_matches_the_induced_subgraph_reference():
         graphs += _rewired_ring_squares(m)
     expected = [reference_ring_scheme_bound(gc) for gc in graphs]
     assert sum(value is not None for value in expected) == 10
+    # The walk must reach every link whatever the labels, and a union of
+    # two squares passes every local check: only the permutation check
+    # rejects it.
+    rings = (10, 14, 18, 22, 26)
+    more = [_relabelled(conflict_graph(cycle_graph(m), 2), random.Random(m)) for m in rings]
+    more += [_two_ring_squares(7), _two_ring_squares(11)]
+    more_expected = [reference_ring_scheme_bound(gc) for gc in more]
+    assert more_expected == [Fraction(m // 2, m // 2 - 1) for m in rings] + [None, None]
+    graphs += more
+    expected += more_expected
     built = mock.Mock(side_effect=AssertionError("a deletion was built as a subgraph"))
     with mock.patch.object(graphs_module, "induced_conflict", built), mock.patch.object(
         invariants, "induced_conflict", built, create=True
@@ -453,6 +486,26 @@ def test_ring_scheme_matches_the_induced_subgraph_reference():
         found = [invariants._ring_scheme_bound(gc) for gc in graphs]
     assert found == expected
     assert built.call_count == 0
+
+
+def test_lower_bound_replays_one_odd_hole():
+    """Only the first chordless odd cycle of the shortest length is a
+    candidate: every other of that length has the same ratio L/(L - 1)."""
+    cases = [conflict_graph(circulant_graph(10, (1, 2)), 2), conflict_graph(cycle_graph(9), 1)]
+    cases += [conflict_graph(g, k) for _, g in family_graphs() for k in (1, 2)]
+    several = 0
+    for gc in cases:
+        n = len(gc.links)
+        lengths = range(5, min(n, 13) + 1, 2)
+        by_length = (list(generator_induced_cycles(n, gc.adj, L)) for L in lengths)
+        shortest = next(filter(None, by_length), [])
+        holes = [{gc.links[i]: Fraction(1) for i in hole} for hole in shortest]
+        assert list(invariants._odd_hole_candidates(gc)) == holes[:1]
+        for tau in holes:
+            ratio = Fraction(len(tau), len(tau) - 1)
+            assert fractional_chromatic(gc, tau) / weighted_clique_number(gc, tau) == ratio
+        several += len(holes) > 1
+    assert several >= 2
 
 
 def test_imp_upper_unavailable_on_large_odd_ring():
